@@ -51,7 +51,6 @@ from .polar import (
     AffineVertexMap,
     HalfLinkReport,
     euler_singularity_chain,
-    half_link_chi,
     half_link_report,
     is_nondegenerate,
     moment_map,

@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CalculusError
-from .simplicial import (
-    Simplex,
-    SimplicialComplex,
-    SimplicialMap,
-    Subdivision,
-    euler_characteristic,
-    is_face_closed,
-    link,
-)
+from .errors import CalculusError, ComplexError
+from .simplicial import Simplex, SimplicialComplex, SimplicialMap, Subdivision, is_face_closed
 
 RING_Z = "Z"
 RING_Z2 = "Z2"
@@ -49,9 +41,6 @@ class ConstructibleFunction:
     @property
     def support(self) -> tuple[Simplex, ...]:
         return tuple(s for s in self.base.simplices if self.values[s] != 0)
-
-    def support_dim(self) -> int:
-        return max((len(s) - 1 for s in self.support), default=-1)
 
 
 def constant(k: SimplicialComplex, value: int = 1, ring: str = RING_Z) -> ConstructibleFunction:
@@ -213,6 +202,9 @@ def link_dual_oracle(k: SimplicialComplex, closed_subcomplex: Iterable[Simplex],
     Independent link-formula evaluation of the dual of an indicator.
     """
     sub = {tuple(sorted(t)) for t in closed_subcomplex}
-    x = SimplicialComplex(k.vertices, tuple(sorted(sub)))
-    lk = link(x, tuple(sorted(s)))
-    return (-1) ** (len(s) - 1) * (1 - euler_characteristic(lk))
+    s = tuple(sorted(s))
+    if s not in sub:
+        raise ComplexError(f"simplex {list(s)} is not in the complex")
+    # the link by its definition, scanning X; dual() reads cofaces instead
+    lk = [t for t in sub if set(s).isdisjoint(t) and tuple(sorted(s + t)) in sub]
+    return (-1) ** (len(s) - 1) * (1 - sum((-1) ** (len(t) - 1) for t in lk))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -20,19 +19,6 @@ from . import fileio, homology as hom
 from . import polar, sw, verify
 from .errors import InputError, WhitneyError
 from .simplicial import barycentric_subdivision, validate_map
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("WHITNEY_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"WHITNEY_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise InputError(f"WHITNEY_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _load_fn(path: Optional[str], k, default_ring=cal.RING_Z):
@@ -362,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except WhitneyError as e:
         print(f"error: {e}", file=sys.stderr)

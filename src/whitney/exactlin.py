@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals.
 
 Only what the geometric predicates need: ranks and the normal covector of
-an affine hyperplane.  Everything is Fraction arithmetic; matrices are
-tiny (at most ambient-dimension sized).
+an affine hyperplane.  Both come from one Gauss-Jordan elimination,
+``_eliminate``, which leaves its pivot rows unscaled.  Everything is
+Fraction arithmetic; matrices are tiny (at most ambient-dimension sized).
 """
 
 from __future__ import annotations
@@ -12,14 +13,16 @@ from math import gcd
 from typing import Optional, Sequence
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def _eliminate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination without scaling the pivot rows.
+
+    Returns the reduced rows and the pivot columns: row r has its pivot in
+    column pivots[r], and every other row is zero in that column.
+    """
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
         pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
@@ -29,11 +32,14 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             if i != row and m[i][col] != 0:
                 factor = m[i][col] / pv
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return m, pivots
+
+
+def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_eliminate(rows)[1])
 
 
 def _normalize_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -58,40 +64,23 @@ def affine_hyperplane(
 ) -> Optional[tuple[tuple[int, ...], Fraction]]:
     """Normal covector and offset of the affine span of m points in R^m.
 
-    Returns None unless the points affinely span an (m-1)-plane.  The
-    normal is the primitive integer vector with first nonzero component
-    positive; the offset c satisfies <normal, p> = c on the plane.
+    The coordinates must be Fractions.  Returns None unless the points
+    affinely span an (m-1)-plane.  The normal is the primitive integer
+    vector with first nonzero component positive; the offset c satisfies
+    <normal, p> = c on the plane.
     """
     m = len(points[0])
     if len(points) != m:
         raise ValueError("need exactly target-dimension many points")
     p0 = points[0]
-    rows = [[Fraction(x) - Fraction(y) for x, y in zip(p, p0)] for p in points[1:]]
-    # row-reduce; nullspace must be one-dimensional
-    mat = [list(r) for r in rows]
-    ncols = m
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        mat[row] = [a / pv for a in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
+    mat, pivots = _eliminate([[x - y for x, y in zip(p, p0)] for p in points[1:]])
     if len(pivots) != m - 1:
         return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    null = [Fraction(0)] * ncols
+    free = next(c for c in range(m) if c not in pivots)
+    null = [Fraction(0)] * m
     null[free] = Fraction(1)
     for r, col in enumerate(pivots):
-        null[col] = -mat[r][free]
+        null[col] = -mat[r][free] / mat[r][col]
     normal = _normalize_integer(null)
     offset = sum(Fraction(n) * Fraction(x) for n, x in zip(normal, p0))
     return normal, offset

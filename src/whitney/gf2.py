@@ -47,7 +47,3 @@ class Gf2System:
             b ^= pv
             combo ^= pc
         return combo
-
-
-def gf2_rank(columns: Sequence[int]) -> int:
-    return Gf2System(columns).rank

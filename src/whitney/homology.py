@@ -152,7 +152,7 @@ def fundamental_cycle(k: SimplicialComplex) -> Mod2Chain:
         raise HomologyError("empty complex has no fundamental cycle")
     tops = set(k.by_dim[d])
     for s in k.simplices:
-        if not any(set(s) <= set(t) for t in k.cofaces[s] if len(t) - 1 == d):
+        if not any(len(t) - 1 == d for t in k.cofaces[s]):
             raise HomologyError(
                 f"complex is not pure-dimensional: {list(s)} has no top coface"
             )

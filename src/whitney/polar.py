@@ -53,8 +53,10 @@ def _hyperplane_at(f: AffineVertexMap, s: Simplex):
     return affine_hyperplane(points)
 
 
-def _link_signs(f: AffineVertexMap, s: Simplex) -> tuple[dict[str, int], tuple, Fraction]:
-    """Hyperplane of f(s) and the strict side of every link vertex."""
+def _link_signs(
+    f: AffineVertexMap, s: Simplex
+) -> tuple[SimplicialComplex, dict[str, int], tuple, Fraction]:
+    """Link of s, hyperplane of f(s), and the strict side of every link vertex."""
     plane = _hyperplane_at(f, s)
     if plane is None:
         raise DegenerateMapError(
@@ -70,7 +72,7 @@ def _link_signs(f: AffineVertexMap, s: Simplex) -> tuple[dict[str, int], tuple, 
                 f"link vertex {w!r} of {list(s)} maps into the hyperplane", offender=s
             )
         signs[w] = 1 if h > 0 else -1
-    return signs, normal, offset
+    return lk, signs, normal, offset
 
 
 def is_nondegenerate(f: AffineVertexMap, i: int) -> tuple[bool, Optional[Simplex]]:
@@ -119,8 +121,7 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     if a.base != k:
         raise PolarError("function is not based on the map's domain")
     k.require(tuple(sorted(s)))
-    signs, normal, offset = _link_signs(f, s)
-    lk = link(k, s)
+    lk, signs, normal, offset = _link_signs(f, s)
     cells = []
     chi_plus = 0
     chi_minus = 0
@@ -145,33 +146,30 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     return HalfLinkReport(tuple(sorted(s)), normal, offset, tuple(cells), chi_plus, chi_minus)
 
 
-def half_link_chi(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap, side: str = "+") -> int:
-    """Weighted half-link Euler integral on the chosen side of the hyperplane."""
-    report = half_link_report(a, s, f)
-    if side == "+":
-        return report.chi_plus
-    if side == "-":
-        return report.chi_minus
-    raise PolarError(f"side must be '+' or '-', got {side!r}")
-
-
 def euler_singularity_chain(
     f: AffineVertexMap, a: ConstructibleFunction, i: int
 ) -> Mod2Chain:
-    """Singularity chain: coefficient a(S) - chi_plus_S(a) mod 2 at each i-simplex."""
-    ok, offender = is_nondegenerate(f, i)
-    if not ok:
-        raise DegenerateMapError(
-            f"map is degenerate at simplex {list(offender)}", offender=offender
-        )
+    """Singularity chain: coefficient a(S) - chi_plus_S(a) mod 2 at each i-simplex.
+
+    One census per i-simplex both tests nondegeneracy and gives chi_plus.
+    A degenerate simplex (the first in canonical order) is reported before
+    a non-Euler function.
+    """
+    if f.target_dim != i + 1:
+        raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
     a2 = reduce_mod2(a)
-    if not is_euler_function(a2):
-        raise NotEulerError("singularity chain requires an Euler function")
     support = set()
     for s in f.domain.by_dim.get(i, ()):
-        coeff = (a2(s) - half_link_chi(a2, s, f, "+")) % 2
-        if coeff:
+        try:
+            report = half_link_report(a2, s, f)
+        except DegenerateMapError as e:
+            raise DegenerateMapError(
+                f"map is degenerate at simplex {list(e.offender)}", offender=e.offender
+            ) from None
+        if (a2(s) - report.chi_plus) % 2:
             support.add(s)
+    if not is_euler_function(a2):
+        raise NotEulerError("singularity chain requires an Euler function")
     return Mod2Chain(i, frozenset(support))
 
 
@@ -207,8 +205,11 @@ def projection_map(k: SimplicialComplex, basis: Sequence[Sequence[Fraction]]) ->
     return AffineVertexMap(k, len(basis), images)
 
 
+_MAX_RETRIES = 200
+
+
 def sample_generic_subspace(
-    k: SimplicialComplex, rank: int, seed: int, max_retries: int = 200
+    k: SimplicialComplex, rank: int, seed: int
 ) -> list[tuple[Fraction, ...]]:
     """Seeded rational basis, resampled until the induced map is nondegenerate.
 
@@ -222,7 +223,7 @@ def sample_generic_subspace(
         raise PolarError(f"rank {rank} out of range for ambient dimension {n}")
     rng = random.Random(seed)
     last_offender = None
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         bound = 9 + attempt
         basis = [
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
@@ -236,6 +237,6 @@ def sample_generic_subspace(
             return basis
         last_offender = offender
     raise PolarError(
-        f"no nondegenerate basis found in {max_retries} tries; "
+        f"no nondegenerate basis found in {_MAX_RETRIES} tries; "
         f"last offending simplex: {list(last_offender) if last_offender else None}"
     )

@@ -149,15 +149,6 @@ def build_complex(
     return SimplicialComplex(vertices, tuple(sorted(closure)), None)
 
 
-def complex_from_simplices(simplices: Iterable[Simplex]) -> SimplicialComplex:
-    """Complex spanned by an already face-closed simplex set (re-closed here)."""
-    closure: set[Simplex] = set()
-    for s in simplices:
-        closure.update(faces(s))
-    vertices = tuple(sorted({v for s in closure for v in s}))
-    return SimplicialComplex(vertices, tuple(sorted(closure)))
-
-
 def is_face_closed(k: SimplicialComplex, simplices: Iterable[Simplex]) -> Optional[Simplex]:
     """Return a missing face if the set is not face-closed in k, else None."""
     sset = set(simplices)
@@ -170,13 +161,14 @@ def is_face_closed(k: SimplicialComplex, simplices: Iterable[Simplex]) -> Option
 
 
 def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
-    """Lk(s, k) = {t : t disjoint from s and t+s in k}, on the ambient vertex set."""
+    """Lk(s, k) = {t : t disjoint from s and t+s in k}, on the ambient vertex set.
+
+    Read off ``k.cofaces[s]``: each link simplex is T - s for exactly one
+    coface T != s, so no other simplex of k is visited.  The simplices come
+    out in canonical order.
+    """
     k.require(s)
-    sset = set(s)
-    out = []
-    for t in k.simplices:
-        if sset.isdisjoint(t) and tuple(sorted(sset.union(t))) in k.simplex_set:
-            out.append(t)
+    out = sorted(tuple(v for v in t if v not in s) for t in k.cofaces[s] if t != s)
     return SimplicialComplex(k.vertices, tuple(out), k.coordinates)
 
 

@@ -293,7 +293,6 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
                 continue
             ind = cal.indicator(kp, sub, cal.RING_Z2)
             d = restricted.dim
-            sub_of_sub = barycentric_subdivision(restricted)  # noqa: F841 (keeps API hot)
             for i in range(d + 1):
                 f = polar.moment_map(subdiv, i)
                 whole = polar.euler_singularity_chain(f, ind, i)

@@ -179,12 +179,19 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 6
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("WHITNEY_THREADS", "banana")
-    assert run(["chi", "--complex", CORPUS / "s1_3.json"]) == 2
-    monkeypatch.setenv("WHITNEY_THREADS", "2")
-    code, out = run(["chi", "--complex", CORPUS / "s1_3.json"], capsys)
-    assert code == 0
+def test_degenerate_map_exit_code_beats_non_euler_function(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"ambient_dim": 2, "vectors": [["1", "0"]]}))
+    fn = tmp_path / "edge.json"
+    fn.write_text(json.dumps(
+        {"ring": "Z2", "terms": [{"coeff": 1, "closed_support": [["a", "b"]]}]}
+    ))
+    code, out = run(
+        ["polar", "--complex", CORPUS / "square.json", "--dim", 0,
+         "--project", basis, "--fn", fn, "--out", tmp_path / "c.json"], capsys
+    )
+    assert code == 6
+    assert out.err == "error: map is degenerate at simplex ['a']\n"
 
 
 def test_verify_cli(capsys):

@@ -81,6 +81,17 @@ def test_singularity_chain_requires_euler_function(subdivisions):
         )
 
 
+def test_degenerate_map_reported_before_non_euler_function(circle):
+    f = height_map(circle, {"1": 0, "2": 0, "3": 1})
+    edge = cal.indicator(circle, [("1",), ("2",), ("1", "2")], cal.RING_Z2)
+    assert not cal.is_euler_function(edge)
+    with pytest.raises(DegenerateMapError) as e:
+        polar.euler_singularity_chain(f, edge, 0)
+    # the first offender in canonical order, not just any
+    assert e.value.offender == ("1",)
+    assert str(e.value) == "map is degenerate at simplex ['1']"
+
+
 def test_projection_map_requires_coordinates(corpus):
     with pytest.raises(PolarError):
         polar.projection_map(corpus["torus_7"].complex, [(Fraction(1),)])

@@ -48,7 +48,7 @@ def test_affinely_dependent_coordinates_rejected():
         build_complex(["1", "2", "3"], [["1", "2", "3"]], coords)
 
 
-def test_link_and_star(sphere):
+def test_link_and_star(sphere, corpus, subdivisions):
     lk = link(sphere, ("1",))
     # link of a vertex in the 2-sphere boundary is a triangle circle
     assert euler_characteristic(lk) == 0
@@ -56,6 +56,17 @@ def test_link_and_star(sphere):
     st = star(sphere, ("1",))
     assert ("2", "3", "4") not in st.simplex_set
     assert ("1", "2", "3") in st.simplex_set
+    # link reads cofaces; check it against a scan of the definition
+    for name, entry in corpus.items():
+        for k in (entry.complex, subdivisions[name].complex):
+            for s in k.simplices:
+                scan = tuple(
+                    t for t in k.simplices
+                    if set(s).isdisjoint(t) and tuple(sorted(s + t)) in k.simplex_set
+                )
+                lk = link(k, s)
+                assert lk.simplices == scan, (name, s)
+                assert (lk.vertices, lk.coordinates) == (k.vertices, k.coordinates)
 
 
 def test_euler_characteristic(corpus):
