@@ -54,6 +54,7 @@ from .polar import (
     half_link_report,
     is_nondegenerate,
     moment_map,
+    polar_census,
     projection_map,
     sample_generic_subspace,
 )

@@ -196,39 +196,33 @@ def cmd_bounds(args) -> int:
 def cmd_polar(args) -> int:
     k = fileio.load_complex(args.complex)
     i = args.dim
-    if args.moment:
-        sub = barycentric_subdivision(k)
-        f = polar.moment_map(sub, i)
-        a = _load_fn(args.fn, k, cal.RING_Z2)
-        a = cal.subdivide_function(sub, cal.reduce_mod2(a))
-        construction = "moment"
-        domain = sub.complex
+    a = cal.reduce_mod2(_load_fn(args.fn, k, cal.RING_Z2))
+    if args.random_plane:
+        _basis, c, reports = polar.sample_generic_subspace(a, i + 1, args.seed)
+        construction = "projection"
     else:
-        if args.map:
+        if args.moment:
+            sub = barycentric_subdivision(k)
+            f = polar.moment_map(sub, i)
+            a = cal.subdivide_function(sub, a)
+            construction = "moment"
+        elif args.map:
             f = fileio.affine_map_from_dict(fileio.load_json(args.map), k)
             construction = "map"
-        elif args.project:
+        else:
             basis = fileio.basis_from_dict(fileio.load_json(args.project))
             f = polar.projection_map(k, basis)
             construction = "projection"
-        else:
-            basis = polar.sample_generic_subspace(k, i + 1, args.seed)
-            f = polar.projection_map(k, basis)
-            construction = "projection"
-        a = _load_fn(args.fn, k, cal.RING_Z2)
-        a = cal.reduce_mod2(a)
-        domain = k
-    c = polar.euler_singularity_chain(f, a, i)
+        c, reports = polar.polar_census(f, a, i)
     provenance = {"construction": construction, "complex": Path(args.complex).name, "i": i}
     if args.random_plane:
         provenance["seed"] = args.seed
     fileio.dump_json(fileio.chain_to_dict(c, provenance), args.out)
     if args.report:
-        reports = [
-            fileio.half_link_report_to_dict(polar.half_link_report(a, s, f))
-            for s in domain.by_dim.get(i, ())
-        ]
-        fileio.dump_json({"half_links": reports}, args.report)
+        fileio.dump_json(
+            {"half_links": [fileio.half_link_report_to_dict(r) for r in reports]},
+            args.report,
+        )
     return 0
 
 

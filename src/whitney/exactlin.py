@@ -82,9 +82,9 @@ def affine_hyperplane(
     for r, col in enumerate(pivots):
         null[col] = -mat[r][free] / mat[r][col]
     normal = _normalize_integer(null)
-    offset = sum(Fraction(n) * Fraction(x) for n, x in zip(normal, p0))
+    offset = dot(normal, p0)
     return normal, offset
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))

@@ -146,19 +146,21 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     return HalfLinkReport(tuple(sorted(s)), normal, offset, tuple(cells), chi_plus, chi_minus)
 
 
-def euler_singularity_chain(
+def polar_census(
     f: AffineVertexMap, a: ConstructibleFunction, i: int
-) -> Mod2Chain:
-    """Singularity chain: coefficient a(S) - chi_plus_S(a) mod 2 at each i-simplex.
+) -> tuple[Mod2Chain, tuple[HalfLinkReport, ...]]:
+    """Singularity chain and half-link reports of f over every i-simplex.
 
-    One census per i-simplex both tests nondegeneracy and gives chi_plus.
-    A degenerate simplex (the first in canonical order) is reported before
+    One census per i-simplex tests nondegeneracy, gives the coefficient
+    a(S) - chi_plus_S(a) mod 2, and is kept as that simplex's report.  A
+    degenerate simplex (the first in canonical order) is reported before
     a non-Euler function.
     """
     if f.target_dim != i + 1:
         raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
     a2 = reduce_mod2(a)
     support = set()
+    reports = []
     for s in f.domain.by_dim.get(i, ()):
         try:
             report = half_link_report(a2, s, f)
@@ -168,9 +170,17 @@ def euler_singularity_chain(
             ) from None
         if (a2(s) - report.chi_plus) % 2:
             support.add(s)
+        reports.append(report)
     if not is_euler_function(a2):
         raise NotEulerError("singularity chain requires an Euler function")
-    return Mod2Chain(i, frozenset(support))
+    return Mod2Chain(i, frozenset(support)), tuple(reports)
+
+
+def euler_singularity_chain(
+    f: AffineVertexMap, a: ConstructibleFunction, i: int
+) -> Mod2Chain:
+    """Singularity chain: coefficient a(S) - chi_plus_S(a) mod 2 at each i-simplex."""
+    return polar_census(f, a, i)[0]
 
 
 def moment_map(sub: Subdivision, i: int) -> AffineVertexMap:
@@ -209,13 +219,18 @@ _MAX_RETRIES = 200
 
 
 def sample_generic_subspace(
-    k: SimplicialComplex, rank: int, seed: int
-) -> list[tuple[Fraction, ...]]:
+    a: ConstructibleFunction, rank: int, seed: int
+) -> tuple[list[tuple[Fraction, ...]], Mod2Chain, tuple[HalfLinkReport, ...]]:
     """Seeded rational basis, resampled until the induced map is nondegenerate.
 
-    The stream is Python's Mersenne Twister seeded with `seed`; identical
-    (seed, complex) pairs give identical bases.
+    `a` is a function on a complex with coordinates; the map projects that
+    complex onto `rank` seeded integer covectors.  Each candidate is tested
+    by its `polar_census` at i = rank - 1, so the accepted basis comes back
+    with its singularity chain and half-link reports.  The stream is
+    Python's Mersenne Twister seeded with `seed`; identical (seed, complex)
+    pairs give identical bases.
     """
+    k = a.base
     if k.coordinates is None:
         raise PolarError("complex has no coordinates; cannot sample a subspace")
     n = k.ambient_dim
@@ -231,11 +246,12 @@ def sample_generic_subspace(
         ]
         if matrix_rank(basis) != rank:
             continue
-        f = projection_map(k, basis)
-        ok, offender = is_nondegenerate(f, rank - 1)
-        if ok:
-            return basis
-        last_offender = offender
+        try:
+            chain, reports = polar_census(projection_map(k, basis), a, rank - 1)
+        except DegenerateMapError as e:
+            last_offender = e.offender
+            continue
+        return basis, chain, reports
     raise PolarError(
         f"no nondegenerate basis found in {_MAX_RETRIES} tries; "
         f"last offending simplex: {list(last_offender) if last_offender else None}"

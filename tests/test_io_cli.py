@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from whitney import cli, fileio
+from whitney import cli, fileio, polar
 from whitney.errors import InputError
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
@@ -129,17 +129,45 @@ def test_polar_random_plane_deterministic(tmp_path):
     assert json.loads(p1.read_text())["seed"] == 42
 
 
-def test_polar_moment_with_report(tmp_path):
+@pytest.mark.parametrize("complex_name, mode, construction, cells", [
+    pytest.param("s1_3.json", "--moment", "moment", 6, id="moment"),
+    pytest.param("rp2_6_embedded.json", "--project", "projection", 15, id="project"),
+    pytest.param("rp2_6_embedded.json", "--random-plane", "projection", 15, id="random-plane"),
+])
+def test_polar_with_report(tmp_path, complex_name, mode, construction, cells):
     out = tmp_path / "c.json"
     report = tmp_path / "hl.json"
-    code = run(
-        ["polar", "--complex", CORPUS / "s1_3.json", "--dim", 1, "--moment",
-         "--out", out, "--report", report]
-    )
+    argv = ["polar", "--complex", CORPUS / complex_name, "--dim", 1, mode]
+    if mode == "--project":
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps(
+            {"ambient_dim": 5, "vectors": [["1", "2", "4", "8", "16"], ["1", "3", "9", "27", "81"]]}
+        ))
+        argv.append(basis)
+    code = run(argv + ["--out", out, "--report", report])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["construction"] == "moment"
-    assert len(json.loads(report.read_text())["half_links"]) == 6
+    assert payload["construction"] == construction
+    half_links = json.loads(report.read_text())["half_links"]
+    assert len(half_links) == cells
+    # a = 1: the chain is the set of S with 1 - chi_plus(S) odd
+    assert payload["simplices"] == [
+        r["simplex"] for r in half_links if (1 - r["chi_plus"]) % 2
+    ]
+
+
+@pytest.mark.parametrize("i, simplices", [(0, 6), (1, 15), (2, 10)])
+def test_polar_random_plane_report_builds_each_link_once(tmp_path, monkeypatch, i, simplices):
+    real_link = polar.link
+    calls = []
+    monkeypatch.setattr(polar, "link", lambda k, s: calls.append(s) or real_link(k, s))
+    code = run(
+        ["polar", "--complex", CORPUS / "rp2_6_embedded.json", "--dim", i,
+         "--random-plane", "--seed", 3, "--out", tmp_path / "c.json",
+         "--report", tmp_path / "hl.json"]
+    )
+    assert code == 0
+    assert len(calls) == simplices
 
 
 def test_push_pull_cli(tmp_path, capsys):
@@ -192,6 +220,17 @@ def test_degenerate_map_exit_code_beats_non_euler_function(tmp_path, capsys):
     )
     assert code == 6
     assert out.err == "error: map is degenerate at simplex ['a']\n"
+
+
+def test_polar_input_error_beats_map_error(tmp_path):
+    # torus_7 has no coordinates, so sampling a plane would fail with exit 6
+    fn = tmp_path / "bad.json"
+    fn.write_text("{")
+    code = run(
+        ["polar", "--complex", CORPUS / "torus_7.json", "--dim", 0,
+         "--random-plane", "--fn", fn, "--out", tmp_path / "c.json"]
+    )
+    assert code == 2
 
 
 def test_verify_cli(capsys):

@@ -107,11 +107,22 @@ def test_projection_chain_on_circle(circle):
 
 def test_sample_generic_subspace_deterministic(corpus):
     k = corpus["rp2_6_embedded"].complex
-    b1 = polar.sample_generic_subspace(k, 2, seed=11)
-    b2 = polar.sample_generic_subspace(k, 2, seed=11)
-    assert b1 == b2
+    ones = cal.constant(k, 1, cal.RING_Z2)
+    b1, c1, r1 = polar.sample_generic_subspace(ones, 2, seed=11)
+    b2, c2, r2 = polar.sample_generic_subspace(ones, 2, seed=11)
+    assert (b1, c1, r1) == (b2, c2, r2)
     ok, _ = polar.is_nondegenerate(polar.projection_map(k, b1), 1)
     assert ok
+
+
+def test_sampler_chain_matches_chain_of_its_basis(corpus):
+    k = corpus["rp2_6_embedded"].complex
+    ones = cal.constant(k, 1, cal.RING_Z2)
+    for i in range(k.dim + 1):
+        basis, chain, reports = polar.sample_generic_subspace(ones, i + 1, seed=3)
+        f = polar.projection_map(k, basis)
+        assert chain == polar.euler_singularity_chain(f, ones, i)
+        assert [r.simplex for r in reports] == list(k.by_dim[i])
 
 
 def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
@@ -119,8 +130,7 @@ def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
     sub = subdivisions["boundary_delta3"]
     ones = cal.constant(k, 1, cal.RING_Z2)
     for i in range(k.dim + 1):
-        basis = polar.sample_generic_subspace(k, i + 1, seed=5 + i)
-        sig = polar.euler_singularity_chain(polar.projection_map(k, basis), ones, i)
+        _basis, sig, _reports = polar.sample_generic_subspace(ones, i + 1, seed=5 + i)
         assert hom.homologous(
             sub.complex,
             sw.subdivision_chain_map(sub, sig),
