@@ -43,17 +43,19 @@ class ConstructibleFunction:
         return tuple(s for s in self.base.simplices if self.values[s] != 0)
 
 
-def constant(k: SimplicialComplex, value: int = 1, ring: str = RING_Z) -> ConstructibleFunction:
-    if ring == RING_Z2:
-        value %= 2
-    return ConstructibleFunction(k, ring, {s: value for s in k.simplices})
-
-
-def from_values(k: SimplicialComplex, values: Mapping[Simplex, int], ring: str = RING_Z) -> ConstructibleFunction:
-    vals = {s: values.get(s, 0) for s in k.simplices}
+def _function(k: SimplicialComplex, ring: str, vals: Mapping[Simplex, int]) -> ConstructibleFunction:
+    """The function with these values, reduced mod 2 in Z2 mode."""
     if ring == RING_Z2:
         vals = {s: v % 2 for s, v in vals.items()}
     return ConstructibleFunction(k, ring, vals)
+
+
+def constant(k: SimplicialComplex, value: int = 1, ring: str = RING_Z) -> ConstructibleFunction:
+    return _function(k, ring, {s: value for s in k.simplices})
+
+
+def from_values(k: SimplicialComplex, values: Mapping[Simplex, int], ring: str = RING_Z) -> ConstructibleFunction:
+    return _function(k, ring, {s: values.get(s, 0) for s in k.simplices})
 
 
 def indicator(k: SimplicialComplex, closed_subcomplex: Iterable[Simplex], ring: str = RING_Z) -> ConstructibleFunction:
@@ -76,9 +78,7 @@ def indicator_sum(
         ind = indicator(k, sub, RING_Z)
         for s in k.simplices:
             vals[s] += coeff * ind(s)
-    if ring == RING_Z2:
-        vals = {s: v % 2 for s, v in vals.items()}
-    return ConstructibleFunction(k, ring, vals)
+    return _function(k, ring, vals)
 
 
 def _check_compatible(a: ConstructibleFunction, b: ConstructibleFunction) -> None:
@@ -97,15 +97,13 @@ def combine(op: str, a: ConstructibleFunction, b: ConstructibleFunction) -> Cons
         vals = {s: a(s) * b(s) for s in a.base.simplices}
     else:
         raise CalculusError(f"unknown operation {op!r}")
-    if a.ring == RING_Z2:
-        vals = {s: v % 2 for s, v in vals.items()}
-    return ConstructibleFunction(a.base, a.ring, vals)
+    return _function(a.base, a.ring, vals)
 
 
 def reduce_mod2(a: ConstructibleFunction) -> ConstructibleFunction:
     if a.ring == RING_Z2:
         return a
-    return ConstructibleFunction(a.base, RING_Z2, {s: v % 2 for s, v in a.values.items()})
+    return _function(a.base, RING_Z2, a.values)
 
 
 def chi(a: ConstructibleFunction) -> int:
@@ -118,13 +116,8 @@ def chi(a: ConstructibleFunction) -> int:
 def dual(a: ConstructibleFunction) -> ConstructibleFunction:
     """Duality operator: signed coface sum on each open simplex."""
     k = a.base
-    vals = {}
-    for s in k.simplices:
-        total = sum((-1) ** (len(t) - 1) * a(t) for t in k.cofaces[s])
-        if a.ring == RING_Z2:
-            total %= 2
-        vals[s] = total
-    return ConstructibleFunction(k, a.ring, vals)
+    vals = {s: sum((-1) ** (len(t) - 1) * a(t) for t in k.cofaces[s]) for s in k.simplices}
+    return _function(k, a.ring, vals)
 
 
 def pushforward(f: SimplicialMap, a: ConstructibleFunction) -> ConstructibleFunction:
@@ -135,9 +128,7 @@ def pushforward(f: SimplicialMap, a: ConstructibleFunction) -> ConstructibleFunc
     for t in f.domain.simplices:
         img = f.image(t)
         vals[img] += (-1) ** (len(t) - len(img)) * a(t)
-    if a.ring == RING_Z2:
-        vals = {s: v % 2 for s, v in vals.items()}
-    return ConstructibleFunction(f.codomain, a.ring, vals)
+    return _function(f.codomain, a.ring, vals)
 
 
 def pullback(f: SimplicialMap, b: ConstructibleFunction) -> ConstructibleFunction:

@@ -17,7 +17,7 @@ from typing import Optional
 from . import calculus as cal
 from . import fileio, homology as hom
 from . import polar, sw, verify
-from .errors import InputError, WhitneyError
+from .errors import InputError, PolarError, WhitneyError
 from .simplicial import barycentric_subdivision, validate_map
 
 
@@ -213,7 +213,9 @@ def cmd_polar(args) -> int:
             basis = fileio.basis_from_dict(fileio.load_json(args.project))
             f = polar.projection_map(k, basis)
             construction = "projection"
-        c, reports = polar.polar_census(f, a, i)
+        if f.target_dim != i + 1:
+            raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
+        c, reports = polar.polar_census(f, a)
     provenance = {"construction": construction, "complex": Path(args.complex).name, "i": i}
     if args.random_plane:
         provenance["seed"] = args.seed
@@ -268,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=["json", "text"], default="text")
+        if name in ("euler-check", "homology", "bounds", "verify"):
+            # only the subcommands that print a report read --format
+            p.add_argument("--format", choices=["json", "text"], default="text")
         return p
 
     p = add("validate", cmd_validate, help="parse and validate artifact files")

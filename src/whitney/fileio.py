@@ -118,10 +118,6 @@ def vertex_map_from_dict(data: dict) -> dict[str, str]:
     return {str(k): str(v) for k, v in vm.items()}
 
 
-def map_to_dict(vertex_map: dict[str, str]) -> dict:
-    return {"vertex_map": dict(sorted(vertex_map.items()))}
-
-
 # -- chains ------------------------------------------------------------------
 
 def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Chain:
@@ -216,15 +212,6 @@ def basis_from_dict(data: dict) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def basis_to_dict(basis: list[tuple[Fraction, ...]]) -> dict:
-    if not basis:
-        raise InputError("empty basis")
-    return {
-        "ambient_dim": len(basis[0]),
-        "vectors": [[format_rational(x) for x in b] for b in basis],
-    }
-
-
 def affine_map_from_dict(data: dict, k: SimplicialComplex):
     from .polar import AffineVertexMap
 
@@ -237,16 +224,6 @@ def affine_map_from_dict(data: dict, k: SimplicialComplex):
         return AffineVertexMap(k, m, parsed)
     except Exception as e:
         raise InputError(f"affine map file: {e}") from e
-
-
-def affine_map_to_dict(f) -> dict:
-    return {
-        "target_dim": f.target_dim,
-        "images": {
-            v: [format_rational(x) for x in f.images[v]]
-            for v in sorted(f.images)
-        },
-    }
 
 
 # -- subdivision manifest -------------------------------------------------------

@@ -45,10 +45,6 @@ def chain(dim: int, simplices: Iterable[Iterable[str]]) -> Mod2Chain:
     return Mod2Chain(dim, frozenset(tuple(sorted(s)) for s in simplices))
 
 
-def zero_chain(dim: int) -> Mod2Chain:
-    return Mod2Chain(dim, frozenset())
-
-
 def _check_chain(k: SimplicialComplex, c: Mod2Chain) -> None:
     for s in c.support:
         if s not in k.simplex_set:
@@ -113,7 +109,7 @@ def is_boundary(
     if not is_cycle(k, c):
         raise HomologyError("is_boundary requires a cycle")
     if not c:
-        return True, zero_chain(c.dim + 1)
+        return True, Mod2Chain(c.dim + 1, frozenset())
     system, rows, cols = _boundary_system(k, c.dim + 1)
     b = 0
     for s in c.support:

@@ -75,11 +75,9 @@ def _link_signs(
     return lk, signs, normal, offset
 
 
-def is_nondegenerate(f: AffineVertexMap, i: int) -> tuple[bool, Optional[Simplex]]:
-    """Per-simplex test over all i-simplices; returns the first offender."""
-    if f.target_dim != i + 1:
-        raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
-    for s in f.domain.by_dim.get(i, ()):
+def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
+    """Per-simplex test over all i-simplices, i = target_dim - 1; returns the first offender."""
+    for s in f.domain.by_dim.get(f.target_dim - 1, ()):
         try:
             _link_signs(f, s)
         except DegenerateMapError as e:
@@ -111,11 +109,13 @@ class HalfLinkReport:
 def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -> HalfLinkReport:
     """Weighted Euler integrals of both half-links of s under f.
 
-    Each link simplex U contributes its strictly-one-sided open cell (dim
-    U, present iff some vertex of U lies strictly on that side) and its
-    hyperplane slice (dim U - 1, present iff U has vertices strictly on
-    both sides); each present cell is weighted by the function value on
-    the joined simplex.
+    Each link simplex U has an open cell on each side where some vertex
+    of U lies, and a hyperplane slice (dim U - 1) when its vertices lie on
+    both sides; the report lists these cells, weighted by the function
+    value on the joined simplex.  A two-sided U adds its open cell and
+    its slice to the integral of each side, and the two cancel, so
+    chi_plus is the weighted sum of (-1)^dim U over the link simplices
+    with all vertices on the positive side (chi_minus likewise).
     """
     k = f.domain
     if a.base != k:
@@ -132,13 +132,10 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
         joined = tuple(sorted(sset.union(u)))
         weight = a(joined)
         d = len(u) - 1
-        if pos:
+        if not neg:
             chi_plus += (-1) ** d * weight
-        if neg:
+        if not pos:
             chi_minus += (-1) ** d * weight
-        if pos and neg:
-            chi_plus += (-1) ** (d - 1) * weight
-            chi_minus += (-1) ** (d - 1) * weight
         cells.append(HalfLinkCell(u, pos, neg, pos and neg, weight))
     if a.ring == "Z2":
         chi_plus %= 2
@@ -147,17 +144,17 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
 
 
 def polar_census(
-    f: AffineVertexMap, a: ConstructibleFunction, i: int
+    f: AffineVertexMap, a: ConstructibleFunction
 ) -> tuple[Mod2Chain, tuple[HalfLinkReport, ...]]:
     """Singularity chain and half-link reports of f over every i-simplex.
 
-    One census per i-simplex tests nondegeneracy, gives the coefficient
-    a(S) - chi_plus_S(a) mod 2, and is kept as that simplex's report.  A
-    degenerate simplex (the first in canonical order) is reported before
-    a non-Euler function.
+    A map to R^(i+1) has its singularities on the i-simplices, so i is
+    f.target_dim - 1.  One census per i-simplex tests nondegeneracy, gives
+    the coefficient a(S) - chi_plus_S(a) mod 2, and is kept as that
+    simplex's report.  A degenerate simplex (the first in canonical
+    order) is reported before a non-Euler function.
     """
-    if f.target_dim != i + 1:
-        raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
+    i = f.target_dim - 1
     a2 = reduce_mod2(a)
     support = set()
     reports = []
@@ -176,11 +173,9 @@ def polar_census(
     return Mod2Chain(i, frozenset(support)), tuple(reports)
 
 
-def euler_singularity_chain(
-    f: AffineVertexMap, a: ConstructibleFunction, i: int
-) -> Mod2Chain:
+def euler_singularity_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
     """Singularity chain: coefficient a(S) - chi_plus_S(a) mod 2 at each i-simplex."""
-    return polar_census(f, a, i)[0]
+    return polar_census(f, a)[0]
 
 
 def moment_map(sub: Subdivision, i: int) -> AffineVertexMap:
@@ -225,8 +220,8 @@ def sample_generic_subspace(
 
     `a` is a function on a complex with coordinates; the map projects that
     complex onto `rank` seeded integer covectors.  Each candidate is tested
-    by its `polar_census` at i = rank - 1, so the accepted basis comes back
-    with its singularity chain and half-link reports.  The stream is
+    by its `polar_census`, so the accepted basis comes back with its
+    singularity chain and half-link reports.  The stream is
     Python's Mersenne Twister seeded with `seed`; identical (seed, complex)
     pairs give identical bases.
     """
@@ -247,7 +242,7 @@ def sample_generic_subspace(
         if matrix_rank(basis) != rank:
             continue
         try:
-            chain, reports = polar_census(projection_map(k, basis), a, rank - 1)
+            chain, reports = polar_census(projection_map(k, basis), a)
         except DegenerateMapError as e:
             last_offender = e.offender
             continue

@@ -91,9 +91,6 @@ class SimplicialComplex:
     def n_simplices(self, d: int) -> int:
         return len(self.by_dim.get(d, ()))
 
-    def has(self, s: Simplex) -> bool:
-        return s in self.simplex_set
-
     def require(self, s: Simplex) -> Simplex:
         if s not in self.simplex_set:
             raise ComplexError(f"simplex {list(s)} is not in the complex")

@@ -23,7 +23,6 @@ from .errors import HomologyError, NotEulerError
 from .homology import Mod2Chain, chain_pushforward, homologous
 from .polar import euler_singularity_chain, moment_map
 from .simplicial import (
-    Simplex,
     SimplicialMap,
     Subdivision,
     barycentric_subdivision,
@@ -52,37 +51,21 @@ def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod
     if not 0 <= i <= sub.base.dim:
         raise HomologyError(f"i={i} out of range for a {sub.base.dim}-complex")
     ap = subdivide_function(sub, a2)
-    return euler_singularity_chain(moment_map(sub, i), ap, i)
+    return euler_singularity_chain(moment_map(sub, i), ap)
 
 
 def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
-    """Each i-simplex to the sum of the i-simplices of the subdivision inside it.
+    """sd#: each i-simplex S to the sum of the i-simplices of K' carried by S.
 
-    Those are the flags using one face of every dimension 0..i, so this is
-    a chain map.
+    An i-simplex of K' inside the closed i-simplex S has a flag ending at
+    S, so S is its carrier; each i-simplex of K' has exactly one carrier,
+    so the image of the chain is the set of i-simplices carried by its
+    support.  This is the subdivision chain map.
     """
-    from .simplicial import barycenter_name, faces
-
-    support: set[Simplex] = set()
     for s in c.support:
         sub.base.require(s)
-        # flags of faces of s hitting each dimension 0..dim(s)
-        by_d: dict[int, list[Simplex]] = {}
-        for f in faces(s):
-            by_d.setdefault(len(f) - 1, []).append(f)
-        stack: list[tuple[Simplex, ...]] = [(f,) for f in by_d[0]]
-        for d in range(1, len(s)):
-            stack = [
-                fl + (g,)
-                for fl in stack
-                for g in by_d[d]
-                if set(fl[-1]) < set(g)
-            ]
-        for fl in stack:
-            support.symmetric_difference_update(
-                {tuple(sorted(barycenter_name(t) for t in fl))}
-            )
-    return Mod2Chain(c.dim, frozenset(support))
+    i_simplices = sub.complex.by_dim.get(c.dim, ())
+    return Mod2Chain(c.dim, frozenset(t for t in i_simplices if sub.carrier(t) in c.support))
 
 
 @dataclass(frozen=True)

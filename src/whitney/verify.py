@@ -17,7 +17,7 @@ from . import homology as hom
 from . import polar, sw
 from .corpus import CorpusEntry, MapEntry, load_corpus, load_map_suite
 from .errors import WhitneyError
-from .fileio import chain_to_dict, complex_to_dict, function_to_dict, map_to_dict
+from .fileio import function_to_dict
 from .simplicial import (
     Simplex,
     SimplicialComplex,
@@ -231,11 +231,13 @@ def run_stiefel_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) ->
 def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> SuiteReport:
     rng = random.Random(seed)
     report = SuiteReport("polar", seed)
+    # one subdivision per Euler space, shared by the three sections below
+    subdivs = {e.name: barycentric_subdivision(e.complex) for e in corpus.values() if e.euler}
     for entry in corpus.values():
         if not entry.euler:
             continue
         k = entry.complex
-        subdiv = barycentric_subdivision(k)
+        subdiv = subdivs[entry.name]
         ones_prime = cal.constant(subdiv.complex, 1)
         for i in range(k.dim + 1):
             f_i = polar.moment_map(subdiv, i)
@@ -248,7 +250,7 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
     embedded = [e for e in corpus.values() if e.complex.coordinates is not None and e.euler]
     for entry in embedded:
         k = entry.complex
-        subdiv = barycentric_subdivision(k)
+        subdiv = subdivs[entry.name]
         ones = cal.constant(k, 1, cal.RING_Z2)
         n_pairs = max(2, trials // 10)
         for rank in range(1, k.dim + 2):
@@ -275,8 +277,7 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
     for entry in corpus.values():
         if not entry.euler or entry.complex.dim < 1:
             continue
-        k = entry.complex
-        subdiv = barycentric_subdivision(k)
+        subdiv = subdivs[entry.name]
         kp = subdiv.complex
         # vertex links are closed Euler subcomplexes; random draws rarely are
         candidates = [
@@ -294,12 +295,12 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
             d = restricted.dim
             for i in range(d + 1):
                 f = polar.moment_map(subdiv, i)
-                whole = polar.euler_singularity_chain(f, ind, i)
+                whole = polar.euler_singularity_chain(f, ind)
                 f_restricted = polar.AffineVertexMap(
                     restricted, i + 1, {v: f.images[v] for v in restricted.vertices}
                 )
                 part = polar.euler_singularity_chain(
-                    f_restricted, cal.constant(restricted, 1, cal.RING_Z2), i
+                    f_restricted, cal.constant(restricted, 1, cal.RING_Z2)
                 )
                 report.prop("restriction consistency of weighted chains").record(
                     whole.support == part.support,

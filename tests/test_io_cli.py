@@ -222,6 +222,34 @@ def test_degenerate_map_exit_code_beats_non_euler_function(tmp_path, capsys):
     assert out.err == "error: map is degenerate at simplex ['a']\n"
 
 
+@pytest.mark.parametrize("complex_name, mode, payload", [
+    pytest.param("s1_3.json", "--map", {"target_dim": 2, "images": {
+        "1": ["0", "0"], "2": ["1", "0"], "3": ["0", "1"]}}, id="map"),
+    pytest.param("s1_6.json", "--project", {"ambient_dim": 2, "vectors": [
+        ["1", "0"], ["0", "1"]]}, id="project"),
+])
+def test_polar_target_dimension_must_match(tmp_path, capsys, complex_name, mode, payload):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    code, out = run(
+        ["polar", "--complex", CORPUS / complex_name, "--dim", 0,
+         mode, path, "--out", tmp_path / "c.json"], capsys
+    )
+    assert code == 6
+    assert out.err == "error: target dimension 2 does not match i+1=1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["polar", "--complex", CORPUS / "s1_3.json", "--dim", 0, "--moment"], id="polar"),
+    pytest.param(["stiefel", "--complex", CORPUS / "s1_3.json", "--dim", 0], id="stiefel"),
+])
+def test_format_rejected_where_unread(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--out", tmp_path / "c.json", "--format", "json"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_polar_input_error_beats_map_error(tmp_path):
     # torus_7 has no coordinates, so sampling a plane would fail with exit 6
     fn = tmp_path / "bad.json"

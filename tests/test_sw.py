@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from whitney import calculus as cal
@@ -112,6 +114,35 @@ def test_subdivision_chain_map_is_chain_map(corpus, subdivisions):
         sw.subdivision_chain_map(sub, hom.boundary(k, c)).support
         == hom.boundary(sub.complex, sw.subdivision_chain_map(sub, c)).support
     )
+
+
+def _carried_scan(sub, c):
+    """{t in K'_i : the closed simplex of some S in c holds every vertex carrier of t}."""
+    support = [set(s) for s in c.support]
+    return {
+        t
+        for t in sub.complex.simplices
+        if len(t) - 1 == c.dim
+        and any(all(set(sub.carriers[v]) <= s for v in t) for s in support)
+    }
+
+
+def test_subdivision_chain_map_matches_carrier_scan(corpus, subdivisions):
+    # K -> K' and K' -> K'' of every corpus space, full and random supports
+    rng = random.Random(4)
+    for name, entry in corpus.items():
+        sub1 = subdivisions[name]
+        for sub in (sub1, barycentric_subdivision(sub1.complex)):
+            for i in range(sub.base.dim + 1):
+                full = sub.base.by_dim[i]
+                supports = [full] + [
+                    [s for s in full if rng.random() < 0.3] for _ in range(3)
+                ]
+                for support in supports:
+                    c = hom.Mod2Chain(i, frozenset(support))
+                    assert sw.subdivision_chain_map(sub, c).support == _carried_scan(sub, c), (
+                        name, i, len(support)
+                    )
 
 
 def test_pushforward_axiom_double_cover(map_suite):
