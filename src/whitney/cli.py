@@ -21,9 +21,9 @@ from .errors import InputError, PolarError, WhitneyError
 from .simplicial import barycentric_subdivision, validate_map
 
 
-def _load_fn(path: Optional[str], k, default_ring=cal.RING_Z):
+def _load_fn(path: Optional[str], k):
     if path is None:
-        return cal.constant(k, 1, default_ring)
+        return cal.constant(k, 1)
     return fileio.function_from_dict(fileio.load_json(path), k)
 
 
@@ -126,22 +126,8 @@ def cmd_pull(args) -> int:
 
 def cmd_euler_check(args) -> int:
     k = fileio.load_complex(args.complex)
-    if args.fn is None:
-        report = cal.is_euler_space(k)
-        _emit(
-            {
-                "euler": report.is_euler,
-                "offenders": [list(s) for s in report.offenders],
-            },
-            args.format,
-        )
-    else:
-        a = _load_fn(args.fn, k)
-        offenders = cal.euler_offenders(a)
-        _emit(
-            {"euler": not offenders, "offenders": [list(s) for s in offenders]},
-            args.format,
-        )
+    offenders = cal.euler_offenders(_load_fn(args.fn, k))
+    _emit({"euler": not offenders, "offenders": [list(s) for s in offenders]}, args.format)
     return 0
 
 
@@ -160,7 +146,7 @@ def cmd_stiefel(args) -> int:
     if args.fn is None:
         c = sw.stiefel_chain(sub, args.dim)
     else:
-        a = _load_fn(args.fn, k, cal.RING_Z2)
+        a = _load_fn(args.fn, k)
         c = sw.sw_representative(sub, a, args.dim)
     provenance = {"construction": "stiefel", "complex": Path(args.complex).name, "i": args.dim}
     fileio.dump_json(fileio.chain_to_dict(c, provenance), args.out)
@@ -196,7 +182,7 @@ def cmd_bounds(args) -> int:
 def cmd_polar(args) -> int:
     k = fileio.load_complex(args.complex)
     i = args.dim
-    a = cal.reduce_mod2(_load_fn(args.fn, k, cal.RING_Z2))
+    a = cal.reduce_mod2(_load_fn(args.fn, k))
     if args.random_plane:
         _basis, c, reports = polar.sample_generic_subspace(a, i + 1, args.seed)
         construction = "projection"

@@ -7,15 +7,15 @@ than trusting the label.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+from .calculus import is_euler_space
 from .errors import InputError
 from .fileio import complex_from_dict, load_json
-from .simplicial import SimplicialComplex, SimplicialMap, validate_map
+from .simplicial import SimplicialComplex, SimplicialMap, impure_simplex, validate_map
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ def _data_dir() -> Path:
 def load_corpus(directory: Optional[str | Path] = None) -> dict[str, CorpusEntry]:
     """The bundled corpus, or every complex file of a user directory.
 
-    User directories need an index.json like the bundled one; without it,
-    each *.json complex is loaded with unknown (recomputed) status.
+    User directories may have an index.json like the bundled one; without
+    it, each *.json complex is loaded with its Euler status and purity
+    derived from the complex.
     """
     base = Path(directory) if directory is not None else _data_dir()
     index_path = base / "index.json"
@@ -49,23 +50,17 @@ def load_corpus(directory: Optional[str | Path] = None) -> dict[str, CorpusEntry
                 item.get("description", ""),
             )
         return entries
-    from .calculus import is_euler_space
-
     for path in sorted(base.glob("*.json")):
         try:
             k = complex_from_dict(load_json(path))
         except InputError:
             continue
-        report = is_euler_space(k)
-        entries[path.stem] = CorpusEntry(path.stem, k, report.is_euler, True, "")
+        entries[path.stem] = CorpusEntry(
+            path.stem, k, is_euler_space(k).is_euler, impure_simplex(k) is None, ""
+        )
     if not entries:
         raise InputError(f"no complexes found in {base}")
     return entries
-
-
-def load_extra(name: str) -> SimplicialComplex:
-    """Auxiliary complexes used by the bundled map suite."""
-    return complex_from_dict(load_json(_data_dir() / f"{name}.json"))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,14 @@ from .calculus import (
 )
 from .errors import InputError
 from .homology import Mod2Chain
+from .polar import AffineVertexMap
 from .simplicial import (
     Simplex,
     SimplicialComplex,
     Subdivision,
     build_complex,
+    faces,
+    make_simplex,
 )
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -160,8 +163,6 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
             coeff = int(_require(term, "coeff", "function term"))
             maximal = _require(term, "closed_support", "function term")
             closure: set[Simplex] = set()
-            from .simplicial import faces, make_simplex
-
             for raw in maximal:
                 closure.update(faces(make_simplex(raw)))
             terms.append((coeff, closure))
@@ -212,9 +213,7 @@ def basis_from_dict(data: dict) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def affine_map_from_dict(data: dict, k: SimplicialComplex):
-    from .polar import AffineVertexMap
-
+def affine_map_from_dict(data: dict, k: SimplicialComplex) -> AffineVertexMap:
     m = int(_require(data, "target_dim", "affine map file"))
     images = _require(data, "images", "affine map file")
     parsed = {

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from .errors import HomologyError
 from .gf2 import Gf2System
-from .simplicial import Simplex, SimplicialComplex, SimplicialMap, facets
+from .simplicial import Simplex, SimplicialComplex, SimplicialMap, facets, impure_simplex
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,10 @@ def fundamental_cycle(k: SimplicialComplex) -> Mod2Chain:
     d = k.dim
     if d < 0:
         raise HomologyError("empty complex has no fundamental cycle")
-    tops = set(k.by_dim[d])
-    for s in k.simplices:
-        if not any(len(t) - 1 == d for t in k.cofaces[s]):
-            raise HomologyError(
-                f"complex is not pure-dimensional: {list(s)} has no top coface"
-            )
-    c = Mod2Chain(d, frozenset(tops))
+    s = impure_simplex(k)
+    if s is not None:
+        raise HomologyError(f"complex is not pure-dimensional: {list(s)} has no top coface")
+    c = Mod2Chain(d, frozenset(k.by_dim[d]))
     if not is_cycle(k, c):
         raise HomologyError("top-dimensional chain is not a cycle mod 2")
     return c

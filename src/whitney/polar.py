@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .calculus import ConstructibleFunction, is_euler_function, reduce_mod2
+from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
 from .errors import DegenerateMapError, NotEulerError, PolarError
 from .exactlin import affine_hyperplane, dot, matrix_rank
 from .homology import Mod2Chain
@@ -42,47 +42,6 @@ class AffineVertexMap:
 
     def point(self, v: str) -> tuple[Fraction, ...]:
         return self.images[v]
-
-
-def _hyperplane_at(f: AffineVertexMap, s: Simplex):
-    points = [f.point(v) for v in s]
-    if len(points) != f.target_dim:
-        raise PolarError(
-            f"simplex {list(s)} has dimension {len(s) - 1}, expected {f.target_dim - 1}"
-        )
-    return affine_hyperplane(points)
-
-
-def _link_signs(
-    f: AffineVertexMap, s: Simplex
-) -> tuple[SimplicialComplex, dict[str, int], tuple, Fraction]:
-    """Link of s, hyperplane of f(s), and the strict side of every link vertex."""
-    plane = _hyperplane_at(f, s)
-    if plane is None:
-        raise DegenerateMapError(
-            f"image of simplex {list(s)} does not span a hyperplane", offender=s
-        )
-    normal, offset = plane
-    lk = link(f.domain, s)
-    signs: dict[str, int] = {}
-    for (w,) in lk.by_dim.get(0, ()):
-        h = dot(normal, f.point(w)) - offset
-        if h == 0:
-            raise DegenerateMapError(
-                f"link vertex {w!r} of {list(s)} maps into the hyperplane", offender=s
-            )
-        signs[w] = 1 if h > 0 else -1
-    return lk, signs, normal, offset
-
-
-def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
-    """Per-simplex test over all i-simplices, i = target_dim - 1; returns the first offender."""
-    for s in f.domain.by_dim.get(f.target_dim - 1, ()):
-        try:
-            _link_signs(f, s)
-        except DegenerateMapError as e:
-            return False, e.offender
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -115,13 +74,33 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     value on the joined simplex.  A two-sided U adds its open cell and
     its slice to the integral of each side, and the two cancel, so
     chi_plus is the weighted sum of (-1)^dim U over the link simplices
-    with all vertices on the positive side (chi_minus likewise).
+    with all vertices on the positive side (chi_minus likewise).  Raises
+    DegenerateMapError when f(s) spans no hyperplane or a link vertex of s
+    maps into it.
     """
     k = f.domain
     if a.base != k:
         raise PolarError("function is not based on the map's domain")
     k.require(tuple(sorted(s)))
-    lk, signs, normal, offset = _link_signs(f, s)
+    if len(s) != f.target_dim:
+        raise PolarError(
+            f"simplex {list(s)} has dimension {len(s) - 1}, expected {f.target_dim - 1}"
+        )
+    plane = affine_hyperplane([f.point(v) for v in s])
+    if plane is None:
+        raise DegenerateMapError(
+            f"image of simplex {list(s)} does not span a hyperplane", offender=s
+        )
+    normal, offset = plane
+    lk = link(k, s)
+    signs: dict[str, int] = {}
+    for (w,) in lk.by_dim.get(0, ()):
+        h = dot(normal, f.point(w)) - offset
+        if h == 0:
+            raise DegenerateMapError(
+                f"link vertex {w!r} of {list(s)} maps into the hyperplane", offender=s
+            )
+        signs[w] = 1 if h > 0 else -1
     cells = []
     chi_plus = 0
     chi_minus = 0
@@ -141,6 +120,17 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
         chi_plus %= 2
         chi_minus %= 2
     return HalfLinkReport(tuple(sorted(s)), normal, offset, tuple(cells), chi_plus, chi_minus)
+
+
+def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
+    """Per-simplex test over all i-simplices, i = target_dim - 1; returns the first offender."""
+    zero = constant(f.domain, 0, RING_Z2)
+    for s in f.domain.by_dim.get(f.target_dim - 1, ()):
+        try:
+            half_link_report(zero, s, f)
+        except DegenerateMapError as e:
+            return False, e.offender
+    return True, None
 
 
 def polar_census(

@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
+from .exactlin import matrix_rank
 
 Simplex = tuple[str, ...]
 Point = tuple[Fraction, ...]
@@ -98,8 +99,6 @@ class SimplicialComplex:
 
 
 def _affinely_independent(points: list[Point]) -> bool:
-    from .exactlin import matrix_rank
-
     if len(points) <= 1:
         return True
     p0 = points[0]
@@ -112,21 +111,23 @@ def build_complex(
     maximal_simplices: Iterable[Iterable[str]],
     coordinates: Optional[Mapping[str, Iterable[Fraction]]] = None,
 ) -> SimplicialComplex:
-    """Face closure of the given simplices, canonically enumerated."""
+    """Face closure of the given simplices, canonically enumerated.
+
+    With coordinates, only the listed simplices are tested for affine
+    independence: every face of an independent simplex is independent.
+    """
     listed = list(vertex_ids)
     vertices = tuple(sorted(set(listed)))
     if len(vertices) != len(listed):
         raise ComplexError("duplicate vertex ids in vertex list")
     vertex_set = set(vertices)
-    closure: set[Simplex] = set()
+    given: set[Simplex] = set()
     for raw in maximal_simplices:
         raw = list(raw)
-        if len(set(raw)) != len(raw):
-            raise ComplexError(f"duplicate vertex inside simplex {raw!r}")
         for v in raw:
             if v not in vertex_set:
                 raise ComplexError(f"simplex {raw!r} references unknown vertex {v!r}")
-        closure.update(faces(make_simplex(raw)))
+        given.add(make_simplex(raw))
     coords = None
     if coordinates is not None:
         coords = {v: tuple(coordinates[v]) for v in vertices if v in coordinates}
@@ -136,14 +137,20 @@ def build_complex(
         dims = {len(p) for p in coords.values()}
         if len(dims) > 1:
             raise ComplexError("vertex coordinates have mixed ambient dimensions")
-        k = SimplicialComplex(vertices, tuple(sorted(closure)), coords)
-        for s in k.simplices:
+        for s in sorted(given):
             if not _affinely_independent([coords[v] for v in s]):
                 raise ComplexError(
                     f"simplex {list(s)} is not affinely independent in the embedding"
                 )
-        return k
-    return SimplicialComplex(vertices, tuple(sorted(closure)), None)
+    closure = {f for s in given for f in faces(s)}
+    return SimplicialComplex(vertices, tuple(sorted(closure)), coords)
+
+
+def impure_simplex(k: SimplicialComplex) -> Optional[Simplex]:
+    """First simplex, in canonical order, with no top-dimensional coface; None if k is pure."""
+    return next(
+        (s for s in k.simplices if all(len(t) - 1 < k.dim for t in k.cofaces[s])), None
+    )
 
 
 def is_face_closed(k: SimplicialComplex, simplices: Iterable[Simplex]) -> Optional[Simplex]:
@@ -201,10 +208,11 @@ def validate_map(
     vertex_assignment: Mapping[str, str],
 ) -> SimplicialMap:
     """Check that every simplex image is a codomain simplex."""
+    targets = set(codomain.vertices)
     for v in domain.vertices:
         if v not in vertex_assignment:
             raise MapError(f"vertex {v!r} has no image")
-        if vertex_assignment[v] not in set(codomain.vertices):
+        if vertex_assignment[v] not in targets:
             raise MapError(f"image vertex {vertex_assignment[v]!r} is not in the codomain")
     f = SimplicialMap(domain, codomain, dict(vertex_assignment))
     for s in domain.simplices:

@@ -209,8 +209,8 @@ def run_stiefel_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) ->
         for _ in range(max(1, trials // max(1, len(corpus)))):
             a = random_euler_function(rng, k)
             repro = lambda: _fn_repro(entry.name, a)
-            for i in range(k.dim + 1):
-                rep = sw.sw_representative(subdiv, a, i)
+            reps = [sw.sw_representative(subdiv, a, i) for i in range(k.dim + 1)]
+            for rep in reps:
                 report.prop("representatives of Euler functions are cycles").record(
                     hom.is_cycle(subdiv.complex, rep), repro
                 )
@@ -222,7 +222,7 @@ def run_stiefel_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) ->
             for i in range(k.dim + 1):
                 report.prop("representatives are additive in the function").record(
                     sw.sw_representative(subdiv, cal.combine("add", a, b), i).support
-                    == (sw.sw_representative(subdiv, a, i) + sw.sw_representative(subdiv, b, i)).support,
+                    == (reps[i] + sw.sw_representative(subdiv, b, i)).support,
                     lambda: _fn_repro(entry.name, a, {"fn2": function_to_dict(b)}),
                 )
     return report

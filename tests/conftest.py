@@ -1,6 +1,6 @@
 import pytest
 
-from whitney.corpus import load_corpus, load_extra, load_map_suite
+from whitney.corpus import load_corpus, load_map_suite
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -37,10 +37,10 @@ def rp2(corpus):
 
 
 @pytest.fixture(scope="session")
-def circle():
-    return load_extra("s1_3")
+def circle(corpus):
+    return corpus["s1_3"].complex
 
 
 @pytest.fixture(scope="session")
-def sphere():
-    return load_extra("boundary_delta3")
+def sphere(corpus):
+    return corpus["boundary_delta3"].complex

@@ -4,8 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from whitney import calculus as cal
 from whitney import cli, fileio, polar
-from whitney.errors import InputError
+from whitney.corpus import load_corpus
+from whitney.errors import HomologyError, InputError
+from whitney.homology import fundamental_cycle
+from whitney.simplicial import build_complex, impure_simplex
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
 
@@ -92,6 +96,17 @@ def test_euler_check_cli(capsys):
     assert payload["euler"] is False
     assert ["3"] not in payload["offenders"]
     assert payload["offenders"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_euler_check_without_fn_equals_all_ones_fn(tmp_path, capsys, corpus, fmt):
+    fn = tmp_path / "ones.json"
+    for name in corpus:
+        path = CORPUS / f"{name}.json"
+        fileio.dump_json(fileio.function_to_dict(cal.constant(corpus[name].complex, 1)), fn)
+        plain = run(["euler-check", "--complex", path, "--format", fmt], capsys)
+        ones = run(["euler-check", "--complex", path, "--fn", fn, "--format", fmt], capsys)
+        assert plain == ones, name
 
 
 def test_stiefel_bounds_pipeline(tmp_path, capsys):
@@ -205,6 +220,51 @@ def test_exit_codes(tmp_path, capsys):
          "--project", basis, "--out", tmp_path / "c.json"]
     )
     assert code == 6
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(
+        {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]],
+         "coordinates": {"1": ["0", "0"], "2": ["1", "1"], "3": ["2", "2"]}},
+        "simplex ['1', '2', '3'] is not affinely independent in the embedding",
+        id="collinear"),
+    pytest.param(
+        {"vertices": ["a", "b", "c", "d"], "maximal_simplices": [["c", "d"], ["a", "b", "c"]],
+         "coordinates": {"a": ["0", "0"], "b": ["0", "0"], "c": ["1", "0"], "d": ["1", "0"]}},
+        "simplex ['a', 'b', 'c'] is not affinely independent in the embedding",
+        id="coincident"),
+    pytest.param(
+        {"vertices": ["a", "b"], "maximal_simplices": [[1, "a"]]},
+        "simplex [1, 'a'] references unknown vertex 1",
+        id="foreign-id"),
+])
+def test_rejected_complex_exit_code(tmp_path, capsys, data, message):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(data))
+    code, out = run(["chi", "--complex", path], capsys)
+    assert code == 3
+    assert out.err == f"error: {message}\n"
+
+
+def test_stiefel_suite_on_indexless_impure_directory(tmp_path, capsys):
+    # S^2 v S^1: the boundary of a tetrahedron and a triangle circle share vertex 1
+    k = build_complex(
+        ["1", "2", "3", "4", "5", "6"],
+        [["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["2", "3", "4"],
+         ["1", "5"], ["5", "6"], ["1", "6"]],
+    )
+    fileio.dump_json(fileio.complex_to_dict(k), tmp_path / "s2_wedge_s1.json")
+    entry = load_corpus(tmp_path)["s2_wedge_s1"]
+    assert entry.euler and not entry.pure
+    assert impure_simplex(k) == ("1", "5")
+    with pytest.raises(HomologyError, match=r"not pure-dimensional: \['1', '5'\] has no top coface"):
+        fundamental_cycle(k)
+    code, out = run(
+        ["verify", "--suite", "stiefel", "--seed", 0, "--trials", 4, "--complexes", tmp_path],
+        capsys,
+    )
+    assert code == 0, out.err
+    assert "suite stiefel: ok (seed 0)" in out.out
 
 
 def test_degenerate_map_exit_code_beats_non_euler_function(tmp_path, capsys):

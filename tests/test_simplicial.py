@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from whitney import fileio, simplicial
 from whitney.errors import ComplexError, InputError, MapError
 from whitney.simplicial import (
     barycentric_subdivision,
@@ -9,6 +10,7 @@ from whitney.simplicial import (
     compose,
     euler_characteristic,
     faces,
+    impure_simplex,
     induced_subdivided_map,
     link,
     star,
@@ -46,6 +48,30 @@ def test_affinely_dependent_coordinates_rejected():
     }
     with pytest.raises((InputError, ComplexError)):
         build_complex(["1", "2", "3"], [["1", "2", "3"]], coords)
+
+
+def test_affine_independence_tested_once_per_listed_simplex(monkeypatch, corpus, subdivisions):
+    tested = []
+    real = simplicial._affinely_independent
+
+    def counting(points):
+        tested.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(simplicial, "_affinely_independent", counting)
+    for k in (corpus["rp2_6_embedded"].complex, subdivisions["rp2_6_embedded"].complex):
+        data = fileio.complex_to_dict(k)
+        tested.clear()
+        again = fileio.complex_from_dict(data)
+        assert again.simplices == k.simplices
+        assert len(tested) == len(data["maximal_simplices"]) < len(k.simplices)
+
+
+def test_impure_simplex_agrees_with_index(corpus):
+    for entry in corpus.values():
+        assert (impure_simplex(entry.complex) is None) == entry.pure, entry.name
+    k = build_complex(["1", "2", "3", "4", "5"], [["1", "2", "3"], ["3", "4"], ["5"]])
+    assert impure_simplex(k) == ("3", "4")
 
 
 def test_link_and_star(sphere, corpus, subdivisions):

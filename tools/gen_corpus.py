@@ -9,7 +9,7 @@ byte-identical.
 import json
 from pathlib import Path
 
-from whitney.simplicial import build_complex, barycentric_subdivision
+from whitney.simplicial import build_complex, barycentric_subdivision, impure_simplex
 from whitney.fileio import complex_to_dict, dump_json
 from whitney.calculus import is_euler_space
 
@@ -19,9 +19,7 @@ def emit(name, vertices, maximal, coords=None):
     k = build_complex(vertices, maximal, coords)
     dump_json(complex_to_dict(k), OUT / f"{name}.json")
     rep = is_euler_space(k)
-    top = k.dim
-    pure = all(len(s) - 1 == top for s in k.simplices if len(k.cofaces[s]) == 1)
-    return k, rep.is_euler, pure
+    return k, rep.is_euler, impure_simplex(k) is None
 
 from fractions import Fraction
 F = Fraction
