@@ -1,15 +1,20 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals and the integers.
 
 Only what the geometric predicates need: ranks and the normal covector of
-an affine hyperplane.  Both come from one Gauss-Jordan elimination,
-``_eliminate``, which leaves its pivot rows unscaled.  Everything is
-Fraction arithmetic; matrices are tiny (at most ambient-dimension sized).
+an affine hyperplane.  Ranks and the general hyperplane,
+``affine_hyperplane``, come from one Gauss-Jordan elimination over
+Fractions, ``_eliminate``, which leaves its pivot rows unscaled.
+``integer_normal`` gives the same normal for integer points from signed
+minors computed by fraction-free (Bareiss) elimination, in Python integers
+only; the half-link census uses it once each map's denominators are
+cleared.  No float enters any routine; matrices are tiny (at most
+ambient-dimension sized).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -42,21 +47,20 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_eliminate(rows)[1])
 
 
-def _normalize_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale to a primitive integer vector with first nonzero entry positive."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """Divide by the gcd and make the first nonzero entry positive."""
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
+    if next((x for x in ints if x != 0), 0) < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+def _normalize_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale to a primitive integer vector with first nonzero entry positive."""
+    denom = lcm(*(x.denominator for x in vec))
+    return _primitive([int(x * denom) for x in vec])
 
 
 def affine_hyperplane(
@@ -88,3 +92,51 @@ def affine_hyperplane(
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Each step divides exactly by the previous pivot, so every entry stays
+    an integer minor of the input; the rows are reduced in place.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pk = pivot_row[k]
+        for row in rows[k + 1:]:
+            rk = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - rk * pivot_row[j]) // prev
+        prev = pk
+    return sign * rows[-1][-1] if n else 1
+
+
+def integer_normal(points: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """Primitive normal of the affine span of m integer points in Z^m.
+
+    Component c is (-1)^c times the minor of the (m-1) x m edge matrix
+    (rows p - p_0) without column c.  The minors all vanish exactly when
+    the points span no hyperplane, and then the result is None.  The
+    normalization is ``affine_hyperplane``'s, so for integer points the two
+    give the same normal.
+    """
+    m = len(points[0])
+    if len(points) != m:
+        raise ValueError("need exactly target-dimension many points")
+    p0 = points[0]
+    edges = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+    minors = [
+        (-1) ** c * _bareiss_det([row[:c] + row[c + 1:] for row in edges])
+        for c in range(m)
+    ]
+    if not any(minors):
+        return None
+    return _primitive(minors)

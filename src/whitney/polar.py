@@ -6,6 +6,13 @@ coefficient of an i-simplex in the singularity chain is the weighted
 half-link Euler integral subtracted from the function value on the
 simplex, mod 2; with the constant function 1 this is the classical
 1 - chi(upper half-link).
+
+Geometry enters as Fraction images.  The census needs only the side of
+each link vertex relative to the hyperplane through f(S), and a positive
+rescaling of the target keeps every side, so each map clears its
+denominators once (``AffineVertexMap.integer_images``) and every side is
+decided in Python integers.  No float enters any predicate, and a report's
+offset is still the exact rational <normal, f(p_0)>.
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
 from .errors import DegenerateMapError, NotEulerError, PolarError
-from .exactlin import affine_hyperplane, dot, matrix_rank
+from .exactlin import dot, integer_normal, matrix_rank
 from .homology import Mod2Chain
 from .simplicial import Simplex, SimplicialComplex, Subdivision, link
 
@@ -40,8 +49,14 @@ class AffineVertexMap:
             if len(p) != self.target_dim:
                 raise PolarError(f"image of {v!r} has wrong dimension")
 
-    def point(self, v: str) -> tuple[Fraction, ...]:
-        return self.images[v]
+    @cached_property
+    def integer_images(self) -> tuple[int, dict[str, tuple[int, ...]]]:
+        """(L, {v: L * f(v)}), L the lcm of every image denominator."""
+        scale = lcm(*(x.denominator for p in self.images.values() for x in p))
+        return scale, {
+            v: tuple(x.numerator * (scale // x.denominator) for x in p)
+            for v, p in self.images.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -74,28 +89,30 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     value on the joined simplex.  A two-sided U adds its open cell and
     its slice to the integral of each side, and the two cancel, so
     chi_plus is the weighted sum of (-1)^dim U over the link simplices
-    with all vertices on the positive side (chi_minus likewise).  Raises
-    DegenerateMapError when f(s) spans no hyperplane or a link vertex of s
-    maps into it.
+    with all vertices on the positive side (chi_minus likewise).  Sides
+    are signs of <n, L f(w)> - <n, L f(p_0)> on the map's integer images.
+    Raises DegenerateMapError when f(s) spans no hyperplane or a link
+    vertex of s maps into it.
     """
     k = f.domain
     if a.base != k:
         raise PolarError("function is not based on the map's domain")
-    k.require(tuple(sorted(s)))
+    s = tuple(sorted(s))
+    lk = link(k, s)
     if len(s) != f.target_dim:
         raise PolarError(
             f"simplex {list(s)} has dimension {len(s) - 1}, expected {f.target_dim - 1}"
         )
-    plane = affine_hyperplane([f.point(v) for v in s])
-    if plane is None:
+    scale, images = f.integer_images
+    normal = integer_normal([images[v] for v in s])
+    if normal is None:
         raise DegenerateMapError(
             f"image of simplex {list(s)} does not span a hyperplane", offender=s
         )
-    normal, offset = plane
-    lk = link(k, s)
+    level = sum(x * y for x, y in zip(normal, images[s[0]]))
     signs: dict[str, int] = {}
     for (w,) in lk.by_dim.get(0, ()):
-        h = dot(normal, f.point(w)) - offset
+        h = sum(x * y for x, y in zip(normal, images[w])) - level
         if h == 0:
             raise DegenerateMapError(
                 f"link vertex {w!r} of {list(s)} maps into the hyperplane", offender=s
@@ -119,7 +136,7 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     if a.ring == "Z2":
         chi_plus %= 2
         chi_minus %= 2
-    return HalfLinkReport(tuple(sorted(s)), normal, offset, tuple(cells), chi_plus, chi_minus)
+    return HalfLinkReport(s, normal, Fraction(level, scale), tuple(cells), chi_plus, chi_minus)
 
 
 def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
@@ -194,6 +211,11 @@ def projection_map(k: SimplicialComplex, basis: Sequence[Sequence[Fraction]]) ->
             raise PolarError("basis vector has wrong ambient dimension")
     if matrix_rank(basis) != len(basis):
         raise PolarError("basis vectors are linearly dependent")
+    return _project(k, basis)
+
+
+def _project(k: SimplicialComplex, basis: list[tuple[Fraction, ...]]) -> AffineVertexMap:
+    """``projection_map`` for a basis already checked to be independent."""
     images = {
         v: tuple(dot(b, k.coordinates[v]) for b in basis) for v in k.vertices
     }
@@ -232,7 +254,7 @@ def sample_generic_subspace(
         if matrix_rank(basis) != rank:
             continue
         try:
-            chain, reports = polar_census(projection_map(k, basis), a)
+            chain, reports = polar_census(_project(k, basis), a)
         except DegenerateMapError as e:
             last_offender = e.offender
             continue

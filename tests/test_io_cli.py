@@ -222,6 +222,18 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 6
 
 
+def test_project_rejects_dependent_basis(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"ambient_dim": 5, "vectors": [
+        ["1", "2", "0", "-1", "3"], ["2", "4", "0", "-2", "6"]]}))
+    code, out = run(
+        ["polar", "--complex", CORPUS / "rp2_6_embedded.json", "--dim", 1,
+         "--project", basis, "--out", tmp_path / "c.json"], capsys
+    )
+    assert code == 6
+    assert out.err == "error: basis vectors are linearly dependent\n"
+
+
 @pytest.mark.parametrize("data, message", [
     pytest.param(
         {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]],

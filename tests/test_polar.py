@@ -5,9 +5,9 @@ import pytest
 
 from whitney import calculus as cal
 from whitney import homology as hom
-from whitney import polar, sw
-from whitney.errors import DegenerateMapError, NotEulerError, PolarError
-from whitney.simplicial import barycentric_subdivision
+from whitney import exactlin, fileio, polar, sw
+from whitney.errors import ComplexError, DegenerateMapError, NotEulerError, PolarError
+from whitney.simplicial import barycentric_subdivision, link
 from whitney.verify import random_euler_function
 
 
@@ -108,9 +108,9 @@ def test_half_link_integral_matches_cells_on_projections(corpus):
 def test_moment_map_images(subdivisions):
     sub = subdivisions["rp2_6"]
     f = polar.moment_map(sub, 1)
-    assert f.point("b(1)") == (Fraction(0), Fraction(0))
-    assert f.point("b(1,2)") == (Fraction(1), Fraction(1))
-    assert f.point("b(1,2,3)") == (Fraction(2), Fraction(4))
+    assert f.images["b(1)"] == (Fraction(0), Fraction(0))
+    assert f.images["b(1,2)"] == (Fraction(1), Fraction(1))
+    assert f.images["b(1,2,3)"] == (Fraction(2), Fraction(4))
 
 
 def test_moment_map_nondegenerate_everywhere(corpus, subdivisions):
@@ -184,3 +184,118 @@ def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
             sw.subdivision_chain_map(sub, sig),
             sw.stiefel_chain(sub, i),
         )
+
+
+def test_sampler_rank_tests_each_candidate_once(corpus, monkeypatch):
+    k = corpus["rp2_6_embedded"].complex
+    ones = cal.constant(k, 1, cal.RING_Z2)
+    calls = []
+    rank = polar.matrix_rank
+    monkeypatch.setattr(polar, "matrix_rank", lambda rows: calls.append(rows) or rank(rows))
+    for seed in range(5):
+        polar.sample_generic_subspace(ones, 2, seed)
+    assert len(calls) == 5
+
+
+def test_half_link_report_sorts_the_simplex(circle):
+    f = polar.AffineVertexMap(
+        circle, 2, {"1": (Fraction(0), Fraction(0)), "2": (Fraction(1), Fraction(0)),
+                    "3": (Fraction(0), Fraction(1))}
+    )
+    ones = cal.constant(circle, 1, cal.RING_Z2)
+    assert polar.half_link_report(ones, ("2", "1"), f) == polar.half_link_report(ones, ("1", "2"), f)
+
+
+def test_half_link_report_checks_membership_before_arithmetic(corpus, monkeypatch):
+    k = corpus["s1_6"].complex
+    f = polar.AffineVertexMap(k, 2, {v: (Fraction(int(v)), Fraction(int(v) ** 2)) for v in k.vertices})
+    calls = []
+    normal = polar.integer_normal
+    monkeypatch.setattr(polar, "integer_normal", lambda pts: calls.append(pts) or normal(pts))
+    with pytest.raises(ComplexError, match=r"simplex \['1', '3'\] is not in the complex"):
+        polar.half_link_report(cal.constant(k, 1, cal.RING_Z2), ("3", "1"), f)
+    assert calls == []
+
+
+def _check_against_fraction_oracle(f, a):
+    """Compare every i-simplex's report with affine_hyperplane and dot on f's Fraction images.
+
+    Returns the number of nondegenerate simplices compared."""
+    compared = 0
+    for s in f.domain.by_dim.get(f.target_dim - 1, ()):
+        plane = exactlin.affine_hyperplane([f.images[v] for v in s])
+        sides = None
+        if plane is not None:
+            normal, offset = plane
+            sides = {}
+            for (w,) in link(f.domain, s).by_dim.get(0, ()):
+                h = exactlin.dot(normal, f.images[w]) - offset
+                sides[w] = (h > 0) - (h < 0)
+        if sides is None or 0 in sides.values():
+            with pytest.raises(DegenerateMapError):
+                polar.half_link_report(a, s, f)
+            continue
+        r = polar.half_link_report(a, s, f)
+        assert (r.normal, r.offset) == (normal, offset)
+        assert {c.link_simplex[0]: 1 if c.positive_cell else -1
+                for c in r.cells if len(c.link_simplex) == 1} == sides
+        compared += 1
+    return compared
+
+
+def test_integer_census_matches_fraction_oracle_on_moment_maps(corpus, subdivisions):
+    for name, entry in corpus.items():
+        sub = subdivisions[name]
+        ones = cal.constant(sub.complex, 1)
+        for i in range(entry.complex.dim + 1):
+            f = polar.moment_map(sub, i)
+            assert f.integer_images[0] == 1
+            assert _check_against_fraction_oracle(f, ones) == len(sub.complex.by_dim[i])
+
+
+def test_integer_census_matches_fraction_oracle_on_projections(corpus):
+    rng = random.Random(17)
+    compared = 0
+    for name in ("rp2_6_embedded", "wedge_spheres"):
+        k = corpus[name].complex
+        ones = cal.constant(k, 1)
+        for rank in (1, 2, 3):
+            for _ in range(4):
+                basis = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(k.ambient_dim))
+                         for _ in range(rank)]
+                if exactlin.matrix_rank(basis) == rank:
+                    compared += _check_against_fraction_oracle(polar.projection_map(k, basis), ones)
+    assert compared > 0
+
+
+def test_integer_census_matches_fraction_oracle_on_rational_map(corpus):
+    k = corpus["rp2_6"].complex
+    ones = cal.constant(k, 1)
+    rng = random.Random(5)
+    for m in (1, 2, 3):
+        images = {v: [f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 7))}" for _ in range(m)]
+                  for v in k.vertices}
+        f = fileio.affine_map_from_dict({"target_dim": m, "images": images}, k)
+        assert f.integer_images[0] > 1
+        assert _check_against_fraction_oracle(f, ones) > 0
+
+
+def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch):
+    sub = subdivisions["rp2_6"]
+    k = corpus["rp2_6_embedded"].complex
+    basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
+    cases = [
+        (polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
+        (polar.projection_map(k, basis), cal.constant(k, 1, cal.RING_Z2)),
+    ]
+    expected = [polar.polar_census(f, a) for f, a in cases]
+
+    def refuse(*args):
+        raise AssertionError("Fraction geometry called from the census")
+
+    for mod in (exactlin, polar):
+        for name in ("affine_hyperplane", "dot"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    # fresh maps, so the integer images are cleared under the guard too
+    fresh = [polar.AffineVertexMap(f.domain, f.target_dim, f.images) for f, _a in cases]
+    assert [polar.polar_census(f, a) for f, (_f, a) in zip(fresh, cases)] == expected
