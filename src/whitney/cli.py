@@ -17,7 +17,7 @@ from typing import Optional
 from . import calculus as cal
 from . import fileio, homology as hom
 from . import polar, sw, verify
-from .errors import InputError, PolarError, WhitneyError
+from .errors import InputError, NotEulerError, PolarError, WhitneyError
 from .simplicial import barycentric_subdivision, validate_map
 
 
@@ -187,10 +187,11 @@ def cmd_polar(args) -> int:
         _basis, c, reports = polar.sample_generic_subspace(a, i + 1, args.seed)
         construction = "projection"
     else:
+        census_fn = a
         if args.moment:
             sub = barycentric_subdivision(k)
             f = polar.moment_map(sub, i)
-            a = cal.subdivide_function(sub, a)
+            census_fn = cal.subdivide_function(sub, a)
             construction = "moment"
         elif args.map:
             f = fileio.affine_map_from_dict(fileio.load_json(args.map), k)
@@ -201,7 +202,12 @@ def cmd_polar(args) -> int:
             construction = "projection"
         if f.target_dim != i + 1:
             raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
-        c, reports = polar.polar_census(f, a)
+        c, reports = polar.polar_census(f, census_fn)
+    # after the census, so a degenerate map (exit 6) wins; on the function as
+    # given on --complex: duality commutes with subdivision, so for --moment
+    # this decides the subdivided function too
+    if not cal.is_euler_function(a):
+        raise NotEulerError("singularity chain requires an Euler function")
     provenance = {"construction": construction, "complex": Path(args.complex).name, "i": i}
     if args.random_plane:
         provenance["seed"] = args.seed

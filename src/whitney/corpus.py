@@ -14,7 +14,7 @@ from typing import Optional
 
 from .calculus import is_euler_space
 from .errors import InputError
-from .fileio import complex_from_dict, load_json
+from .fileio import complex_from_dict, corpus_index_from_dict, load_json
 from .simplicial import SimplicialComplex, SimplicialMap, impure_simplex, validate_map
 
 
@@ -42,12 +42,10 @@ def load_corpus(directory: Optional[str | Path] = None) -> dict[str, CorpusEntry
     index_path = base / "index.json"
     entries: dict[str, CorpusEntry] = {}
     if index_path.exists():
-        index = load_json(index_path)
-        for item in index["complexes"]:
+        for item in corpus_index_from_dict(load_json(index_path)):
             k = complex_from_dict(load_json(base / item["file"]))
             entries[item["name"]] = CorpusEntry(
-                item["name"], k, bool(item["euler"]), bool(item["pure"]),
-                item.get("description", ""),
+                item["name"], k, item["euler"], item["pure"], item.get("description", ""),
             )
         return entries
     for path in sorted(base.glob("*.json")):

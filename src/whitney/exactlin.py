@@ -1,30 +1,42 @@
 """Small exact linear algebra over the rationals and the integers.
 
 Only what the geometric predicates need: ranks and the normal covector of
-an affine hyperplane.  Ranks and the general hyperplane,
-``affine_hyperplane``, come from one Gauss-Jordan elimination over
-Fractions, ``_eliminate``, which leaves its pivot rows unscaled.
-``integer_normal`` gives the same normal for integer points from signed
-minors computed by fraction-free (Bareiss) elimination, in Python integers
-only; the half-link census uses it once each map's denominators are
-cleared.  No float enters any routine; matrices are tiny (at most
-ambient-dimension sized).
+an affine hyperplane.  Inputs are ints or Fractions.  Ranks and the general
+hyperplane, ``affine_hyperplane``, come from one Gauss-Jordan elimination,
+``_eliminate``, which clears each row's denominators and then never
+divides.  ``integer_normal`` gives the same normal for integer points from
+signed minors computed by fraction-free (Bareiss) elimination; the
+half-link census uses it once each map's denominators are cleared.  No
+float enters any routine, and no division reaches a predicate; matrices
+are tiny (at most ambient-dimension sized).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 
-def _eliminate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination without scaling the pivot rows.
+def is_rational_point(p: Sequence) -> bool:
+    """True iff every coordinate is an int or a Fraction, the types the predicates take."""
+    return all(isinstance(x, (int, Fraction)) for x in p)
 
-    Returns the reduced rows and the pivot columns: row r has its pivot in
-    column pivots[r], and every other row is zero in that column.
+
+def _eliminate(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination in Python integers.
+
+    Each row is first multiplied by the lcm of its denominators, which
+    changes neither the rank nor the null space; a row is then cleared
+    below and above a pivot by r := pv * r - r[col] * pivot_row, so no step
+    divides.  Returns the reduced integer rows and the pivot columns: row r
+    has its pivot in column pivots[r], and every other row is zero in that
+    column.
     """
-    m = [list(r) for r in rows]
+    m = []
+    for r in rows:
+        scale = lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (scale // x.denominator) for x in r])
     pivots: list[int] = []
     for col in range(len(m[0]) if m else 0):
         row = len(pivots)
@@ -35,15 +47,15 @@ def _eliminate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]]
         pv = m[row][col]
         for i in range(len(m)):
             if i != row and m[i][col] != 0:
-                factor = m[i][col] / pv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+                factor = m[i][col]
+                m[i] = [a * pv - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
         if len(pivots) == len(m):
             break
     return m, pivots
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     return len(_eliminate(rows)[1])
 
 
@@ -57,21 +69,15 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _normalize_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale to a primitive integer vector with first nonzero entry positive."""
-    denom = lcm(*(x.denominator for x in vec))
-    return _primitive([int(x * denom) for x in vec])
-
-
 def affine_hyperplane(
-    points: Sequence[Sequence[Fraction]],
+    points: Sequence[Sequence[int | Fraction]],
 ) -> Optional[tuple[tuple[int, ...], Fraction]]:
     """Normal covector and offset of the affine span of m points in R^m.
 
-    The coordinates must be Fractions.  Returns None unless the points
+    The coordinates are ints or Fractions.  Returns None unless the points
     affinely span an (m-1)-plane.  The normal is the primitive integer
-    vector with first nonzero component positive; the offset c satisfies
-    <normal, p> = c on the plane.
+    vector with first nonzero component positive; the offset c, a Fraction,
+    satisfies <normal, p> = c on the plane.
     """
     m = len(points[0])
     if len(points) != m:
@@ -81,13 +87,14 @@ def affine_hyperplane(
     if len(pivots) != m - 1:
         return None
     free = next(c for c in range(m) if c not in pivots)
-    null = [Fraction(0)] * m
-    null[free] = Fraction(1)
+    # row r reads pv_r x_{pivots[r]} + mat[r][free] x_free = 0; take x_free = prod pv_r
+    scale = prod(mat[r][col] for r, col in enumerate(pivots))
+    null = [0] * m
+    null[free] = scale
     for r, col in enumerate(pivots):
-        null[col] = -mat[r][free] / mat[r][col]
-    normal = _normalize_integer(null)
-    offset = dot(normal, p0)
-    return normal, offset
+        null[col] = -mat[r][free] * (scale // mat[r][col])
+    normal = _primitive(null)
+    return normal, dot(normal, p0)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:

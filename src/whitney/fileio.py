@@ -1,6 +1,8 @@
 """JSON parsing and canonical serialization for all artifact file types.
 
-Rationals travel as "p/q" strings with q > 0.  Serialization sorts every
+Rationals travel as "p/q" strings with q > 0, vertex ids as strings, and
+integer fields as JSON integers.  Each field's JSON type is checked once,
+on parse, so a malformed file is an InputError.  Serialization sorts every
 enumeration canonically, so parse-serialize round-trips are byte-stable.
 """
 
@@ -51,10 +53,38 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _require(data: dict, key: str, context: str) -> Any:
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _check(value: Any, kind: type, what: str) -> Any:
+    """value, which must be a JSON value of this kind; true and false are not integers."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _require(data: dict, key: str, context: str, kind: type = object) -> Any:
     if key not in data:
         raise InputError(f"{context}: missing key {key!r}")
-    return data[key]
+    return _check(data[key], kind, f"{context}: {key!r}")
+
+
+def _ids(value: Any, what: str) -> list:
+    """A list of vertex ids, which are strings."""
+    if not all(isinstance(v, str) for v in _check(value, list, what)):
+        bad = next(v for v in value if not isinstance(v, str))
+        raise InputError(f"{what}: vertex id must be a string, got {bad!r}")
+    return value
+
+
+def _lists(value: Any, what: str, ids: bool = False) -> list:
+    """A list of lists; with ids, lists of vertex ids.  One pass per check, for long files."""
+    if not all(isinstance(inner, list) for inner in _check(value, list, what)):
+        bad = next(inner for inner in value if not isinstance(inner, list))
+        raise InputError(f"{what} entry must be a list, got {bad!r}")
+    if ids:
+        _ids([v for inner in value for v in inner], what)
+    return value
 
 
 def load_json(path: str | Path) -> dict:
@@ -80,14 +110,17 @@ def dump_json(data: dict, path: Optional[str | Path]) -> str:
 # -- complexes ---------------------------------------------------------------
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
-    vertices = _require(data, "vertices", "complex file")
-    maximal = _require(data, "maximal_simplices", "complex file")
+    vertices = _ids(_require(data, "vertices", "complex file"), "complex file: 'vertices'")
+    # ids inside simplices are checked against the vertex list by build_complex
+    maximal = _lists(_require(data, "maximal_simplices", "complex file"),
+                     "complex file: 'maximal_simplices'")
     coords = None
     if data.get("coordinates") is not None:
-        coords = {
-            v: tuple(parse_rational(x) for x in p)
-            for v, p in data["coordinates"].items()
-        }
+        coords = {}
+        for v, p in _check(data["coordinates"], dict, "complex file: 'coordinates'").items():
+            if not isinstance(p, list):
+                raise InputError(f"complex file: coordinates of {v!r} must be a list, got {p!r}")
+            coords[v] = tuple(parse_rational(x) for x in p)
     return build_complex(vertices, maximal, coords)
 
 
@@ -115,20 +148,20 @@ def load_complex(path: str | Path) -> SimplicialComplex:
 # -- maps --------------------------------------------------------------------
 
 def vertex_map_from_dict(data: dict) -> dict[str, str]:
-    vm = _require(data, "vertex_map", "map file")
-    if not isinstance(vm, dict):
-        raise InputError("map file: vertex_map must be an object")
+    vm = _require(data, "vertex_map", "map file", dict)
     return {str(k): str(v) for k, v in vm.items()}
 
 
 # -- chains ------------------------------------------------------------------
 
 def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Chain:
-    dim = _require(data, "dim", "chain file")
-    simplices = _require(data, "simplices", "chain file")
+    dim = _require(data, "dim", "chain file", int)
+    simplices = _lists(
+        _require(data, "simplices", "chain file"), "chain file: 'simplices'", ids=True
+    )
     support = frozenset(tuple(sorted(s)) for s in simplices)
     try:
-        c = Mod2Chain(int(dim), support)
+        c = Mod2Chain(dim, support)
     except Exception as e:
         raise InputError(f"chain file: {e}") from e
     if k is not None:
@@ -159,9 +192,11 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
         raise InputError("function file: give either terms or values, not both")
     if "terms" in data:
         terms = []
-        for term in data["terms"]:
-            coeff = int(_require(term, "coeff", "function term"))
-            maximal = _require(term, "closed_support", "function term")
+        for term in _check(data["terms"], list, "function file: 'terms'"):
+            _check(term, dict, "function term")
+            coeff = _require(term, "coeff", "function term", int)
+            maximal = _lists(_require(term, "closed_support", "function term"),
+                             "function term: 'closed_support'", ids=True)
             closure: set[Simplex] = set()
             for raw in maximal:
                 closure.update(faces(make_simplex(raw)))
@@ -180,10 +215,12 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
                 raise InputError(f"ambiguous simplex key {key!r} in this complex")
             lookup[key] = s
         values: dict[Simplex, int] = {}
-        for key, v in data["values"].items():
+        for key, v in _check(data["values"], dict, "function file: 'values'").items():
             if key not in lookup:
                 raise InputError(f"function file: unknown simplex key {key!r}")
-            values[lookup[key]] = int(v)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"function file: value of {key!r} must be an integer, got {v!r}")
+            values[lookup[key]] = v
         try:
             return from_values(k, values, ring)
         except Exception as e:
@@ -203,8 +240,8 @@ def function_to_dict(a: ConstructibleFunction) -> dict:
 # -- bases and affine maps -----------------------------------------------------
 
 def basis_from_dict(data: dict) -> list[tuple[Fraction, ...]]:
-    n = int(_require(data, "ambient_dim", "basis file"))
-    vectors = _require(data, "vectors", "basis file")
+    n = _require(data, "ambient_dim", "basis file", int)
+    vectors = _lists(_require(data, "vectors", "basis file"), "basis file: 'vectors'")
     out = []
     for vec in vectors:
         if len(vec) != n:
@@ -214,15 +251,30 @@ def basis_from_dict(data: dict) -> list[tuple[Fraction, ...]]:
 
 
 def affine_map_from_dict(data: dict, k: SimplicialComplex) -> AffineVertexMap:
-    m = int(_require(data, "target_dim", "affine map file"))
-    images = _require(data, "images", "affine map file")
-    parsed = {
-        v: tuple(parse_rational(x) for x in p) for v, p in images.items()
-    }
+    m = _require(data, "target_dim", "affine map file", int)
+    images = _require(data, "images", "affine map file", dict)
+    parsed = {}
+    for v, p in images.items():
+        if not isinstance(p, list):
+            raise InputError(f"affine map file: image of {v!r} must be a list, got {p!r}")
+        parsed[v] = tuple(parse_rational(x) for x in p)
     try:
         return AffineVertexMap(k, m, parsed)
     except Exception as e:
         raise InputError(f"affine map file: {e}") from e
+
+
+# -- corpus index ---------------------------------------------------------------
+
+def corpus_index_from_dict(data: dict) -> list[dict]:
+    """Entries of a corpus index.json: string name and file, boolean euler and pure."""
+    items = _require(data, "complexes", "corpus index", list)
+    for item in items:
+        _check(item, dict, "corpus index: entry")
+        for key, kind in (("name", str), ("file", str), ("euler", bool), ("pure", bool)):
+            _require(item, key, "corpus index entry", kind)
+        _check(item.get("description", ""), str, "corpus index entry: 'description'")
+    return items
 
 
 # -- subdivision manifest -------------------------------------------------------

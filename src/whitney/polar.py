@@ -2,17 +2,21 @@
 
 A map to R^(i+1) is nondegenerate when the image of every i-simplex spans
 an affine hyperplane that misses all of its link-vertex images.  The
-coefficient of an i-simplex in the singularity chain is the weighted
-half-link Euler integral subtracted from the function value on the
-simplex, mod 2; with the constant function 1 this is the classical
-1 - chi(upper half-link).
+coefficient of an i-simplex in the singularity chain Sigma(f) is the
+weighted half-link Euler integral subtracted from the function value on
+the simplex, mod 2; with the constant function 1 this is the classical
+1 - chi(upper half-link).  Sigma(f) is defined for any constructible
+function; the function being Euler is what makes it a cycle, so only the
+entry points that promise a class (``euler_singularity_chain`` here, the
+CLI and ``sw``) test that, once, on the function they were given.
 
-Geometry enters as Fraction images.  The census needs only the side of
-each link vertex relative to the hyperplane through f(S), and a positive
-rescaling of the target keeps every side, so each map clears its
-denominators once (``AffineVertexMap.integer_images``) and every side is
-decided in Python integers.  No float enters any predicate, and a report's
-offset is still the exact rational <normal, f(p_0)>.
+Geometry enters as exact rational images (ints or Fractions).  The census
+needs only the side of each link vertex relative to the hyperplane
+through f(S), and a positive rescaling of the target keeps every side, so
+each map clears its denominators once (``AffineVertexMap.integer_images``)
+and every side is decided in Python integers.  No float enters any
+predicate, and a report's offset is still the exact rational
+<normal, f(p_0)>.
 """
 
 from __future__ import annotations
@@ -26,18 +30,18 @@ from typing import Mapping, Optional, Sequence
 
 from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
 from .errors import DegenerateMapError, NotEulerError, PolarError
-from .exactlin import dot, integer_normal, matrix_rank
+from .exactlin import dot, integer_normal, is_rational_point, matrix_rank
 from .homology import Mod2Chain
 from .simplicial import Simplex, SimplicialComplex, Subdivision, link
 
 
 @dataclass(frozen=True)
 class AffineVertexMap:
-    """Exact rational images of all vertices in R^(target_dim)."""
+    """Exact rational images (ints or Fractions) of all vertices in R^(target_dim)."""
 
     domain: SimplicialComplex
     target_dim: int
-    images: Mapping[str, tuple[Fraction, ...]]
+    images: Mapping[str, tuple[int | Fraction, ...]]
 
     def __post_init__(self):
         if self.target_dim < 1:
@@ -48,6 +52,8 @@ class AffineVertexMap:
         for v, p in self.images.items():
             if len(p) != self.target_dim:
                 raise PolarError(f"image of {v!r} has wrong dimension")
+            if not is_rational_point(p):
+                raise PolarError(f"image of {v!r} must be ints or Fractions, got {list(p)}")
 
     @cached_property
     def integer_images(self) -> tuple[int, dict[str, tuple[int, ...]]]:
@@ -140,13 +146,11 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
 
 
 def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
-    """Per-simplex test over all i-simplices, i = target_dim - 1; returns the first offender."""
-    zero = constant(f.domain, 0, RING_Z2)
-    for s in f.domain.by_dim.get(f.target_dim - 1, ()):
-        try:
-            half_link_report(zero, s, f)
-        except DegenerateMapError as e:
-            return False, e.offender
+    """The census of f with the zero function; returns the first offender."""
+    try:
+        polar_census(f, constant(f.domain, 0, RING_Z2))
+    except DegenerateMapError as e:
+        return False, e.offender
     return True, None
 
 
@@ -158,8 +162,10 @@ def polar_census(
     A map to R^(i+1) has its singularities on the i-simplices, so i is
     f.target_dim - 1.  One census per i-simplex tests nondegeneracy, gives
     the coefficient a(S) - chi_plus_S(a) mod 2, and is kept as that
-    simplex's report.  A degenerate simplex (the first in canonical
-    order) is reported before a non-Euler function.
+    simplex's report.  The chain is defined for any function a; a being
+    Euler is what makes it a cycle, and callers that promise a class
+    test that themselves.  Raises DegenerateMapError at the first
+    degenerate simplex in canonical order.
     """
     i = f.target_dim - 1
     a2 = reduce_mod2(a)
@@ -175,24 +181,28 @@ def polar_census(
         if (a2(s) - report.chi_plus) % 2:
             support.add(s)
         reports.append(report)
-    if not is_euler_function(a2):
-        raise NotEulerError("singularity chain requires an Euler function")
     return Mod2Chain(i, frozenset(support)), tuple(reports)
 
 
 def euler_singularity_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
-    """Singularity chain: coefficient a(S) - chi_plus_S(a) mod 2 at each i-simplex."""
-    return polar_census(f, a)[0]
+    """Singularity chain of an Euler function a: a(S) - chi_plus_S(a) mod 2 at each i-simplex.
+
+    A degenerate map is reported before a non-Euler function.
+    """
+    chain, _reports = polar_census(f, a)
+    if not is_euler_function(a):
+        raise NotEulerError("singularity chain requires an Euler function")
+    return chain
 
 
 def moment_map(sub: Subdivision, i: int) -> AffineVertexMap:
-    """Barycenter of each k-simplex goes to (k, k^2, ..., k^(i+1))."""
+    """Barycenter of each k-simplex goes to the integer point (k, k^2, ..., k^(i+1))."""
     if not 0 <= i <= sub.base.dim:
         raise PolarError(f"i={i} out of range for a {sub.base.dim}-complex")
     images = {}
     for v in sub.complex.vertices:
         k = len(sub.carriers[v]) - 1
-        images[v] = tuple(Fraction(k ** (j + 1)) for j in range(i + 1))
+        images[v] = tuple(k ** (j + 1) for j in range(i + 1))
     return AffineVertexMap(sub.complex, i + 1, images)
 
 
@@ -230,12 +240,12 @@ def sample_generic_subspace(
 ) -> tuple[list[tuple[Fraction, ...]], Mod2Chain, tuple[HalfLinkReport, ...]]:
     """Seeded rational basis, resampled until the induced map is nondegenerate.
 
-    `a` is a function on a complex with coordinates; the map projects that
-    complex onto `rank` seeded integer covectors.  Each candidate is tested
-    by its `polar_census`, so the accepted basis comes back with its
-    singularity chain and half-link reports.  The stream is
-    Python's Mersenne Twister seeded with `seed`; identical (seed, complex)
-    pairs give identical bases.
+    `a` is any function on a complex with coordinates; the map projects
+    that complex onto `rank` seeded integer covectors.  Each candidate is
+    tested by its `polar_census`, so the accepted basis comes back with its
+    singularity chain Sigma(f) and half-link reports.  Whether `a` is Euler
+    is not tested here.  The stream is Python's Mersenne Twister seeded
+    with `seed`; identical (seed, complex) pairs give identical bases.
     """
     k = a.base
     if k.coordinates is None:

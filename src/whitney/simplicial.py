@@ -3,8 +3,8 @@
 Vertex identifiers are opaque strings; the canonical order is
 lexicographic, and every enumeration in the package derives from it, so
 all outputs are bit-deterministic.  Optional vertex coordinates are exact
-rationals (``fractions.Fraction``); no predicate in the package touches
-floating point.
+rationals (ints or ``fractions.Fraction``s); no predicate in the package
+touches floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
-from .exactlin import matrix_rank
+from .exactlin import is_rational_point, matrix_rank
 
 Simplex = tuple[str, ...]
 Point = tuple[Fraction, ...]
@@ -125,7 +125,8 @@ def build_complex(
     for raw in maximal_simplices:
         raw = list(raw)
         for v in raw:
-            if v not in vertex_set:
+            # ids are strings, so anything else is foreign (and may be unhashable)
+            if not isinstance(v, str) or v not in vertex_set:
                 raise ComplexError(f"simplex {raw!r} references unknown vertex {v!r}")
         given.add(make_simplex(raw))
     coords = None
@@ -134,6 +135,11 @@ def build_complex(
         missing = [v for v in vertices if v not in coords]
         if missing:
             raise ComplexError(f"missing coordinates for vertices {missing}")
+        for v, p in coords.items():
+            if not is_rational_point(p):
+                raise ComplexError(
+                    f"coordinates of vertex {v!r} must be ints or Fractions, got {list(p)}"
+                )
         dims = {len(p) for p in coords.values()}
         if len(dims) > 1:
             raise ComplexError("vertex coordinates have mixed ambient dimensions")

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from whitney import calculus as cal
 from whitney.errors import CalculusError
 from whitney.simplicial import barycentric_subdivision, build_complex, faces
+from whitney.verify import random_function
 
 
 def closed(k, *simplices):
@@ -152,3 +155,21 @@ def test_chi_of_known_spaces(corpus):
     cases = {"rp2_6": 1, "torus_7": 0, "boundary_delta3": 2, "pinched_torus": 1}
     for name, expected in cases.items():
         assert cal.chi(cal.constant(corpus[name].complex, 1)) == expected
+
+
+def test_duality_commutes_with_subdivision(corpus, subdivisions):
+    # the fact that lets an Euler test on K decide the function on K'
+    rng = random.Random(12)
+    cases = non_euler = 0
+    for name, entry in corpus.items():
+        sub = subdivisions[name]
+        for ring in (cal.RING_Z, cal.RING_Z2):
+            functions = [cal.constant(entry.complex, 1, ring)]
+            functions += [random_function(rng, entry.complex, ring) for _ in range(3)]
+            for a in functions:
+                assert cal.dual(cal.subdivide_function(sub, a)) == cal.subdivide_function(
+                    sub, cal.dual(a)
+                ), (name, ring)
+                cases += 1
+                non_euler += not cal.is_euler_function(a)
+    assert cases == 8 * len(corpus) and non_euler > cases // 3

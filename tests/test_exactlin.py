@@ -50,3 +50,14 @@ def test_integer_normal_matches_fraction_hyperplane(points):
     else:
         assert normal == plane[0]
         assert Fraction(sum(x * y for x, y in zip(normal, ints[0])), scale) == plane[1]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(rational_point_sets())
+def test_affine_hyperplane_takes_integer_points(points):
+    # the same plane, scaled: no int / int division on the way
+    scale = lcm(*(x.denominator for p in points for x in p))
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    plane = exactlin.affine_hyperplane(points)
+    expected = None if plane is None else (plane[0], plane[1] * scale)
+    assert exactlin.affine_hyperplane(ints) == expected

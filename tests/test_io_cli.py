@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from whitney.corpus import load_corpus
 from whitney.errors import HomologyError, InputError
 from whitney.homology import fundamental_cycle
 from whitney.simplicial import build_complex, impure_simplex
+from whitney.verify import random_euler_function
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
 
@@ -322,6 +324,54 @@ def test_format_rejected_where_unread(tmp_path, capsys, argv):
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
+EDGE_FN = {"ring": "Z2", "terms": [{"coeff": 1, "closed_support": [["1", "2"]]}]}
+
+
+@pytest.mark.parametrize("complex_name, dim, mode, payload", [
+    pytest.param("s1_3.json", 0, "--moment", None, id="moment"),
+    pytest.param("s1_3.json", 0, "--map", {"target_dim": 1, "images": {
+        "1": ["0"], "2": ["2"], "3": ["1"]}}, id="map"),
+    pytest.param("rp2_6_embedded.json", 1, "--project", {"ambient_dim": 5, "vectors": [
+        ["1", "2", "4", "8", "16"], ["1", "3", "9", "27", "81"]]}, id="project"),
+    pytest.param("rp2_6_embedded.json", 1, "--random-plane", None, id="random-plane"),
+])
+def test_polar_rejects_non_euler_function(tmp_path, capsys, complex_name, dim, mode, payload):
+    # the closed edge [1, 2] is not Euler: its endpoints have odd links
+    fn = tmp_path / "edge.json"
+    fn.write_text(json.dumps(EDGE_FN))
+    argv = ["polar", "--complex", CORPUS / complex_name, "--dim", dim, mode]
+    if payload is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        argv.append(path)
+    out, report = tmp_path / "c.json", tmp_path / "hl.json"
+    code, streams = run(argv + ["--fn", fn, "--out", out, "--report", report], capsys)
+    assert code == 5
+    assert streams.err == "error: singularity chain requires an Euler function\n"
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["polar", "--moment"], id="polar-moment"),
+    pytest.param(["polar", "--moment", "--fn"], id="polar-moment-fn"),
+    pytest.param(["stiefel", "--fn"], id="stiefel-fn"),
+])
+def test_euler_test_runs_once_on_the_given_complex(tmp_path, monkeypatch, corpus, argv):
+    # duality commutes with subdivision, so K decides the function on K' too
+    k = corpus["rp2_6"].complex
+    fn = tmp_path / "fn.json"
+    fileio.dump_json(fileio.function_to_dict(random_euler_function(random.Random(4), k)), fn)
+    bases = []
+    dual = cal.dual
+    monkeypatch.setattr(cal, "dual", lambda a: bases.append(a.base) or dual(a))
+    if argv[-1] == "--fn":
+        argv = argv + [fn]
+    code = run(argv[:1] + ["--complex", CORPUS / "rp2_6.json", "--dim", 1] + argv[1:]
+               + ["--out", tmp_path / "c.json"])
+    assert code == 0
+    assert [base == k for base in bases] == [True]
+
+
 def test_polar_input_error_beats_map_error(tmp_path):
     # torus_7 has no coordinates, so sampling a plane would fail with exit 6
     fn = tmp_path / "bad.json"
@@ -331,6 +381,51 @@ def test_polar_input_error_beats_map_error(tmp_path):
          "--random-plane", "--fn", fn, "--out", tmp_path / "c.json"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command, data", [
+    pytest.param("complex", {"vertices": 5, "maximal_simplices": []}, id="vertices-not-list"),
+    pytest.param("complex", {"vertices": ["a"], "maximal_simplices": [5]}, id="simplex-not-list"),
+    pytest.param("complex", {"vertices": [1, 2], "maximal_simplices": [[1, 2]]}, id="int-ids"),
+    pytest.param("subdivide", {"vertices": [1, 2], "maximal_simplices": [[1, 2]]},
+                 id="int-ids-subdivide"),
+    pytest.param("dual", {"vertices": [1, 2], "maximal_simplices": [[1, 2]]}, id="int-ids-dual"),
+    pytest.param("complex", {"vertices": ["a"], "maximal_simplices": [["a"]], "coordinates": [1]},
+                 id="coordinates-not-object"),
+    pytest.param("function", {"ring": "Z", "values": [1]}, id="values-not-object"),
+    pytest.param("function", {"ring": "Z", "values": {"1": "x"}}, id="value-string"),
+    pytest.param("function", {"ring": "Z", "values": {"1": 1.5}}, id="value-float"),
+    pytest.param("function", {"ring": "Z", "terms": [5]}, id="term-not-object"),
+    pytest.param("function", {"ring": "Z", "terms": [{"coeff": "x", "closed_support": [["1"]]}]},
+                 id="coeff-string"),
+    pytest.param("chain", {"dim": 0, "simplices": [1]}, id="chain-simplex-not-list"),
+    pytest.param("basis", {"ambient_dim": "x", "vectors": []}, id="ambient-dim-string"),
+    pytest.param("basis", {"ambient_dim": 2, "vectors": [5]}, id="vector-not-list"),
+    pytest.param("affine-map", {"target_dim": 1, "images": [1]}, id="images-not-object"),
+    pytest.param("affine-map", {"target_dim": "x", "images": {}}, id="target-dim-string"),
+    pytest.param("index", {"complexes": [{"name": "a", "euler": True, "pure": True}]},
+                 id="index-entry-without-file"),
+])
+def test_malformed_file_exit_code(tmp_path, capsys, command, data):
+    path = tmp_path / "index.json" if command == "index" else tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    circle, out = CORPUS / "s1_3.json", tmp_path / "out.json"
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"ring": "Z", "values": {}}))
+    argv = {
+        "complex": ["chi", "--complex", path],
+        "subdivide": ["subdivide", "--complex", path, "--out", out],
+        "dual": ["dual", "--complex", path, "--fn", fn, "--out", out],
+        "function": ["chi", "--complex", circle, "--fn", path],
+        "chain": ["bounds", "--complex", circle, "--chain", path],
+        "basis": ["polar", "--complex", CORPUS / "s1_6.json", "--dim", 0, "--project", path,
+                  "--out", out],
+        "affine-map": ["polar", "--complex", circle, "--dim", 0, "--map", path, "--out", out],
+        "index": ["verify", "--suite", "calculus", "--complexes", tmp_path],
+    }[command]
+    code, streams = run(argv, capsys)
+    assert code == 2
+    assert streams.err.startswith("error: ") and streams.err.count("\n") == 1
 
 
 def test_verify_cli(capsys):

@@ -111,6 +111,12 @@ def test_moment_map_images(subdivisions):
     assert f.images["b(1)"] == (Fraction(0), Fraction(0))
     assert f.images["b(1,2)"] == (Fraction(1), Fraction(1))
     assert f.images["b(1,2,3)"] == (Fraction(2), Fraction(4))
+    assert all(type(x) is int for p in f.images.values() for x in p)
+
+
+def test_float_image_rejected(circle):
+    with pytest.raises(PolarError, match=r"image of '1' must be ints or Fractions"):
+        polar.AffineVertexMap(circle, 1, {"1": (0.5,), "2": (1,), "3": (2,)})
 
 
 def test_moment_map_nondegenerate_everywhere(corpus, subdivisions):

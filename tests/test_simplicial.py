@@ -50,6 +50,20 @@ def test_affinely_dependent_coordinates_rejected():
         build_complex(["1", "2", "3"], [["1", "2", "3"]], coords)
 
 
+def test_integer_coordinates_are_exact():
+    # int / int division would decide this triangle in floats and call it collinear
+    a, b = 76370604, 999613466
+    points = {"0": (0, 0), "1": (a, b), "2": (a * 10**11, b * 10**11 + 1)}
+    for coords in (points, {v: tuple(map(Fraction, p)) for v, p in points.items()}):
+        k = build_complex(["0", "1", "2"], [["0", "1", "2"]], coords)
+        assert k.n_simplices(2) == 1
+
+
+def test_float_coordinates_rejected():
+    with pytest.raises(ComplexError, match=r"vertex '0' must be ints or Fractions, got \[0.5\]"):
+        build_complex(["0", "1"], [["0", "1"]], {"0": (0.5,), "1": (1,)})
+
+
 def test_affine_independence_tested_once_per_listed_simplex(monkeypatch, corpus, subdivisions):
     tested = []
     real = simplicial._affinely_independent
