@@ -149,7 +149,8 @@ def load_complex(path: str | Path) -> SimplicialComplex:
 
 def vertex_map_from_dict(data: dict) -> dict[str, str]:
     vm = _require(data, "vertex_map", "map file", dict)
-    return {str(k): str(v) for k, v in vm.items()}
+    _ids(list(vm) + list(vm.values()), "map file: 'vertex_map'")
+    return vm
 
 
 # -- chains ------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 A map to R^(i+1) is nondegenerate when the image of every i-simplex spans
 an affine hyperplane that misses all of its link-vertex images.  The
-coefficient of an i-simplex in the singularity chain Sigma(f) is the
-weighted half-link Euler integral subtracted from the function value on
-the simplex, mod 2; with the constant function 1 this is the classical
-1 - chi(upper half-link).  Sigma(f) is defined for any constructible
-function; the function being Euler is what makes it a cycle, so only the
-entry points that promise a class (``euler_singularity_chain`` here, the
-CLI and ``sw``) test that, once, on the function they were given.
+coefficient of an i-simplex S in the singularity chain Sigma(f) is a(S)
+minus the weighted Euler integral of its upper half-link, mod 2: a sum
+over the cofaces T = S * U, each adding (-1)^dim U a(T) when U lies wholly
+on the upper side.  With a = 1 this is 1 - chi(upper half-link).
+Sigma(f) is defined for any constructible function; the function being
+Euler is what makes it a cycle, so only the entry points that promise a
+class (``euler_singularity_chain`` here, the CLI and ``sw``) test that,
+once, on the function they were given.
 
 Geometry enters as exact rational images (ints or Fractions).  The census
 needs only the side of each link vertex relative to the hyperplane
@@ -32,7 +33,7 @@ from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_functio
 from .errors import DegenerateMapError, NotEulerError, PolarError
 from .exactlin import dot, integer_normal, is_rational_point, matrix_rank
 from .homology import Mod2Chain
-from .simplicial import Simplex, SimplicialComplex, Subdivision, link
+from .simplicial import Simplex, SimplicialComplex, Subdivision
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,11 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
 
     Each link simplex U has an open cell on each side where some vertex
     of U lies, and a hyperplane slice (dim U - 1) when its vertices lie on
-    both sides; the report lists these cells, weighted by the function
-    value on the joined simplex.  A two-sided U adds its open cell and
-    its slice to the integral of each side, and the two cancel, so
-    chi_plus is the weighted sum of (-1)^dim U over the link simplices
-    with all vertices on the positive side (chi_minus likewise).  Sides
+    both sides; the report lists these cells, weighted by a(T) on the
+    coface T = s * U.  A two-sided U adds its open cell and its slice to
+    the integral of each side, and the two cancel, so chi_plus is the sum
+    of (-1)^dim U a(T) over the cofaces T of s whose U lies wholly on the
+    positive side (chi_minus likewise): read from k.cofaces[s].  Sides
     are signs of <n, L f(w)> - <n, L f(p_0)> on the map's integer images.
     Raises DegenerateMapError when f(s) spans no hyperplane or a link
     vertex of s maps into it.
@@ -103,8 +104,7 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     k = f.domain
     if a.base != k:
         raise PolarError("function is not based on the map's domain")
-    s = tuple(sorted(s))
-    lk = link(k, s)
+    s = k.require(tuple(sorted(s)))
     if len(s) != f.target_dim:
         raise PolarError(
             f"simplex {list(s)} has dimension {len(s) - 1}, expected {f.target_dim - 1}"
@@ -116,8 +116,10 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
             f"image of simplex {list(s)} does not span a hyperplane", offender=s
         )
     level = sum(x * y for x, y in zip(normal, images[s[0]]))
+    # (U, T) for each coface T = S * U, sorted into the canonical order of the link
+    joins = sorted((tuple(v for v in t if v not in s), t) for t in k.cofaces[s] if t != s)
     signs: dict[str, int] = {}
-    for (w,) in lk.by_dim.get(0, ()):
+    for (w,) in (u for u, _t in joins if len(u) == 1):
         h = sum(x * y for x, y in zip(normal, images[w])) - level
         if h == 0:
             raise DegenerateMapError(
@@ -127,12 +129,10 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     cells = []
     chi_plus = 0
     chi_minus = 0
-    sset = set(s)
-    for u in lk.simplices:
+    for u, t in joins:
         pos = any(signs[w] > 0 for w in u)
         neg = any(signs[w] < 0 for w in u)
-        joined = tuple(sorted(sset.union(u)))
-        weight = a(joined)
+        weight = a(t)
         d = len(u) - 1
         if not neg:
             chi_plus += (-1) ** d * weight
@@ -206,7 +206,9 @@ def moment_map(sub: Subdivision, i: int) -> AffineVertexMap:
     return AffineVertexMap(sub.complex, i + 1, images)
 
 
-def projection_map(k: SimplicialComplex, basis: Sequence[Sequence[Fraction]]) -> AffineVertexMap:
+def projection_map(
+    k: SimplicialComplex, basis: Sequence[Sequence[int | Fraction]]
+) -> AffineVertexMap:
     """x -> (<b_1, x>, ..., <b_m, x>) on the vertex coordinates.
 
     Differs from orthogonal projection onto span(basis) by an invertible
@@ -215,16 +217,18 @@ def projection_map(k: SimplicialComplex, basis: Sequence[Sequence[Fraction]]) ->
     if k.coordinates is None:
         raise PolarError("complex has no coordinates; cannot project")
     n = k.ambient_dim
-    basis = [tuple(Fraction(x) for x in b) for b in basis]
+    basis = [tuple(b) for b in basis]
     for b in basis:
         if len(b) != n:
             raise PolarError("basis vector has wrong ambient dimension")
+        if not is_rational_point(b):
+            raise PolarError(f"basis vector must be ints or Fractions, got {list(b)}")
     if matrix_rank(basis) != len(basis):
         raise PolarError("basis vectors are linearly dependent")
     return _project(k, basis)
 
 
-def _project(k: SimplicialComplex, basis: list[tuple[Fraction, ...]]) -> AffineVertexMap:
+def _project(k: SimplicialComplex, basis: list[tuple[int | Fraction, ...]]) -> AffineVertexMap:
     """``projection_map`` for a basis already checked to be independent."""
     images = {
         v: tuple(dot(b, k.coordinates[v]) for b in basis) for v in k.vertices
@@ -237,8 +241,8 @@ _MAX_RETRIES = 200
 
 def sample_generic_subspace(
     a: ConstructibleFunction, rank: int, seed: int
-) -> tuple[list[tuple[Fraction, ...]], Mod2Chain, tuple[HalfLinkReport, ...]]:
-    """Seeded rational basis, resampled until the induced map is nondegenerate.
+) -> tuple[list[tuple[int, ...]], Mod2Chain, tuple[HalfLinkReport, ...]]:
+    """Seeded integer basis, resampled until the induced map is nondegenerate.
 
     `a` is any function on a complex with coordinates; the map projects
     that complex onto `rank` seeded integer covectors.  Each candidate is
@@ -258,7 +262,7 @@ def sample_generic_subspace(
     for attempt in range(_MAX_RETRIES):
         bound = 9 + attempt
         basis = [
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+            tuple(rng.randint(-bound, bound) for _ in range(n))
             for _ in range(rank)
         ]
         if matrix_rank(basis) != rank:

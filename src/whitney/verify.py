@@ -238,14 +238,13 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
             continue
         k = entry.complex
         subdiv = subdivs[entry.name]
-        ones_prime = cal.constant(subdiv.complex, 1)
+        ones_prime = cal.constant(subdiv.complex, 1, cal.RING_Z2)
         for i in range(k.dim + 1):
-            f_i = polar.moment_map(subdiv, i)
-            for s in subdiv.complex.by_dim.get(i, ()):
-                r = polar.half_link_report(ones_prime, s, f_i)
+            _chain, reports = polar.polar_census(polar.moment_map(subdiv, i), ones_prime)
+            for r in reports:
                 report.prop("half-link parity chi+ = chi- mod 2").record(
-                    r.chi_plus % 2 == r.chi_minus % 2,
-                    lambda: {"complex": entry.name, "i": i, "simplex": list(s)},
+                    r.chi_plus == r.chi_minus,
+                    lambda: {"complex": entry.name, "i": i, "simplex": list(r.simplex)},
                 )
     embedded = [e for e in corpus.values() if e.complex.coordinates is not None and e.euler]
     for entry in embedded:
@@ -295,11 +294,12 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
             d = restricted.dim
             for i in range(d + 1):
                 f = polar.moment_map(subdiv, i)
-                whole = polar.euler_singularity_chain(f, ind)
+                # both functions are Euler because the restricted complex is an Euler space
+                whole, _reports = polar.polar_census(f, ind)
                 f_restricted = polar.AffineVertexMap(
                     restricted, i + 1, {v: f.images[v] for v in restricted.vertices}
                 )
-                part = polar.euler_singularity_chain(
+                part, _reports = polar.polar_census(
                     f_restricted, cal.constant(restricted, 1, cal.RING_Z2)
                 )
                 report.prop("restriction consistency of weighted chains").record(

@@ -174,10 +174,12 @@ def test_polar_with_report(tmp_path, complex_name, mode, construction, cells):
 
 
 @pytest.mark.parametrize("i, simplices", [(0, 6), (1, 15), (2, 10)])
-def test_polar_random_plane_report_builds_each_link_once(tmp_path, monkeypatch, i, simplices):
-    real_link = polar.link
+def test_polar_random_plane_report_census_each_simplex_once(tmp_path, monkeypatch, i, simplices):
+    real_report = polar.half_link_report
     calls = []
-    monkeypatch.setattr(polar, "link", lambda k, s: calls.append(s) or real_link(k, s))
+    monkeypatch.setattr(
+        polar, "half_link_report", lambda a, s, f: calls.append(s) or real_report(a, s, f)
+    )
     code = run(
         ["polar", "--complex", CORPUS / "rp2_6_embedded.json", "--dim", i,
          "--random-plane", "--seed", 3, "--out", tmp_path / "c.json",
@@ -405,6 +407,10 @@ def test_polar_input_error_beats_map_error(tmp_path):
     pytest.param("affine-map", {"target_dim": "x", "images": {}}, id="target-dim-string"),
     pytest.param("index", {"complexes": [{"name": "a", "euler": True, "pure": True}]},
                  id="index-entry-without-file"),
+    pytest.param("map", {"vertex_map": {"0": "1", "1": "2", "2": "3", "3": "1", "4": "2", "5": 1}},
+                 id="map-image-integer"),
+    pytest.param("map", {"vertex_map": {"1": ["x"]}}, id="map-image-list"),
+    pytest.param("map", {"vertex_map": ["0", "1"]}, id="map-not-object"),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, command, data):
     path = tmp_path / "index.json" if command == "index" else tmp_path / "f.json"
@@ -422,10 +428,14 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, data):
                   "--out", out],
         "affine-map": ["polar", "--complex", circle, "--dim", 0, "--map", path, "--out", out],
         "index": ["verify", "--suite", "calculus", "--complexes", tmp_path],
+        "map": ["push", "--domain", CORPUS / "s1_6.json", "--codomain", circle, "--map", path,
+                "--fn", fn, "--out", out],
     }[command]
     code, streams = run(argv, capsys)
     assert code == 2
     assert streams.err.startswith("error: ") and streams.err.count("\n") == 1
+    if command == "map":
+        assert streams.err.startswith("error: map file: ")
 
 
 def test_verify_cli(capsys):

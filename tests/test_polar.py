@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitney import calculus as cal
 from whitney import homology as hom
-from whitney import exactlin, fileio, polar, sw
+from whitney import exactlin, fileio, polar, simplicial, sw
 from whitney.errors import ComplexError, DegenerateMapError, NotEulerError, PolarError
-from whitney.simplicial import barycentric_subdivision, link
-from whitney.verify import random_euler_function
+from whitney.simplicial import barycentric_subdivision, build_complex, link
+from whitney.verify import random_euler_function, random_function
 
 
 def height_map(k, heights):
@@ -305,3 +307,157 @@ def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch
     # fresh maps, so the integer images are cleared under the guard too
     fresh = [polar.AffineVertexMap(f.domain, f.target_dim, f.images) for f, _a in cases]
     assert [polar.polar_census(f, a) for f, (_f, a) in zip(fresh, cases)] == expected
+
+
+def _check_against_link_oracle(f, a):
+    """Every i-simplex's cells against simplicial.link: its simplices in order, weights a(S + U)."""
+    k = f.domain
+    for s in k.by_dim.get(f.target_dim - 1, ()):
+        lk = link(k, s).simplices
+        r = polar.half_link_report(a, s, f)
+        assert [c.link_simplex for c in r.cells] == list(lk)
+        assert [c.weight for c in r.cells] == [a(tuple(sorted(s + u))) for u in lk]
+    return len(k.by_dim.get(f.target_dim - 1, ()))
+
+
+def test_coface_census_matches_link_oracle_on_moment_maps(corpus, subdivisions):
+    rng = random.Random(29)
+    for name, entry in corpus.items():
+        sub = subdivisions[name]
+        a = random_function(rng, sub.complex)
+        for i in range(entry.complex.dim + 1):
+            assert _check_against_link_oracle(polar.moment_map(sub, i), a) > 0
+
+
+def test_coface_census_matches_link_oracle_on_projections(corpus):
+    rng = random.Random(31)
+    for name in ("rp2_6_embedded", "wedge_spheres"):
+        k = corpus[name].complex
+        a = random_function(rng, k)
+        for rank in range(1, k.dim + 2):
+            for seed in range(3):
+                basis, _chain, _reports = polar.sample_generic_subspace(a, rank, seed)
+                assert _check_against_link_oracle(polar.projection_map(k, basis), a) > 0
+
+
+def test_degenerate_census_names_the_first_link_vertex(corpus):
+    # heights in {0, 1, 2}: many vertices share their height with a link vertex
+    rng = random.Random(37)
+    degenerate = 0
+    for entry in corpus.values():
+        k = entry.complex
+        a = random_function(rng, k)
+        f = height_map(k, {v: rng.randint(0, 2) for v in k.vertices})
+        for s in k.by_dim[0]:
+            flat = [w for (w,) in link(k, s).by_dim.get(0, ()) if f.images[w] == f.images[s[0]]]
+            if not flat:
+                continue
+            with pytest.raises(DegenerateMapError) as e:
+                polar.half_link_report(a, s, f)
+            assert str(e.value) == f"link vertex {flat[0]!r} of {list(s)} maps into the hyperplane"
+            assert e.value.offender == s
+            degenerate += 1
+    assert degenerate > 0
+
+
+def test_census_builds_no_link_complex(corpus, subdivisions, monkeypatch):
+    sub = subdivisions["rp2_6"]
+    k = corpus["rp2_6_embedded"].complex
+    basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
+    cases = [
+        (polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
+        (polar.projection_map(k, basis), cal.constant(k, 1, cal.RING_Z2)),
+    ]
+    expected = [polar.polar_census(f, a) for f, a in cases]
+
+    def refuse(*args):
+        raise AssertionError("link complex built by the census")
+
+    monkeypatch.setattr(simplicial, "link", refuse)
+    monkeypatch.setattr(polar, "link", refuse, raising=False)
+    assert [polar.polar_census(f, a) for f, a in cases] == expected
+
+
+def test_projection_basis_must_be_ints_or_fractions(corpus):
+    k = corpus["s1_6"].complex
+    with pytest.raises(PolarError, match=r"basis vector must be ints or Fractions, got \[0\.1, 1\]"):
+        polar.projection_map(k, [(0.1, 1)])
+    assert polar.projection_map(k, [(2, 1)]) == polar.projection_map(k, [(Fraction(2), Fraction(1))])
+    basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 0)
+    assert all(type(x) is int for b in basis for x in b)
+
+
+def _relabel(k, new):
+    """k with vertex v renamed new[v]; coordinates kept."""
+    coords = None if k.coordinates is None else {new[v]: p for v, p in k.coordinates.items()}
+    return build_complex(
+        [new[v] for v in k.vertices], [[new[v] for v in s] for s in k.simplices], coords
+    )
+
+
+def _relabel_function(a, k2, new):
+    return cal.from_values(k2, {tuple(sorted(new[v] for v in s)): x for s, x in a.values.items()})
+
+
+def _fresh_ids(data, k):
+    """A bijection of k's vertex ids onto fresh string ids, drawn so that the canonical order changes."""
+    order = data.draw(st.permutations(range(len(k.vertices))))
+    return {v: f"x{j}" for v, j in zip(k.vertices, order)}
+
+
+def _assert_same_census(census, census2, key, key2):
+    """Chains and per-simplex reports agree once simplices are compared through key/key2."""
+    (chain, reports), (chain2, reports2) = census, census2
+    assert {key(s) for s in chain.support} == {key2(s) for s in chain2.support}
+    by_key = {key2(r.simplex): r for r in reports2}
+    assert len(by_key) == len(reports)
+    for r in reports:
+        r2 = by_key[key(r.simplex)]
+        assert (r2.chi_plus, r2.chi_minus) == (r.chi_plus, r.chi_minus)
+        assert sorted(c.weight for c in r2.cells) == sorted(c.weight for c in r.cells)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["rp2_6_embedded", "wedge_spheres"]), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_projection_census_invariant_under_relabelling(corpus, name, seed, data):
+    k = corpus[name].complex
+    new = _fresh_ids(data, k)
+    k2 = _relabel(k, new)
+    a = random_function(random.Random(seed), k)
+    a2 = _relabel_function(a, k2, new)
+    for rank in range(1, k.dim + 2):
+        basis, _chain, _reports = polar.sample_generic_subspace(a, rank, seed)
+        _assert_same_census(
+            polar.polar_census(polar.projection_map(k, basis), a),
+            polar.polar_census(polar.projection_map(k2, basis), a2),
+            lambda s: tuple(sorted(new[v] for v in s)),
+            lambda s: s,
+        )
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), data=st.data())
+def test_moment_census_invariant_under_relabelling(corpus, subdivisions, seed, data):
+    k = corpus["rp2_6"].complex
+    new = _fresh_ids(data, k)
+    k2 = _relabel(k, new)
+    sub, sub2 = subdivisions["rp2_6"], barycentric_subdivision(k2)
+    a = random_function(random.Random(seed), k)
+    a_prime = cal.subdivide_function(sub, a)
+    a2_prime = cal.subdivide_function(sub2, _relabel_function(a, k2, new))
+
+    # a simplex of K' is a flag of K: compare flags, with K's simplices renamed
+    def flag(s):
+        return frozenset(tuple(sorted(new[v] for v in t)) for t in sub.flag(s))
+
+    def flag2(s):
+        return frozenset(sub2.flag(s))
+
+    for i in range(k.dim + 1):
+        _assert_same_census(
+            polar.polar_census(polar.moment_map(sub, i), a_prime),
+            polar.polar_census(polar.moment_map(sub2, i), a2_prime),
+            flag,
+            flag2,
+        )

@@ -1,4 +1,4 @@
-from whitney import verify
+from whitney import polar, verify
 
 
 def test_all_suites_pass_at_small_scale():
@@ -25,3 +25,27 @@ def test_random_euler_functions_are_euler(corpus):
     for entry in corpus.values():
         for _ in range(5):
             assert cal.is_euler_function(verify.random_euler_function(rng, entry.complex))
+
+
+def test_polar_suite_reads_the_census(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("euler_singularity_chain called from the polar suite")
+
+    census, half_link_report = polar.polar_census, polar.half_link_report
+    depth = []
+
+    def counted_census(*args):
+        depth.append(None)
+        try:
+            return census(*args)
+        finally:
+            depth.pop()
+
+    def report_inside_census(*args):
+        assert depth, "half_link_report called outside a polar_census"
+        return half_link_report(*args)
+
+    monkeypatch.setattr(polar, "euler_singularity_chain", refuse)
+    monkeypatch.setattr(polar, "polar_census", counted_census)
+    monkeypatch.setattr(polar, "half_link_report", report_inside_census)
+    assert verify.run_suite("polar", seed=1, trials=10).ok
