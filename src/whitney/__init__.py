@@ -53,6 +53,7 @@ from .polar import (
     euler_singularity_chain,
     half_link_report,
     is_nondegenerate,
+    moment_chain,
     moment_map,
     polar_census,
     projection_map,

@@ -186,6 +186,9 @@ def cmd_polar(args) -> int:
     if args.random_plane:
         _basis, c, reports = polar.sample_generic_subspace(a, i + 1, args.seed)
         construction = "projection"
+    elif args.moment and not args.report:
+        c = polar.moment_chain(barycentric_subdivision(k), a, i)
+        construction = "moment"
     else:
         census_fn = a
         if args.moment:
@@ -203,9 +206,9 @@ def cmd_polar(args) -> int:
         if f.target_dim != i + 1:
             raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
         c, reports = polar.polar_census(f, census_fn)
-    # after the census, so a degenerate map (exit 6) wins; on the function as
-    # given on --complex: duality commutes with subdivision, so for --moment
-    # this decides the subdivided function too
+    # after the chain, so a degenerate map or an out-of-range --dim (exit 6)
+    # wins; on the function as given on --complex: duality commutes with
+    # subdivision, so for --moment this decides the subdivided function too
     if not cal.is_euler_function(a):
         raise NotEulerError("singularity chain requires an Euler function")
     provenance = {"construction": construction, "complex": Path(args.complex).name, "i": i}

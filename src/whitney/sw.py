@@ -2,8 +2,9 @@
 
 The canonical representative of the i-th class of an Euler function is
 the Euler-singularity chain of the moment map on the barycentric
-subdivision; for the constant function 1 it coincides, simplex by
-simplex, with the sum of all i-simplices of the subdivision.
+subdivision, read in closed form from carrier dimensions
+(``polar.moment_chain``); for the constant function 1 it coincides,
+simplex by simplex, with the sum of all i-simplices of the subdivision.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from .calculus import (
     is_euler_function,
     pushforward,
     reduce_mod2,
-    subdivide_function,
 )
 from .errors import HomologyError, NotEulerError
 from .homology import Mod2Chain, chain_pushforward, homologous
-from .polar import moment_map, polar_census
+from .polar import moment_chain
 from .simplicial import (
     SimplicialMap,
     Subdivision,
@@ -40,20 +40,20 @@ def stiefel_chain(sub: Subdivision, i: int) -> Mod2Chain:
 def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chain:
     """Canonical chain representative of the i-th class of an Euler function.
 
-    Computed as the singularity chain of the moment map on the
-    subdivision, with the function carried over by carriers.  Duality
-    commutes with subdivision, so the function is Euler exactly when its
-    subdivision is; it is tested once, here, on the base.  Linear in the
-    function, and equal to the Stiefel chain when the function is
-    identically 1.
+    The singularity chain of the moment map on the subdivision, with the
+    function read on carriers, in the closed form of ``moment_chain``:
+    each link vertex's side is a sign of a product of carrier-dimension
+    differences, so no hyperplane is solved.  Duality commutes with
+    subdivision, so the function is Euler exactly when its subdivision
+    is; it is tested once, here, on the base.  Linear in the function,
+    and equal to the Stiefel chain when the function is identically 1.
     """
     a2 = reduce_mod2(a)
     if not is_euler_function(a2):
         raise NotEulerError("Stiefel-Whitney representatives require an Euler function")
     if not 0 <= i <= sub.base.dim:
         raise HomologyError(f"i={i} out of range for a {sub.base.dim}-complex")
-    chain, _reports = polar_census(moment_map(sub, i), subdivide_function(sub, a2))
-    return chain
+    return moment_chain(sub, a2, i)
 
 
 def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:

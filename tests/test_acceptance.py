@@ -40,10 +40,15 @@ def test_criterion_01_stiefel_cycle_property(corpus, subdivisions):
 
 
 def test_criterion_02_moment_map_identity(corpus, subdivisions):
+    # the closed form (sw_representative) and the general census path each give s_i
     ok = all(
         sw.sw_representative(
             subdivisions[e.name], cal.constant(e.complex, 1, cal.RING_Z2), i
         ).support
+        == polar.polar_census(
+            polar.moment_map(subdivisions[e.name], i),
+            cal.constant(subdivisions[e.name].complex, 1, cal.RING_Z2),
+        )[0].support
         == sw.stiefel_chain(subdivisions[e.name], i).support
         for e in euler_entries(corpus)
         for i in range(e.complex.dim + 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from whitney import calculus as cal
-from whitney import cli, fileio, polar
+from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
 from whitney.errors import HomologyError, InputError
 from whitney.homology import fundamental_cycle
@@ -351,6 +351,79 @@ def test_polar_rejects_non_euler_function(tmp_path, capsys, complex_name, dim, m
     assert code == 5
     assert streams.err == "error: singularity chain requires an Euler function\n"
     assert not out.exists() and not report.exists()
+
+
+def test_moment_chain_solves_no_hyperplane(tmp_path, monkeypatch, corpus, subdivisions):
+    # the census path runs first, unguarded: its --report and --out bytes, and its chain
+    rng = random.Random(43)
+    cases = []
+    for entry in corpus.values():
+        if not entry.euler:
+            continue
+        fn = tmp_path / f"{entry.name}_fn.json"
+        a = random_euler_function(rng, entry.complex)
+        fileio.dump_json(fileio.function_to_dict(a), fn)
+        sub = subdivisions[entry.name]
+        for fn_args, b in (([], cal.constant(entry.complex, 1)), (["--fn", fn], a)):
+            for i in range(entry.complex.dim + 1):
+                argv = ["polar", "--complex", CORPUS / f"{entry.name}.json", "--dim", i,
+                        "--moment"] + fn_args
+                out, report = tmp_path / "census.json", tmp_path / "hl.json"
+                assert run(argv + ["--out", out, "--report", report]) == 0
+                half_links = json.loads(report.read_text())["half_links"]
+                assert [tuple(r["simplex"]) for r in half_links] == list(sub.complex.by_dim[i])
+                chain, _reports = polar.polar_census(
+                    polar.moment_map(sub, i), cal.subdivide_function(sub, b)
+                )
+                cases.append((argv, out.read_bytes(), sub, b, i, chain))
+
+    def refuse(*args):
+        raise AssertionError("hyperplane census on the closed-form path")
+
+    monkeypatch.setattr(polar, "half_link_report", refuse)
+    monkeypatch.setattr(exactlin, "integer_normal", refuse)
+    monkeypatch.setattr(polar, "integer_normal", refuse)
+    monkeypatch.setattr(cal, "subdivide_function", refuse)
+    for argv, census_bytes, sub, b, i, chain in cases:
+        out = tmp_path / "closed.json"
+        assert run(argv + ["--out", out]) == 0
+        assert out.read_bytes() == census_bytes, argv
+        assert sw.sw_representative(sub, b, i) == chain, argv
+    assert len(cases) > 40
+
+
+@pytest.mark.parametrize("fn", [None, EDGE_FN], ids=["constant", "non-euler"])
+@pytest.mark.parametrize("report", [False, True], ids=["chain", "report"])
+def test_moment_dim_out_of_range_beats_non_euler_function(tmp_path, capsys, fn, report):
+    argv = ["polar", "--complex", CORPUS / "s1_3.json", "--dim", 2, "--moment",
+            "--out", tmp_path / "c.json"]
+    if fn is not None:
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(fn))
+        argv += ["--fn", path]
+    if report:
+        argv += ["--report", tmp_path / "hl.json"]
+    code, streams = run(argv, capsys)
+    assert code == 6
+    assert streams.err == "error: i=2 out of range for a 1-complex\n"
+
+
+@pytest.mark.parametrize("dim, fn, code, message", [
+    pytest.param(0, EDGE_FN, 5, "Stiefel-Whitney representatives require an Euler function",
+                 id="non-euler"),
+    pytest.param(2, EDGE_FN, 5, "Stiefel-Whitney representatives require an Euler function",
+                 id="non-euler-out-of-range"),
+    pytest.param(2, {"ring": "Z", "terms": [{"coeff": 3, "closed_support": [["1", "2"], ["2", "3"],
+                 ["1", "3"]]}]}, 4, "i=2 out of range for a 1-complex", id="out-of-range"),
+])
+def test_stiefel_fn_exit_codes(tmp_path, capsys, dim, fn, code, message):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(fn))
+    out = tmp_path / "c.json"
+    got, streams = run(["stiefel", "--complex", CORPUS / "s1_3.json", "--dim", dim,
+                        "--fn", path, "--out", out], capsys)
+    assert (got, streams.err) == (code, f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from whitney import calculus as cal
 from whitney import homology as hom
 from whitney import exactlin, fileio, polar, simplicial, sw
-from whitney.errors import ComplexError, DegenerateMapError, NotEulerError, PolarError
+from whitney.errors import (
+    CalculusError,
+    ComplexError,
+    DegenerateMapError,
+    NotEulerError,
+    PolarError,
+)
 from whitney.simplicial import barycentric_subdivision, build_complex, link
 from whitney.verify import random_euler_function, random_function
 
@@ -127,6 +133,52 @@ def test_moment_map_nondegenerate_everywhere(corpus, subdivisions):
         for i in range(entry.complex.dim + 1):
             ok, offender = polar.is_nondegenerate(polar.moment_map(sub, i))
             assert ok, (name, i, offender)
+
+
+def _z_lift(rng, a):
+    """A Z-valued function with the same mod 2 reduction as a."""
+    return cal.from_values(a.base, {s: x + 2 * rng.randint(-1, 1) for s, x in a.values.items()})
+
+
+def test_moment_chain_matches_census_oracle(corpus, subdivisions):
+    rng = random.Random(41)
+    cases = [(name, subdivisions[name]) for name in corpus] + [
+        (f"sd1 {name}", barycentric_subdivision(subdivisions[name].complex))
+        for name in ("torus_7", "rp2_6", "wedge_spheres", "pinched_torus")
+    ]
+    euler = set()
+    for name, sub in cases:
+        k = sub.base
+        functions = [cal.constant(k, 1)] + [random_function(rng, k) for _ in range(3)]
+        functions += [_z_lift(rng, random_euler_function(rng, k)) for _ in range(2)]
+        for a in functions:
+            euler.add(cal.is_euler_function(a))
+            for i in range(k.dim + 1):
+                oracle, _reports = polar.polar_census(
+                    polar.moment_map(sub, i), cal.subdivide_function(sub, a)
+                )
+                assert polar.moment_chain(sub, a, i) == oracle, (name, i)
+    assert euler == {True, False}
+
+
+def test_moment_chain_errors_match_the_census_path(corpus, subdivisions):
+    sub = subdivisions["rp2_6"]
+    ones = cal.constant(sub.base, 1)
+    for bad in (-1, 3):
+        with pytest.raises(PolarError) as expected:
+            polar.moment_map(sub, bad)
+        with pytest.raises(PolarError) as e:
+            polar.moment_chain(sub, ones, bad)
+        assert str(e.value) == str(expected.value)
+    for foreign in (cal.constant(corpus["torus_7"].complex, 1), cal.constant(sub.complex, 1)):
+        with pytest.raises(CalculusError) as expected:
+            cal.subdivide_function(sub, foreign)
+        with pytest.raises(CalculusError) as e:
+            polar.moment_chain(sub, foreign, 1)
+        assert str(e.value) == str(expected.value)
+        with pytest.raises(CalculusError) as e:
+            sw.sw_representative(sub, foreign, 1)
+        assert str(e.value) == str(expected.value)
 
 
 def test_singularity_chain_requires_euler_function(subdivisions):
@@ -405,6 +457,14 @@ def _fresh_ids(data, k):
     return {v: f"x{j}" for v, j in zip(k.vertices, order)}
 
 
+def _flag_keys(sub, sub2, new):
+    """Keys that compare simplices of K' and of K2' through their flags, K's simplices renamed by new."""
+    return (
+        lambda s: frozenset(tuple(sorted(new[v] for v in t)) for t in sub.flag(s)),
+        lambda s: frozenset(sub2.flag(s)),
+    )
+
+
 def _assert_same_census(census, census2, key, key2):
     """Chains and per-simplex reports agree once simplices are compared through key/key2."""
     (chain, reports), (chain2, reports2) = census, census2
@@ -446,14 +506,7 @@ def test_moment_census_invariant_under_relabelling(corpus, subdivisions, seed, d
     a = random_function(random.Random(seed), k)
     a_prime = cal.subdivide_function(sub, a)
     a2_prime = cal.subdivide_function(sub2, _relabel_function(a, k2, new))
-
-    # a simplex of K' is a flag of K: compare flags, with K's simplices renamed
-    def flag(s):
-        return frozenset(tuple(sorted(new[v] for v in t)) for t in sub.flag(s))
-
-    def flag2(s):
-        return frozenset(sub2.flag(s))
-
+    flag, flag2 = _flag_keys(sub, sub2, new)
     for i in range(k.dim + 1):
         _assert_same_census(
             polar.polar_census(polar.moment_map(sub, i), a_prime),
@@ -461,3 +514,22 @@ def test_moment_census_invariant_under_relabelling(corpus, subdivisions, seed, d
             flag,
             flag2,
         )
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["rp2_6", "torus_7", "wedge_spheres"]), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_sw_representative_invariant_under_relabelling(corpus, subdivisions, name, seed, data):
+    k = corpus[name].complex
+    new = _fresh_ids(data, k)
+    k2 = _relabel(k, new)
+    sub, sub2 = subdivisions[name], barycentric_subdivision(k2)
+    a = random_euler_function(random.Random(seed), k)
+    a2 = _relabel_function(a, k2, new)
+    flag, flag2 = _flag_keys(sub, sub2, new)
+    for i in range(k.dim + 1):
+        rep = sw.sw_representative(sub, a, i)
+        rep2 = sw.sw_representative(sub2, a2, i)
+        assert {flag(s) for s in rep.support} == {flag2(s) for s in rep2.support}
+        stiefel = sw.stiefel_chain(sub, i).support
+        assert {flag(s) for s in stiefel} == {flag2(s) for s in sw.stiefel_chain(sub2, i).support}
