@@ -255,6 +255,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whitney",
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="run a seeded property suite")
     p.add_argument("--suite", required=True, choices=["calculus", "stiefel", "polar", "axioms"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=nonnegative_int, default=100)
     p.add_argument("--complexes", help="directory of complex files (default: bundled corpus)")
 
     return parser

@@ -22,6 +22,7 @@ from .calculus import (
     indicator_sum,
 )
 from .errors import InputError
+from .exactlin import clear_denominators
 from .homology import Mod2Chain
 from .polar import AffineVertexMap
 from .simplicial import (
@@ -30,6 +31,7 @@ from .simplicial import (
     Subdivision,
     build_complex,
     faces,
+    facets,
     make_simplex,
 )
 
@@ -125,11 +127,9 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
 
 
 def complex_to_dict(k: SimplicialComplex) -> dict:
-    maximal = [
-        list(s)
-        for s in k.simplices
-        if len(k.cofaces[s]) == 1
-    ]
+    # a simplex is maximal when it is no simplex's facet
+    covered = {f for s in k.simplices for f in facets(s)}
+    maximal = [list(s) for s in k.simplices if s not in covered]
     out: dict[str, Any] = {
         "vertices": list(k.vertices),
         "maximal_simplices": sorted(maximal),
@@ -157,6 +157,8 @@ def vertex_map_from_dict(data: dict) -> dict[str, str]:
 
 def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Chain:
     dim = _require(data, "dim", "chain file", int)
+    if dim < 0:
+        raise InputError(f"chain file: 'dim' must be nonnegative, got {dim}")
     simplices = _lists(
         _require(data, "simplices", "chain file"), "chain file: 'simplices'", ids=True
     )
@@ -259,8 +261,9 @@ def affine_map_from_dict(data: dict, k: SimplicialComplex) -> AffineVertexMap:
         if not isinstance(p, list):
             raise InputError(f"affine map file: image of {v!r} must be a list, got {p!r}")
         parsed[v] = tuple(parse_rational(x) for x in p)
+    scale, ints = clear_denominators(parsed.values())
     try:
-        return AffineVertexMap(k, m, parsed)
+        return AffineVertexMap(k, m, dict(zip(parsed, ints)), scale)
     except Exception as e:
         raise InputError(f"affine map file: {e}") from e
 

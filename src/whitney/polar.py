@@ -18,13 +18,16 @@ vertex's side is the sign of a product of carrier-dimension differences.
 ``moment_map`` with ``polar_census`` stays the one general path (half-link
 reports, parity checks) and is the closed form's oracle.
 
-Geometry enters as exact rational images (ints or Fractions).  The census
-needs only the side of each link vertex relative to the hyperplane
-through f(S), and a positive rescaling of the target keeps every side, so
-each map clears its denominators once (``AffineVertexMap.integer_images``)
-and every side is decided in Python integers.  No float enters any
-predicate, and a report's offset is still the exact rational
-<normal, f(p_0)>.
+Geometry is integer from the complex on.  The census needs only the side
+of each link vertex relative to the hyperplane through f(S), and a
+positive rescaling of the target keeps every side and every primitive
+normal, so an ``AffineVertexMap`` holds integer images over one positive
+``scale``: rational coordinates are cleared once per complex
+(``SimplicialComplex.integer_coordinates``), a projection takes integer
+dot products with a basis cleared by one common lcm, and every side is the
+sign of an integer.  No float and no Fraction arithmetic enters any
+predicate; a report's offset is still the exact rational <normal, f(p_0)>,
+built once as ``Fraction(level, scale)``.
 """
 
 from __future__ import annotations
@@ -32,45 +35,44 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm, prod
+from math import prod
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
 from .errors import CalculusError, DegenerateMapError, NotEulerError, PolarError
-from .exactlin import dot, integer_normal, is_rational_point, matrix_rank
+from .exactlin import clear_denominators, integer_normal, is_rational_point, matrix_rank
 from .homology import Mod2Chain
 from .simplicial import Simplex, SimplicialComplex, Subdivision
 
 
 @dataclass(frozen=True)
 class AffineVertexMap:
-    """Exact rational images (ints or Fractions) of all vertices in R^(target_dim)."""
+    """Vertex images in R^(target_dim): the map sends v to images[v] / scale.
+
+    The images are integers and the scale a positive integer, so rational
+    images are cleared once (``exactlin.clear_denominators``) where they
+    enter.
+    """
 
     domain: SimplicialComplex
     target_dim: int
-    images: Mapping[str, tuple[int | Fraction, ...]]
+    images: Mapping[str, tuple[int, ...]]
+    scale: int = 1
 
     def __post_init__(self):
         if self.target_dim < 1:
             raise PolarError("target dimension must be at least 1")
+        if not isinstance(self.scale, int) or self.scale < 1:
+            raise PolarError(f"scale must be a positive int, got {self.scale!r}")
         missing = [v for v in self.domain.vertices if v not in self.images]
         if missing:
             raise PolarError(f"missing images for vertices {missing}")
         for v, p in self.images.items():
             if len(p) != self.target_dim:
                 raise PolarError(f"image of {v!r} has wrong dimension")
-            if not is_rational_point(p):
-                raise PolarError(f"image of {v!r} must be ints or Fractions, got {list(p)}")
-
-    @cached_property
-    def integer_images(self) -> tuple[int, dict[str, tuple[int, ...]]]:
-        """(L, {v: L * f(v)}), L the lcm of every image denominator."""
-        scale = lcm(*(x.denominator for p in self.images.values() for x in p))
-        return scale, {
-            v: tuple(x.numerator * (scale // x.denominator) for x in p)
-            for v, p in self.images.items()
-        }
+            if not all(isinstance(x, int) for x in p):
+                raise PolarError(f"image of {v!r} must be ints, got {list(p)}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     the integral of each side, and the two cancel, so chi_plus is the sum
     of (-1)^dim U a(T) over the cofaces T of s whose U lies wholly on the
     positive side (chi_minus likewise): read from k.cofaces[s].  Sides
-    are signs of <n, L f(w)> - <n, L f(p_0)> on the map's integer images.
+    are signs of <n, images[w]> - <n, images[p_0]> on the map's integer images.
     Raises DegenerateMapError when f(s) spans no hyperplane or a link
     vertex of s maps into it.
     """
@@ -116,18 +118,18 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
         raise PolarError(
             f"simplex {list(s)} has dimension {len(s) - 1}, expected {f.target_dim - 1}"
         )
-    scale, images = f.integer_images
+    images = f.images
     normal = integer_normal([images[v] for v in s])
     if normal is None:
         raise DegenerateMapError(
             f"image of simplex {list(s)} does not span a hyperplane", offender=s
         )
-    level = sum(x * y for x, y in zip(normal, images[s[0]]))
+    level = sum(map(mul, normal, images[s[0]]))
     # (U, T) for each coface T = S * U, sorted into the canonical order of the link
     joins = sorted((tuple(v for v in t if v not in s), t) for t in k.cofaces[s] if t != s)
     signs: dict[str, int] = {}
     for (w,) in (u for u, _t in joins if len(u) == 1):
-        h = sum(x * y for x, y in zip(normal, images[w])) - level
+        h = sum(map(mul, normal, images[w])) - level
         if h == 0:
             raise DegenerateMapError(
                 f"link vertex {w!r} of {list(s)} maps into the hyperplane", offender=s
@@ -149,7 +151,7 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     if a.ring == "Z2":
         chi_plus %= 2
         chi_minus %= 2
-    return HalfLinkReport(s, normal, Fraction(level, scale), tuple(cells), chi_plus, chi_minus)
+    return HalfLinkReport(s, normal, Fraction(level, f.scale), tuple(cells), chi_plus, chi_minus)
 
 
 def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
@@ -262,7 +264,9 @@ def projection_map(
     """x -> (<b_1, x>, ..., <b_m, x>) on the vertex coordinates.
 
     Differs from orthogonal projection onto span(basis) by an invertible
-    change of target coordinates, which the mod 2 chain cannot see.
+    change of target coordinates, which the mod 2 chain cannot see.  The
+    basis is cleared by one common lcm, not row by row: scaling one row
+    alone would change the primitive normals of the reports.
     """
     if k.coordinates is None:
         raise PolarError("complex has no coordinates; cannot project")
@@ -275,15 +279,17 @@ def projection_map(
             raise PolarError(f"basis vector must be ints or Fractions, got {list(b)}")
     if matrix_rank(basis) != len(basis):
         raise PolarError("basis vectors are linearly dependent")
-    return _project(k, basis)
+    scale, ints = clear_denominators(basis)
+    return _project(k, ints, scale)
 
 
-def _project(k: SimplicialComplex, basis: list[tuple[int | Fraction, ...]]) -> AffineVertexMap:
-    """``projection_map`` for a basis already checked to be independent."""
-    images = {
-        v: tuple(dot(b, k.coordinates[v]) for b in basis) for v in k.vertices
-    }
-    return AffineVertexMap(k, len(basis), images)
+def _project(
+    k: SimplicialComplex, basis: Sequence[tuple[int, ...]], scale: int = 1
+) -> AffineVertexMap:
+    """``projection_map`` for the integer basis / scale, already checked to be independent."""
+    coordinate_scale, coords = k.integer_coordinates
+    images = {v: tuple(sum(map(mul, b, coords[v])) for b in basis) for v in k.vertices}
+    return AffineVertexMap(k, len(basis), images, coordinate_scale * scale)
 
 
 _MAX_RETRIES = 200

@@ -3,7 +3,8 @@
 Vertex identifiers are opaque strings; the canonical order is
 lexicographic, and every enumeration in the package derives from it, so
 all outputs are bit-deterministic.  Optional vertex coordinates are exact
-rationals (ints or ``fractions.Fraction``s); no predicate in the package
+rationals (ints or ``fractions.Fraction``s), which the predicates read
+cleared to integers (``integer_coordinates``); no predicate in the package
 touches floating point.
 """
 
@@ -16,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
-from .exactlin import is_rational_point, matrix_rank
+from .exactlin import clear_denominators, is_rational_point, matrix_rank
 
 Simplex = tuple[str, ...]
 Point = tuple[Fraction, ...]
@@ -83,6 +84,14 @@ class SimplicialComplex:
                 out[f].append(t)
         return {s: tuple(ts) for s, ts in out.items()}
 
+    @cached_property
+    def integer_coordinates(self) -> Optional[tuple[int, dict[str, tuple[int, ...]]]]:
+        """(L, {v: L * coordinates[v]}), L the lcm of every coordinate denominator."""
+        if self.coordinates is None:
+            return None
+        scale, ints = clear_denominators(self.coordinates.values())
+        return scale, dict(zip(self.coordinates, ints))
+
     @property
     def ambient_dim(self) -> Optional[int]:
         if self.coordinates is None:
@@ -98,12 +107,9 @@ class SimplicialComplex:
         return s
 
 
-def _affinely_independent(points: list[Point]) -> bool:
-    if len(points) <= 1:
-        return True
+def _affinely_independent(points: list[tuple[int, ...]]) -> bool:
     p0 = points[0]
-    rows = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    return matrix_rank(rows) == len(points) - 1
+    return matrix_rank([[x - y for x, y in zip(p, p0)] for p in points[1:]]) == len(points) - 1
 
 
 def build_complex(
@@ -114,7 +120,8 @@ def build_complex(
     """Face closure of the given simplices, canonically enumerated.
 
     With coordinates, only the listed simplices are tested for affine
-    independence: every face of an independent simplex is independent.
+    independence, on the complex's integer coordinates: every face of an
+    independent simplex is independent, and a positive scale changes no rank.
     """
     listed = list(vertex_ids)
     vertices = tuple(sorted(set(listed)))
@@ -143,13 +150,16 @@ def build_complex(
         dims = {len(p) for p in coords.values()}
         if len(dims) > 1:
             raise ComplexError("vertex coordinates have mixed ambient dimensions")
+    closure = {f for s in given for f in faces(s)}
+    k = SimplicialComplex(vertices, tuple(sorted(closure)), coords)
+    if coords is not None:
+        ints = k.integer_coordinates[1]
         for s in sorted(given):
-            if not _affinely_independent([coords[v] for v in s]):
+            if not _affinely_independent([ints[v] for v in s]):
                 raise ComplexError(
                     f"simplex {list(s)} is not affinely independent in the embedding"
                 )
-    closure = {f for s in given for f in faces(s)}
-    return SimplicialComplex(vertices, tuple(sorted(closure)), coords)
+    return k
 
 
 def impure_simplex(k: SimplicialComplex) -> Optional[Simplex]:

@@ -297,7 +297,7 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
                 # both functions are Euler because the restricted complex is an Euler space
                 whole, _reports = polar.polar_census(f, ind)
                 f_restricted = polar.AffineVertexMap(
-                    restricted, i + 1, {v: f.images[v] for v in restricted.vertices}
+                    restricted, i + 1, {v: f.images[v] for v in restricted.vertices}, f.scale
                 )
                 part, _reports = polar.polar_census(
                     f_restricted, cal.constant(restricted, 1, cal.RING_Z2)

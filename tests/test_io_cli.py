@@ -474,6 +474,7 @@ def test_polar_input_error_beats_map_error(tmp_path):
     pytest.param("function", {"ring": "Z", "terms": [{"coeff": "x", "closed_support": [["1"]]}]},
                  id="coeff-string"),
     pytest.param("chain", {"dim": 0, "simplices": [1]}, id="chain-simplex-not-list"),
+    pytest.param("chain", {"dim": -3, "simplices": []}, id="chain-negative-dim"),
     pytest.param("basis", {"ambient_dim": "x", "vectors": []}, id="ambient-dim-string"),
     pytest.param("basis", {"ambient_dim": 2, "vectors": [5]}, id="vector-not-list"),
     pytest.param("affine-map", {"target_dim": 1, "images": [1]}, id="images-not-object"),
@@ -517,3 +518,12 @@ def test_verify_cli(capsys):
     )
     assert code == 0
     assert "suite calculus: ok (seed 3)" in out.out
+
+
+def test_verify_rejects_negative_trials(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["verify", "--suite", "calculus", "--trials", -5])
+    assert e.value.code == 2
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert "argument --trials: must be nonnegative, got -5" in streams.err

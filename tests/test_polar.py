@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import fraction_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from whitney.verify import random_euler_function, random_function
 
 
 def height_map(k, heights):
-    return polar.AffineVertexMap(k, 1, {v: (Fraction(h),) for v, h in heights.items()})
+    return polar.AffineVertexMap(k, 1, {v: (h,) for v, h in heights.items()})
 
 
 def test_degenerate_height_map_detected(circle):
@@ -123,8 +124,12 @@ def test_moment_map_images(subdivisions):
 
 
 def test_float_image_rejected(circle):
-    with pytest.raises(PolarError, match=r"image of '1' must be ints or Fractions"):
+    with pytest.raises(PolarError, match=r"image of '1' must be ints, got \[0\.5\]"):
         polar.AffineVertexMap(circle, 1, {"1": (0.5,), "2": (1,), "3": (2,)})
+    with pytest.raises(PolarError, match=r"image of '1' must be ints, got \[Fraction\(1, 2\)\]"):
+        polar.AffineVertexMap(circle, 1, {"1": (Fraction(1, 2),), "2": (1,), "3": (2,)})
+    with pytest.raises(PolarError, match=r"scale must be a positive int, got 0"):
+        polar.AffineVertexMap(circle, 1, {"1": (0,), "2": (1,), "3": (2,)}, 0)
 
 
 def test_moment_map_nondegenerate_everywhere(corpus, subdivisions):
@@ -258,17 +263,14 @@ def test_sampler_rank_tests_each_candidate_once(corpus, monkeypatch):
 
 
 def test_half_link_report_sorts_the_simplex(circle):
-    f = polar.AffineVertexMap(
-        circle, 2, {"1": (Fraction(0), Fraction(0)), "2": (Fraction(1), Fraction(0)),
-                    "3": (Fraction(0), Fraction(1))}
-    )
+    f = polar.AffineVertexMap(circle, 2, {"1": (0, 0), "2": (1, 0), "3": (0, 1)})
     ones = cal.constant(circle, 1, cal.RING_Z2)
     assert polar.half_link_report(ones, ("2", "1"), f) == polar.half_link_report(ones, ("1", "2"), f)
 
 
 def test_half_link_report_checks_membership_before_arithmetic(corpus, monkeypatch):
     k = corpus["s1_6"].complex
-    f = polar.AffineVertexMap(k, 2, {v: (Fraction(int(v)), Fraction(int(v) ** 2)) for v in k.vertices})
+    f = polar.AffineVertexMap(k, 2, {v: (int(v), int(v) ** 2) for v in k.vertices})
     calls = []
     normal = polar.integer_normal
     monkeypatch.setattr(polar, "integer_normal", lambda pts: calls.append(pts) or normal(pts))
@@ -278,18 +280,19 @@ def test_half_link_report_checks_membership_before_arithmetic(corpus, monkeypatc
 
 
 def _check_against_fraction_oracle(f, a):
-    """Compare every i-simplex's report with affine_hyperplane and dot on f's Fraction images.
+    """Compare every i-simplex's report with the Fraction oracle on f's images / scale.
 
     Returns the number of nondegenerate simplices compared."""
+    images = {v: tuple(Fraction(x, f.scale) for x in p) for v, p in f.images.items()}
     compared = 0
     for s in f.domain.by_dim.get(f.target_dim - 1, ()):
-        plane = exactlin.affine_hyperplane([f.images[v] for v in s])
+        plane = fraction_oracle.affine_hyperplane([images[v] for v in s])
         sides = None
         if plane is not None:
             normal, offset = plane
             sides = {}
             for (w,) in link(f.domain, s).by_dim.get(0, ()):
-                h = exactlin.dot(normal, f.images[w]) - offset
+                h = fraction_oracle.dot(normal, images[w]) - offset
                 sides[w] = (h > 0) - (h < 0)
         if sides is None or 0 in sides.values():
             with pytest.raises(DegenerateMapError):
@@ -309,7 +312,7 @@ def test_integer_census_matches_fraction_oracle_on_moment_maps(corpus, subdivisi
         ones = cal.constant(sub.complex, 1)
         for i in range(entry.complex.dim + 1):
             f = polar.moment_map(sub, i)
-            assert f.integer_images[0] == 1
+            assert f.scale == 1
             assert _check_against_fraction_oracle(f, ones) == len(sub.complex.by_dim[i])
 
 
@@ -336,29 +339,38 @@ def test_integer_census_matches_fraction_oracle_on_rational_map(corpus):
         images = {v: [f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 7))}" for _ in range(m)]
                   for v in k.vertices}
         f = fileio.affine_map_from_dict({"target_dim": m, "images": images}, k)
-        assert f.integer_images[0] > 1
+        assert f.scale > 1
         assert _check_against_fraction_oracle(f, ones) > 0
 
 
 def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch):
     sub = subdivisions["rp2_6"]
     k = corpus["rp2_6_embedded"].complex
+    sd1 = barycentric_subdivision(k).complex  # its Fraction barycenters are built here
     basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
-    cases = [
-        (polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
-        (polar.projection_map(k, basis), cal.constant(k, 1, cal.RING_Z2)),
-    ]
-    expected = [polar.polar_census(f, a) for f, a in cases]
+
+    def censuses():
+        # fresh complexes, so their integer coordinates are cleared on every call
+        k0, k1 = (simplicial.SimplicialComplex(c.vertices, c.simplices, c.coordinates)
+                  for c in (k, sd1))
+        return (
+            polar.polar_census(polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
+            polar.polar_census(polar.projection_map(k0, basis), cal.constant(k0, 1, cal.RING_Z2)),
+            [polar.sample_generic_subspace(cal.constant(k1, 1, cal.RING_Z2), rank, 0)
+             for rank in (1, 2, 3)],
+        )
+
+    expected = censuses()
 
     def refuse(*args):
         raise AssertionError("Fraction geometry called from the census")
 
-    for mod in (exactlin, polar):
-        for name in ("affine_hyperplane", "dot"):
-            monkeypatch.setattr(mod, name, refuse, raising=False)
-    # fresh maps, so the integer images are cleared under the guard too
-    fresh = [polar.AffineVertexMap(f.domain, f.target_dim, f.images) for f, _a in cases]
-    assert [polar.polar_census(f, a) for f, (_f, a) in zip(fresh, cases)] == expected
+    monkeypatch.setattr(exactlin, "affine_hyperplane", refuse)
+    # building Fraction(level, scale) for a report's offset is allowed; arithmetic is not
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert censuses() == expected
 
 
 def _check_against_link_oracle(f, a):

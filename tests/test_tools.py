@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -20,3 +21,15 @@ def test_gen_corpus_reproduces_bundled_corpus(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == bundled
     for name in bundled:
         assert (out / name).read_bytes() == (CORPUS / name).read_bytes(), name
+
+
+def test_perfbench_span_names_resolve():
+    # perfbench/run.py --trace 1 wraps these attributes by name
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(mod, attr) for mod, attr, _span in spans.TRACED]
+    names += [("fileio", attr) for attr in spans.PARSE + spans.SERIALIZE]
+    missing = [(mod, attr) for mod, attr in names
+               if not hasattr(importlib.import_module(f"whitney.{mod}"), attr)]
+    assert missing == []
