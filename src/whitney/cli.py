@@ -29,7 +29,7 @@ def _load_fn(path: Optional[str], k):
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(fileio.dump_json(report, None))
     else:
         for key, value in sorted(report.items()):
             print(f"{key}: {value}")
@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
         ],
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(fileio.dump_json(payload, None))
     else:
         for p in report.properties:
             status = "ok" if p.failures == 0 else "FAIL"
@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
     if not report.ok:
         first = next(p for p in report.properties if p.failures)
         out = Path(f"counterexample_{report.suite}_{report.seed}.json")
-        out.write_text(json.dumps(first.counterexample, indent=2, sort_keys=True) + "\n")
+        fileio.dump_json(first.counterexample, out)
         print(f"counterexample written to {out}", file=sys.stderr)
         return 1
     return 0

@@ -162,9 +162,14 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
     simplices = _lists(
         _require(data, "simplices", "chain file"), "chain file: 'simplices'", ids=True
     )
-    support = frozenset(tuple(sorted(s)) for s in simplices)
+    support: set[Simplex] = set()
+    for raw in simplices:
+        s = tuple(sorted(raw))
+        if s in support:
+            raise InputError(f"chain file: simplex {list(s)} is listed twice")
+        support.add(s)
     try:
-        c = Mod2Chain(dim, support)
+        c = Mod2Chain(dim, frozenset(support))
     except Exception as e:
         raise InputError(f"chain file: {e}") from e
     if k is not None:

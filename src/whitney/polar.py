@@ -68,6 +68,10 @@ class AffineVertexMap:
         missing = [v for v in self.domain.vertices if v not in self.images]
         if missing:
             raise PolarError(f"missing images for vertices {missing}")
+        if len(self.images) != len(self.domain.vertices):
+            vertices = set(self.domain.vertices)
+            extra = sorted(v for v in self.images if v not in vertices)
+            raise PolarError(f"imaged vertices {extra} are not in the domain")
         for v, p in self.images.items():
             if len(p) != self.target_dim:
                 raise PolarError(f"image of {v!r} has wrong dimension")

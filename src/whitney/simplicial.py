@@ -35,10 +35,7 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
 
 def faces(s: Simplex) -> list[Simplex]:
     """All nonempty faces of s, including s itself."""
-    out = []
-    for k in range(1, len(s) + 1):
-        out.extend(combinations(s, k))
-    return out
+    return [f for k in range(1, len(s) + 1) for f in combinations(s, k)]
 
 
 def facets(s: Simplex) -> list[Simplex]:
@@ -223,13 +220,17 @@ def validate_map(
     codomain: SimplicialComplex,
     vertex_assignment: Mapping[str, str],
 ) -> SimplicialMap:
-    """Check that every simplex image is a codomain simplex."""
+    """Check that the assignment maps exactly the domain's vertices, simplices to simplices."""
     targets = set(codomain.vertices)
     for v in domain.vertices:
         if v not in vertex_assignment:
             raise MapError(f"vertex {v!r} has no image")
         if vertex_assignment[v] not in targets:
             raise MapError(f"image vertex {vertex_assignment[v]!r} is not in the codomain")
+    if len(vertex_assignment) != len(domain.vertices):
+        sources = set(domain.vertices)
+        extra = sorted(v for v in vertex_assignment if v not in sources)
+        raise MapError(f"assigned vertices {extra} are not in the domain")
     f = SimplicialMap(domain, codomain, dict(vertex_assignment))
     for s in domain.simplices:
         if f.image(s) not in codomain.simplex_set:
@@ -253,17 +254,45 @@ def barycenter_name(s: Simplex) -> str:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Barycentric subdivision with carrier bookkeeping.
+    """Barycentric subdivision K' of ``base``, derived from the base on first use.
 
-    Vertices of the subdivided complex biject with simplices of the base;
-    a set of new vertices spans a simplex iff their carriers form a strict
-    flag in the base.  The carrier of a subdivided simplex is the maximal
-    flag member.
+    The barycenter b(s) of each base simplex s is a vertex of K'; a set of
+    them spans a simplex iff their carriers form a strict flag in the base,
+    whose maximal member carries the simplex.  One dimension of K' is read
+    without building the rest.
     """
 
     base: SimplicialComplex
-    complex: SimplicialComplex
-    carriers: Mapping[str, Simplex]
+    _flags: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def carriers(self) -> dict[str, Simplex]:
+        """Barycenter name -> the base simplex it stands for."""
+        return {barycenter_name(s): s for s in self.base.simplices}
+
+    def flags(self, i: int) -> tuple[Simplex, ...]:
+        """Sorted i-simplices of K': flags (s_0,) grown i times by a proper coface of the top."""
+        if i not in self._flags:
+            name = {s: v for v, s in self.carriers.items()}.__getitem__
+            cofaces = self.base.cofaces if i > 0 else {}
+            chains = [(s,) for s in self.base.simplices] if i >= 0 else []
+            for _ in range(i):
+                chains = [c + (t,) for c in chains for t in cofaces[c[-1]] if len(t) > len(c[-1])]
+            self._flags[i] = tuple(sorted(tuple(sorted(map(name, c))) for c in chains))
+        return self._flags[i]
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        """K': the flags of every dimension, each barycenter at the mean of its carrier."""
+        k = self.base
+        coords = None
+        if k.coordinates is not None:
+            coords = {}
+            for v, s in self.carriers.items():
+                pts = [k.coordinates[w] for w in s]
+                coords[v] = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
+        simplices = sorted(f for i in range(k.dim + 1) for f in self.flags(i))
+        return SimplicialComplex(tuple(v for (v,) in self.flags(0)), tuple(simplices), coords)
 
     def flag(self, s: Simplex) -> tuple[Simplex, ...]:
         """Chain of base simplices carried by the vertices of s, by dimension."""
@@ -274,33 +303,8 @@ class Subdivision:
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
-    """Subdivided complex on the strict flags of k."""
-    names = {s: barycenter_name(s) for s in k.simplices}
-    # flags ending at a given simplex, built up the face poset
-    flags_at: dict[Simplex, list[tuple[Simplex, ...]]] = {}
-    for s in sorted(k.simplices, key=lambda t: (len(t), t)):
-        fl: list[tuple[Simplex, ...]] = [(s,)]
-        for f in faces(s):
-            if f != s:
-                fl.extend(sub + (s,) for sub in flags_at[f])
-        flags_at[s] = fl
-    simplices = set()
-    for fls in flags_at.values():
-        for fl in fls:
-            simplices.add(tuple(sorted(names[t] for t in fl)))
-    coords = None
-    if k.coordinates is not None:
-        coords = {}
-        for s in k.simplices:
-            pts = [k.coordinates[v] for v in s]
-            coords[names[s]] = tuple(
-                sum(col, Fraction(0)) / len(pts) for col in zip(*pts)
-            )
-    prime = SimplicialComplex(
-        tuple(sorted(names.values())), tuple(sorted(simplices)), coords
-    )
-    carriers = {names[s]: s for s in k.simplices}
-    return Subdivision(k, prime, carriers)
+    """Subdivided complex on the strict flags of k, derived lazily from k."""
+    return Subdivision(k)
 
 
 def induced_subdivided_map(

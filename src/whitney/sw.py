@@ -5,6 +5,7 @@ the Euler-singularity chain of the moment map on the barycentric
 subdivision, read in closed form from carrier dimensions
 (``polar.moment_chain``); for the constant function 1 it coincides,
 simplex by simplex, with the sum of all i-simplices of the subdivision.
+That Stiefel chain and sd# read only the i-flags (``Subdivision.flags``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def stiefel_chain(sub: Subdivision, i: int) -> Mod2Chain:
     """Sum of all i-simplices of the barycentric subdivision."""
     if not 0 <= i <= sub.base.dim:
         raise HomologyError(f"i={i} out of range for a {sub.base.dim}-complex")
-    return Mod2Chain(i, frozenset(sub.complex.by_dim.get(i, ())))
+    return Mod2Chain(i, frozenset(sub.flags(i)))
 
 
 def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chain:
@@ -66,8 +67,7 @@ def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     """
     for s in c.support:
         sub.base.require(s)
-    i_simplices = sub.complex.by_dim.get(c.dim, ())
-    return Mod2Chain(c.dim, frozenset(t for t in i_simplices if sub.carrier(t) in c.support))
+    return Mod2Chain(c.dim, frozenset(t for t in sub.flags(c.dim) if sub.carrier(t) in c.support))
 
 
 @dataclass(frozen=True)

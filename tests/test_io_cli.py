@@ -213,6 +213,32 @@ def test_validate_cli(tmp_path, capsys):
     assert run(["validate", bad]) == 1
 
 
+EXTRA_VERTEX_MAP = {"vertex_map": {"1": "1", "2": "2", "3": "3", "zzz": "1"}}
+
+
+def test_push_rejects_map_of_vertex_outside_domain(tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"ring": "Z", "values": {"1": 1}}))
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(EXTRA_VERTEX_MAP))
+    out = tmp_path / "out.json"
+    code, streams = run(["push", "--domain", CORPUS / "s1_3.json", "--codomain",
+                         CORPUS / "s1_3.json", "--map", mp, "--fn", fn, "--out", out], capsys)
+    assert (code, streams.err) == (3, "error: assigned vertices ['zzz'] are not in the domain\n")
+    assert not out.exists()
+
+
+def test_validate_rejects_map_of_vertex_outside_domain(tmp_path, capsys):
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(EXTRA_VERTEX_MAP))
+    code, streams = run(["validate", mp, "--domain", CORPUS / "s1_3.json",
+                         "--codomain", CORPUS / "s1_3.json"], capsys)
+    assert code == 1 and streams.out == ""
+    assert json.loads(streams.err) == {
+        "file": str(mp), "error": "assigned vertices ['zzz'] are not in the domain"
+    }
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["chi", "--complex", missing]) == 2
@@ -475,10 +501,15 @@ def test_polar_input_error_beats_map_error(tmp_path):
                  id="coeff-string"),
     pytest.param("chain", {"dim": 0, "simplices": [1]}, id="chain-simplex-not-list"),
     pytest.param("chain", {"dim": -3, "simplices": []}, id="chain-negative-dim"),
+    pytest.param("chain", {"dim": 1, "simplices": [["1", "2"], ["2", "1"]]},
+                 id="chain-duplicate-simplex"),
     pytest.param("basis", {"ambient_dim": "x", "vectors": []}, id="ambient-dim-string"),
     pytest.param("basis", {"ambient_dim": 2, "vectors": [5]}, id="vector-not-list"),
     pytest.param("affine-map", {"target_dim": 1, "images": [1]}, id="images-not-object"),
     pytest.param("affine-map", {"target_dim": "x", "images": {}}, id="target-dim-string"),
+    pytest.param("affine-map", {"target_dim": 1, "images": {"1": ["0"], "2": ["1"], "3": ["2"],
+                                                            "zzz": ["1/7"]}},
+                 id="affine-map-vertex-outside-complex"),
     pytest.param("index", {"complexes": [{"name": "a", "euler": True, "pure": True}]},
                  id="index-entry-without-file"),
     pytest.param("map", {"vertex_map": {"0": "1", "1": "2", "2": "3", "3": "1", "4": "2", "5": 1}},

@@ -132,6 +132,13 @@ def test_float_image_rejected(circle):
         polar.AffineVertexMap(circle, 1, {"1": (0,), "2": (1,), "3": (2,)}, 0)
 
 
+def test_image_of_vertex_outside_domain_rejected(circle):
+    with pytest.raises(PolarError, match=r"imaged vertices \['zzz'\] are not in the domain"):
+        polar.AffineVertexMap(circle, 1, {"1": (0,), "2": (1,), "3": (2,), "zzz": (7,)})
+    with pytest.raises(PolarError, match=r"missing images for vertices \['3'\]"):
+        polar.AffineVertexMap(circle, 1, {"1": (0,), "2": (1,), "zzz": (7,)})
+
+
 def test_moment_map_nondegenerate_everywhere(corpus, subdivisions):
     for name, entry in corpus.items():
         sub = subdivisions[name]

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import subdivision_oracle
 from whitney import fileio, simplicial
 from whitney.errors import ComplexError, InputError, MapError
 from whitney.simplicial import (
+    Subdivision,
     barycentric_subdivision,
     build_complex,
     compose,
@@ -144,6 +146,36 @@ def test_subdivision_coordinates(circle):
     )
 
 
+def _oracle_cases(corpus):
+    """Every corpus space, sd1 of each, and sd2 of torus_7 and rp2_6_embedded (coordinates)."""
+    for name, entry in corpus.items():
+        k = entry.complex
+        for level in range(3 if name in ("torus_7", "rp2_6_embedded") else 2):
+            prime, carriers = subdivision_oracle.barycentric_subdivision(k)
+            yield (name, level), k, prime, carriers
+            k = prime
+
+
+def test_subdivision_matches_face_poset_oracle(corpus):
+    for case, k, prime, carriers in _oracle_cases(corpus):
+        sub = Subdivision(k)
+        # one dimension at a time, before K' exists, and one past the top
+        for i in range(k.dim + 2):
+            assert sub.flags(i) == prime.by_dim.get(i, ()), (case, i)
+        assert sub.carriers == carriers, case
+        assert sub.complex == prime, case
+        assert sub.complex.simplices == prime.simplices, case
+        assert list(sub.complex.coordinates or ()) == list(prime.coordinates or ()), case
+        assert barycentric_subdivision(k).complex == prime, case
+
+
+def test_subdivision_is_a_function_of_its_base(circle):
+    assert barycentric_subdivision(circle) == Subdivision(circle)
+    assert Subdivision(circle).flags(-1) == ()
+    with pytest.raises(TypeError):
+        Subdivision(circle, barycentric_subdivision(circle).complex)
+
+
 def test_validate_map_rejects_non_simplicial(circle, sphere):
     with pytest.raises(MapError):
         validate_map(sphere, circle, {"1": "1", "2": "2", "3": "3", "4": "1"})
@@ -152,6 +184,11 @@ def test_validate_map_rejects_non_simplicial(circle, sphere):
 def test_validate_map_requires_total_vertex_map(circle):
     with pytest.raises(MapError):
         validate_map(circle, circle, {"1": "1", "2": "2"})
+
+
+def test_validate_map_rejects_vertices_outside_the_domain(circle):
+    with pytest.raises(MapError, match=r"assigned vertices \['zzz'\] are not in the domain"):
+        validate_map(circle, circle, {"1": "1", "2": "2", "3": "3", "zzz": "1"})
 
 
 def test_compose(map_suite):

@@ -1,12 +1,17 @@
 import random
+from pathlib import Path
 
 import pytest
+import subdivision_oracle
 
 from whitney import calculus as cal
+from whitney import cli
 from whitney import homology as hom
 from whitney import sw
 from whitney.errors import HomologyError, NotEulerError
-from whitney.simplicial import barycentric_subdivision, faces
+from whitney.simplicial import Subdivision, barycentric_subdivision, faces
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
 
 
 def test_stiefel_chain_counts(subdivisions):
@@ -143,6 +148,33 @@ def test_subdivision_chain_map_matches_carrier_scan(corpus, subdivisions):
                     assert sw.subdivision_chain_map(sub, c).support == _carried_scan(sub, c), (
                         name, i, len(support)
                     )
+
+
+def test_one_dimension_of_k_prime_builds_no_subdivided_complex(tmp_path, monkeypatch, corpus):
+    # stiefel without --fn and sd# read the flags of one dimension of the base
+    rng = random.Random(12)
+    bases = [(name, k) for name, e in corpus.items()
+             for k in (e.complex, subdivision_oracle.barycentric_subdivision(e.complex)[0])]
+    chains = [(k, hom.Mod2Chain(i, frozenset(s for s in k.by_dim[i] if rng.random() < p)))
+              for _name, k in bases for i in range(k.dim + 1) for p in (1, 0.4)]
+
+    def outputs(tag):
+        written = []
+        for name, e in corpus.items():
+            for i in range(e.complex.dim + 1):
+                out = tmp_path / f"{tag}_{name}_{i}.json"
+                argv = ["stiefel", "--complex", CORPUS / f"{name}.json", "--dim", i, "--out", out]
+                assert cli.main([str(a) for a in argv]) == 0
+                written.append(out.read_bytes())
+        return written, [sw.subdivision_chain_map(Subdivision(k), c) for k, c in chains]
+
+    expected = outputs("before")
+
+    def no_complex(self):
+        raise AssertionError("built the subdivided complex")
+
+    monkeypatch.setattr(Subdivision, "complex", property(no_complex))
+    assert outputs("after") == expected
 
 
 def test_pushforward_axiom_double_cover(map_suite):

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import os
 import shutil
@@ -33,3 +34,16 @@ def test_perfbench_span_names_resolve():
     missing = [(mod, attr) for mod, attr in names
                if not hasattr(importlib.import_module(f"whitney.{mod}"), attr)]
     assert missing == []
+
+
+def test_byte_identity_sweep_runs_every_subcommand():
+    spec = importlib.util.spec_from_file_location("byte_identity",
+                                                  ROOT / "tools" / "byte_identity.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    from whitney import cli
+
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    swept = {argv[0] for argv in sweep.commands(CORPUS)}
+    assert set(subparsers.choices) <= swept

@@ -1,0 +1,196 @@
+"""Byte-identity sweep: one line per CLI command, with its exit code and output hashes.
+
+Runs a fixed list of ``whitney.cli.main`` commands in-process over the
+bundled corpus, inside a temporary directory, and prints one line per
+command: the exit code, the command, and the SHA-256 of its stdout, of its
+stderr and of every file it wrote.  Paths are relative to the temporary
+directory, so two checkouts print the same lines exactly when every
+command exits and writes the same bytes, and a refactor's byte identity
+comes down to a diff:
+
+    python3 tools/byte_identity.py > after.txt
+    python3 tools/byte_identity.py ../base-checkout/src > before.txt
+    diff before.txt after.txt
+
+The optional argument is the directory holding the ``whitney`` package to
+run (default: ``src/`` of this checkout).  Standard library only.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+_TRIANGLE = [["1", "2"], ["1", "3"], ["2", "3"]]
+
+# written to in/; the last four are hostile inputs for the input checks
+INPUTS = {
+    "fn_s1_3.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
+                                            {"coeff": 2, "closed_support": _TRIANGLE}]},
+    "fn_s1_6.json": {"ring": "Z", "values": {"0": 3, "0,1": 1, "1": 1}},
+    # a vertex plus a loop through it: Euler, and not constant
+    "fn_rp2_6.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
+                                             {"coeff": 3, "closed_support": _TRIANGLE}]},
+    "fn_torus_7.json": {"ring": "Z2", "terms": [{"coeff": 1, "closed_support": [["0"]]}, {
+        "coeff": 1, "closed_support": [["0", "1"], ["0", "3"], ["1", "3"]]}]},
+    "fn_edge.json": {"ring": "Z2", "terms": [{"coeff": 1, "closed_support": [["1", "2"]]}]},
+    "double_cover.json": {"vertex_map": {"0": "1", "1": "2", "2": "3", "3": "1", "4": "2",
+                                         "5": "3"}},
+    "cycle_s1_3.json": {"dim": 1, "simplices": _TRIANGLE},
+    "basis.json": {"ambient_dim": 5, "vectors": [["1", "3", "9", "27", "81"],
+                                                 ["1", "-2", "5", "-7", "11"]]},
+    "basis_flat.json": {"ambient_dim": 5, "vectors": [["1", "2", "0", "1", "3"],
+                                                      ["0", "1", "1", "0", "2"]]},
+    "map_s1_3.json": {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"]}},
+    "map_extra.json": {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"],
+                                                   "zzz": ["1/7"]}},
+    "vm_extra.json": {"vertex_map": {"1": "1", "2": "2", "3": "3", "zzz": "1"}},
+    "chain_twice.json": {"dim": 1, "simplices": [["1", "2"], ["2", "1"]]},
+    "chain_bad.json": {"dim": 0, "simplices": [1]},
+}
+
+
+def commands(corpus: Path) -> list[list[str]]:
+    """The sweep, in order; a command may read what an earlier one wrote to out/."""
+    names = [e["name"] for e in json.loads((corpus / "index.json").read_text())["complexes"]]
+    c = "corpus/{}.json".format
+    s1, s6, emb = c("s1_3"), c("s1_6"), c("rp2_6_embedded")
+    out = []
+    for n in names:
+        out += [
+            ["chi", "--complex", c(n)],
+            ["euler-check", "--complex", c(n), "--format", "json"],
+            ["homology", "--complex", c(n), "--format", "json"],
+            ["subdivide", "--complex", c(n), "--out", f"out/sd1_{n}.json",
+             "--manifest", f"out/sd1_{n}.carriers.json"],
+        ]
+        out += [["stiefel", "--complex", c(n), "--dim", str(i), "--out", f"out/s{i}_{n}.json"]
+                for i in range(4)]
+        out += [["polar", "--complex", c(n), "--dim", str(i), "--moment",
+                 "--out", f"out/moment{i}_{n}.json"] for i in range(3)]
+    for n in ("torus_7", "rp2_6_embedded", "wedge_spheres"):
+        sd1 = f"out/sd1_{n}.json"
+        out.append(["subdivide", "--complex", sd1, "--out", f"out/sd2_{n}.json"])
+        out += [["stiefel", "--complex", sd1, "--dim", str(i), "--out", f"out/sd1_s{i}_{n}.json"]
+                for i in range(3)]
+        out += [["bounds", "--complex", f"out/sd2_{n}.json", "--chain",
+                 f"out/sd1_s{i}_{n}.json", "--witness", f"out/sd1_w{i}_{n}.json"]
+                for i in range(3)]
+    for n in ("rp2_6", "torus_7"):
+        out += [["stiefel", "--complex", c(n), "--dim", str(i), "--fn", f"in/fn_{n}.json",
+                 "--out", f"out/fn_s{i}_{n}.json"] for i in range(3)]
+    out += [
+        ["euler-check", "--complex", c("rp2_6"), "--format", "text"],
+        ["homology", "--complex", c("torus_7"), "--format", "text"],
+        ["dual", "--complex", s1, "--fn", "in/fn_s1_3.json", "--out", "out/dual_s1_3.json"],
+        ["dual", "--complex", c("rp2_6"), "--fn", "in/fn_rp2_6.json", "--out", "out/dual.json"],
+        ["dual", "--complex", c("rp2_6"), "--fn", "out/s1_rp2_6.json", "--out", "out/no.json"],
+        ["chi", "--complex", s1, "--fn", "in/fn_s1_3.json"],
+        ["euler-check", "--complex", s1, "--fn", "in/fn_edge.json", "--format", "json"],
+        ["stiefel", "--complex", s1, "--dim", "0", "--fn", "in/fn_s1_3.json",
+         "--out", "out/fn_s0_s1_3.json"],
+        ["stiefel", "--complex", s1, "--dim", "0", "--fn", "in/fn_edge.json",
+         "--out", "out/fn_edge_s0.json"],
+        ["push", "--domain", s6, "--codomain", s1, "--map", "in/double_cover.json",
+         "--fn", "in/fn_s1_6.json", "--out", "out/push.json"],
+        ["pull", "--domain", s6, "--codomain", s1, "--map", "in/double_cover.json",
+         "--fn", "in/fn_s1_3.json", "--out", "out/pull.json"],
+        ["push", "--domain", s1, "--codomain", s1, "--map", "in/vm_extra.json",
+         "--fn", "in/fn_s1_3.json", "--out", "out/push_extra.json"],
+        ["bounds", "--complex", s1, "--chain", "in/cycle_s1_3.json", "--format", "json"],
+        ["bounds", "--complex", s1, "--chain", "in/chain_twice.json"],
+        ["bounds", "--complex", s1, "--chain", "in/chain_bad.json"],
+        ["validate", c("rp2_6"), "out/sd1_torus_7.json", "in/double_cover.json", "in/basis.json",
+         "in/cycle_s1_3.json", "in/chain_twice.json"],
+        ["validate", "in/double_cover.json", "--domain", s6, "--codomain", s1],
+        ["validate", "in/vm_extra.json", "--domain", s1, "--codomain", s1],
+        ["validate", "in/fn_s1_3.json", "in/map_s1_3.json", "in/map_extra.json",
+         "--complex", s1],
+    ]
+    for report in ([], ["--report", "out/report_{}.json"]):
+        tag = "r" if report else "c"
+        polar = [
+            ["--complex", c("rp2_6"), "--dim", "1", "--moment"],
+            ["--complex", c("rp2_6"), "--dim", "1", "--moment", "--fn", "in/fn_rp2_6.json"],
+            ["--complex", c("wedge_spheres"), "--dim", "2", "--moment"],
+            ["--complex", s1, "--dim", "0", "--map", "in/map_s1_3.json"],
+            ["--complex", s1, "--dim", "0", "--map", "in/map_extra.json"],
+            ["--complex", s1, "--dim", "0", "--map", "in/map_s1_3.json",
+             "--fn", "in/fn_s1_3.json"],
+            ["--complex", emb, "--dim", "1", "--project", "in/basis.json"],
+            ["--complex", emb, "--dim", "1", "--project", "in/basis_flat.json"],
+            ["--complex", emb, "--dim", "0", "--random-plane", "--seed", "1"],
+            ["--complex", emb, "--dim", "1", "--random-plane", "--seed", "2"],
+            ["--complex", "out/sd1_rp2_6_embedded.json", "--dim", "2", "--random-plane"],
+            ["--complex", s6, "--dim", "1", "--random-plane", "--seed", "3"],
+        ]
+        out += [["polar"] + argv + ["--out", f"out/polar_{tag}{j}.json"]
+                + [a.format(j) for a in report] for j, argv in enumerate(polar)]
+    for suite in ("calculus", "stiefel", "polar", "axioms"):
+        out.append(["verify", "--suite", suite, "--seed", "1", "--format", "json"])
+    out.append(["verify", "--suite", "stiefel", "--seed", "2", "--trials", "7"])
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _snapshot(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): _sha(p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def sweep(cli, corpus: Path, work: Path) -> list[str]:
+    """Run every command with ``work`` as the working directory; one line each."""
+    shutil.copytree(corpus, work / "corpus")
+    for d in ("in", "out"):
+        (work / d).mkdir()
+    for name, data in INPUTS.items():
+        (work / "in" / name).write_text(json.dumps(data))
+    lines = []
+    for argv in commands(corpus):
+        before = _snapshot(work)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+            except Exception as e:  # a crash is a difference too, not the end of the sweep
+                code = f"raised-{type(e).__name__}"
+                traceback.print_exc(file=sys.__stderr__)
+        written = [f"{path}={sha}" for path, sha in _snapshot(work).items()
+                   if before.get(path) != sha]
+        lines.append(" ".join([str(code), *argv, "|",
+                               f"stdout={_sha(stdout.getvalue().encode())}",
+                               f"stderr={_sha(stderr.getvalue().encode())}", *written]))
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from whitney import cli
+
+    corpus = Path(cli.__file__).parent / "corpus"
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            lines = sweep(cli, corpus, Path(tmp))
+        finally:
+            os.chdir(home)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
