@@ -21,7 +21,7 @@ from .calculus import (
     from_values,
     indicator_sum,
 )
-from .errors import InputError
+from .errors import ComplexError, InputError
 from .exactlin import clear_denominators
 from .homology import Mod2Chain
 from .polar import AffineVertexMap
@@ -87,6 +87,14 @@ def _lists(value: Any, what: str, ids: bool = False) -> list:
     if ids:
         _ids([v for inner in value for v in inner], what)
     return value
+
+
+def _simplex(raw: list, what: str) -> Simplex:
+    """The canonical simplex on a list of vertex ids; empty or repeating ones are InputErrors."""
+    try:
+        return make_simplex(raw)
+    except ComplexError as e:
+        raise InputError(f"{what}: {e}") from e
 
 
 def load_json(path: str | Path) -> dict:
@@ -164,7 +172,7 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
     )
     support: set[Simplex] = set()
     for raw in simplices:
-        s = tuple(sorted(raw))
+        s = _simplex(raw, "chain file")
         if s in support:
             raise InputError(f"chain file: simplex {list(s)} is listed twice")
         support.add(s)
@@ -207,7 +215,7 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
                              "function term: 'closed_support'", ids=True)
             closure: set[Simplex] = set()
             for raw in maximal:
-                closure.update(faces(make_simplex(raw)))
+                closure.update(faces(_simplex(raw, "function file")))
             terms.append((coeff, closure))
         try:
             return indicator_sum(k, terms, ring)

@@ -12,11 +12,11 @@ class (``euler_singularity_chain`` here, the CLI and ``sw``) test that,
 once, on the function they were given.
 
 The singularity chain of the moment map of a barycentric subdivision
-has a closed form: its images lie on the moment curve, so each link
-vertex's side is the sign of a product of carrier-dimension differences.
-``moment_chain`` reads the chain that way, solving no hyperplane;
-``moment_map`` with ``polar_census`` stays the one general path (half-link
-reports, parity checks) and is the closed form's oracle.
+is a carrier chain: the i-flags S of K' with b(carrier S) odd, where b is
+the function for odd i and its dual for even i (both the function, when
+it is Euler).  ``moment_chain`` reads it from the i-flags alone, building
+no K'; ``moment_map`` with ``polar_census`` stays the one general path
+(half-link reports, parity checks) and is the closed form's oracle.
 
 Geometry is integer from the complex on.  The census needs only the side
 of each link vertex relative to the hyperplane through f(S), and a
@@ -35,11 +35,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
+from .calculus import RING_Z2, ConstructibleFunction, constant, dual, is_euler_function, reduce_mod2
 from .errors import CalculusError, DegenerateMapError, NotEulerError, PolarError
 from .exactlin import clear_denominators, integer_normal, is_rational_point, matrix_rank
 from .homology import Mod2Chain
@@ -220,46 +219,27 @@ def moment_map(sub: Subdivision, i: int) -> AffineVertexMap:
 
 
 def moment_chain(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chain:
-    """Singularity chain of ``moment_map(sub, i)`` for a, in closed form.
+    """Singularity chain of ``moment_map(sub, i)`` for a: the i-flags S with b(carrier S) odd.
 
-    An i-simplex S of K' is a flag whose carriers have distinct dimensions
-    k_0..k_i, and p(t) = prod_j (t - k_j) = c_0 + c_1 t + ... + t^(i+1)
-    vanishes there, so (c_1, ..., c_(i+1)) is normal to the hyperplane
-    through the images of S and <c, f(w)> - <c, f(p_0)> = p(dim carrier(w)).
-    The census takes that normal primitive, signed by its first nonzero
-    entry sigma, so a link vertex w is up when sigma p(dim carrier(w)) > 0;
-    p never vanishes there, as w extends the flag S by another dimension.
-    The coefficient of S is a(carrier T) summed mod 2 over the cofaces T of
-    S whose new vertices are all up, S itself included.  This equals
-    ``polar_census(moment_map(sub, i), subdivide_function(sub, a))[0]`` for
-    every function a, and solves no hyperplane.
+    b is a mod 2 for odd i and dual(a) mod 2 for even i; both are a when a
+    is Euler.  A flag S = s_0 < ... < s_i of dimensions k_0 < ... < k_i has
+    census normal (c_1, ..., c_(i+1)) of p(t) = prod_j (t - k_j), signed by
+    sigma, the sign of its first nonzero entry; a link vertex w is up when
+    sigma p(dim carrier(w)) > 0.  First, sigma = (-1)^i: c_1 = (-1)^i e_i(k),
+    and e_i > 0 as the k_j are distinct non-negative integers.  So a
+    dimension is up iff an odd number of the k_j lie below it: the gap from
+    s_j to s_(j+1) for even j, and above s_i for even i.  Last, the cofaces
+    T of S with every new vertex up insert one chain into each such gap,
+    independently, out of Fubini(n) = 1 mod 2 in a gap of rank n.  So
+    a(carrier T) summed over them is a(s_i) for odd i and dual(a)(s_i) for
+    even i: ``polar_census(moment_map(sub, i), subdivide_function(sub, a))[0]``.
     """
     if not 0 <= i <= sub.base.dim:
         raise PolarError(f"i={i} out of range for a {sub.base.dim}-complex")
     if a.base != sub.base:
         raise CalculusError("function is not based on the subdivision's base")
-    dim = {v: len(c) - 1 for v, c in sub.carriers.items()}
-    value = {v: a(c) % 2 for v, c in sub.carriers.items()}
-    allowed: dict[frozenset[int], frozenset[int]] = {}  # dims of S -> dims of S and up
-    support = set()
-    for s in sub.complex.by_dim.get(i, ()):
-        ks = frozenset(dim[v] for v in s)
-        if ks not in allowed:
-            coeffs = [1]  # of p, constant term first
-            for kj in ks:
-                coeffs = [x - kj * y for x, y in zip([0] + coeffs, coeffs + [0])]
-            sigma = 1 if next(c for c in coeffs[1:] if c) > 0 else -1
-            allowed[ks] = ks | {
-                d for d in range(sub.base.dim + 1) if sigma * prod(d - kj for kj in ks) > 0
-            }
-        ok = allowed[ks]
-        odd = 0
-        for t in sub.complex.cofaces[s]:
-            if all(dim[w] in ok for w in t):
-                odd ^= value[max(t, key=dim.__getitem__)]  # a on the carrier of t
-        if odd:
-            support.add(s)
-    return Mod2Chain(i, frozenset(support))
+    b = reduce_mod2(a) if i % 2 else dual(reduce_mod2(a))
+    return Mod2Chain(i, frozenset(s for s in sub.flags(i) if b(sub.carrier(s))))
 
 
 def projection_map(

@@ -1,11 +1,12 @@
 """Stiefel chains and Stiefel-Whitney class representatives.
 
-The canonical representative of the i-th class of an Euler function is
+The canonical representative of the i-th class of an Euler function a is
 the Euler-singularity chain of the moment map on the barycentric
-subdivision, read in closed form from carrier dimensions
-(``polar.moment_chain``); for the constant function 1 it coincides,
-simplex by simplex, with the sum of all i-simplices of the subdivision.
-That Stiefel chain and sd# read only the i-flags (``Subdivision.flags``).
+subdivision, which is the carrier chain of a: the i-flags S with
+a(carrier S) odd (``polar.moment_chain``).  For the constant function 1
+that is the sum of all i-simplices of the subdivision, the Stiefel chain.
+The representative, the Stiefel chain and sd# read only the i-flags
+(``Subdivision.flags``).
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ def stiefel_chain(sub: Subdivision, i: int) -> Mod2Chain:
 def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chain:
     """Canonical chain representative of the i-th class of an Euler function.
 
-    The singularity chain of the moment map on the subdivision, with the
-    function read on carriers, in the closed form of ``moment_chain``:
-    each link vertex's side is a sign of a product of carrier-dimension
-    differences, so no hyperplane is solved.  Duality commutes with
+    The singularity chain of the moment map on the subdivision, read by
+    ``moment_chain`` as a carrier chain: the i-flags S with a(carrier S)
+    odd, since an Euler a equals its dual mod 2.  Duality commutes with
     subdivision, so the function is Euler exactly when its subdivision
     is; it is tested once, here, on the base.  Linear in the function,
     and equal to the Stiefel chain when the function is identically 1.

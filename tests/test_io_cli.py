@@ -10,7 +10,7 @@ from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
 from whitney.errors import HomologyError, InputError
 from whitney.homology import fundamental_cycle
-from whitney.simplicial import build_complex, impure_simplex
+from whitney.simplicial import Subdivision, build_complex, impure_simplex
 from whitney.verify import random_euler_function
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
@@ -213,6 +213,23 @@ def test_validate_cli(tmp_path, capsys):
     assert run(["validate", bad]) == 1
 
 
+@pytest.mark.parametrize("data, args, error", [
+    ({"dim": 1, "simplices": [["1", "1"]]}, [],
+     "chain file: duplicate vertex inside simplex ['1', '1']"),
+    ({"dim": 0, "simplices": [[]]}, [], "chain file: a simplex needs at least one vertex"),
+    ({"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "1"]]}]},
+     ["--complex", CORPUS / "s1_3.json"],
+     "function file: duplicate vertex inside simplex ['1', '1']"),
+], ids=["chain-repeated-vertex", "chain-empty-simplex", "fn-repeated-vertex"])
+def test_validate_reads_each_simplex_through_make_simplex(tmp_path, capsys, data, args, error):
+    # each simplex of a chain or function file is read by make_simplex, with or without --complex
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, streams = run(["validate", path] + args, capsys)
+    assert code == 1 and streams.out == ""
+    assert json.loads(streams.err) == {"file": str(path), "error": error}
+
+
 EXTRA_VERTEX_MAP = {"vertex_map": {"1": "1", "2": "2", "3": "3", "zzz": "1"}}
 
 
@@ -404,12 +421,13 @@ def test_moment_chain_solves_no_hyperplane(tmp_path, monkeypatch, corpus, subdiv
                 cases.append((argv, out.read_bytes(), sub, b, i, chain))
 
     def refuse(*args):
-        raise AssertionError("hyperplane census on the closed-form path")
+        raise AssertionError("hyperplane census or K' on the closed-form path")
 
     monkeypatch.setattr(polar, "half_link_report", refuse)
     monkeypatch.setattr(exactlin, "integer_normal", refuse)
     monkeypatch.setattr(polar, "integer_normal", refuse)
     monkeypatch.setattr(cal, "subdivide_function", refuse)
+    monkeypatch.setattr(Subdivision, "complex", property(refuse))
     for argv, census_bytes, sub, b, i, chain in cases:
         out = tmp_path / "closed.json"
         assert run(argv + ["--out", out]) == 0
@@ -499,6 +517,11 @@ def test_polar_input_error_beats_map_error(tmp_path):
     pytest.param("function", {"ring": "Z", "terms": [5]}, id="term-not-object"),
     pytest.param("function", {"ring": "Z", "terms": [{"coeff": "x", "closed_support": [["1"]]}]},
                  id="coeff-string"),
+    pytest.param("function", {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [[]]}]},
+                 id="fn-empty-simplex"),
+    pytest.param("function", {"ring": "Z", "terms": [{"coeff": 1,
+                                                      "closed_support": [["1", "1"]]}]},
+                 id="fn-repeated-vertex"),
     pytest.param("chain", {"dim": 0, "simplices": [1]}, id="chain-simplex-not-list"),
     pytest.param("chain", {"dim": -3, "simplices": []}, id="chain-negative-dim"),
     pytest.param("chain", {"dim": 1, "simplices": [["1", "2"], ["2", "1"]]},

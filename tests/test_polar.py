@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import fraction_oracle
 import pytest
@@ -158,6 +159,12 @@ def test_moment_chain_matches_census_oracle(corpus, subdivisions):
         (f"sd1 {name}", barycentric_subdivision(subdivisions[name].complex))
         for name in ("torus_7", "rp2_6", "wedge_spheres", "pinched_torus")
     ]
+    # no bundled space has dimension 3: the boundary of a 4-simplex and a closed 3-simplex
+    five = [str(v) for v in range(5)]
+    cases += [(name, barycentric_subdivision(k)) for name, k in (
+        ("boundary of the 4-simplex", build_complex(five, combinations(five, 4))),
+        ("closed 3-simplex", build_complex(five[:4], [five[:4]])),
+    )]
     euler = set()
     for name, sub in cases:
         k = sub.base
@@ -171,6 +178,7 @@ def test_moment_chain_matches_census_oracle(corpus, subdivisions):
                 )
                 assert polar.moment_chain(sub, a, i) == oracle, (name, i)
     assert euler == {True, False}
+    assert max(sub.base.dim for _name, sub in cases) == 3
 
 
 def test_moment_chain_errors_match_the_census_path(corpus, subdivisions):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 _TRIANGLE = [["1", "2"], ["1", "3"], ["2", "3"]]
 
-# written to in/; the last four are hostile inputs for the input checks
+# written to in/; the last six are hostile inputs for the input checks
 INPUTS = {
     "fn_s1_3.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
                                             {"coeff": 2, "closed_support": _TRIANGLE}]},
@@ -54,6 +54,8 @@ INPUTS = {
     "vm_extra.json": {"vertex_map": {"1": "1", "2": "2", "3": "3", "zzz": "1"}},
     "chain_twice.json": {"dim": 1, "simplices": [["1", "2"], ["2", "1"]]},
     "chain_bad.json": {"dim": 0, "simplices": [1]},
+    "chain_repeated.json": {"dim": 1, "simplices": [["1", "1"]]},
+    "fn_repeated.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "1"]]}]},
 }
 
 
@@ -86,6 +88,11 @@ def commands(corpus: Path) -> list[list[str]]:
     for n in ("rp2_6", "torus_7"):
         out += [["stiefel", "--complex", c(n), "--dim", str(i), "--fn", f"in/fn_{n}.json",
                  "--out", f"out/fn_s{i}_{n}.json"] for i in range(3)]
+        out += [["polar", "--complex", c(n), "--dim", str(i), "--moment",
+                 "--fn", f"in/fn_{n}.json", "--out", f"out/fn_moment{i}_{n}.json"]
+                for i in range(3)]
+    out += [["polar", "--complex", "out/sd1_torus_7.json", "--dim", str(i), "--moment",
+             "--out", f"out/sd1_moment{i}_torus_7.json"] for i in range(3)]
     out += [
         ["euler-check", "--complex", c("rp2_6"), "--format", "text"],
         ["homology", "--complex", c("torus_7"), "--format", "text"],
@@ -98,6 +105,10 @@ def commands(corpus: Path) -> list[list[str]]:
          "--out", "out/fn_s0_s1_3.json"],
         ["stiefel", "--complex", s1, "--dim", "0", "--fn", "in/fn_edge.json",
          "--out", "out/fn_edge_s0.json"],
+        ["polar", "--complex", s1, "--dim", "0", "--moment", "--fn", "in/fn_edge.json",
+         "--out", "out/fn_edge_moment0.json"],
+        ["chi", "--complex", s1, "--fn", "in/fn_repeated.json"],
+        ["validate", "in/chain_repeated.json"],
         ["push", "--domain", s6, "--codomain", s1, "--map", "in/double_cover.json",
          "--fn", "in/fn_s1_6.json", "--out", "out/push.json"],
         ["pull", "--domain", s6, "--codomain", s1, "--map", "in/double_cover.json",
