@@ -183,7 +183,7 @@ def subdivide_function(sub: Subdivision, a: ConstructibleFunction) -> Constructi
     """
     if a.base != sub.base:
         raise CalculusError("function is not based on the subdivision's base")
-    vals = {s: a(sub.carrier(s)) for s in sub.complex.simplices}
+    vals = {s: a(carrier) for i in range(sub.base.dim + 1) for s, carrier in sub.flags(i).items()}
     return ConstructibleFunction(sub.complex, a.ring, vals)
 
 

@@ -113,7 +113,10 @@ def load_json(path: str | Path) -> dict:
 def dump_json(data: dict, path: Optional[str | Path]) -> str:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write {path}: {e}") from e
     return text
 
 

@@ -239,7 +239,7 @@ def moment_chain(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chai
     if a.base != sub.base:
         raise CalculusError("function is not based on the subdivision's base")
     b = reduce_mod2(a) if i % 2 else dual(reduce_mod2(a))
-    return Mod2Chain(i, frozenset(s for s in sub.flags(i) if b(sub.carrier(s))))
+    return Mod2Chain(i, frozenset(s for s, carrier in sub.flags(i).items() if b(carrier)))
 
 
 def projection_map(

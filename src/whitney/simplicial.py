@@ -116,6 +116,8 @@ def build_complex(
 ) -> SimplicialComplex:
     """Face closure of the given simplices, canonically enumerated.
 
+    The vertex list is the vertex set: the complex needs a simplex, every
+    listed vertex must lie in one, and coordinates name listed vertices only.
     With coordinates, only the listed simplices are tested for affine
     independence, on the complex's integer coordinates: every face of an
     independent simplex is independent, and a positive scale changes no rank.
@@ -133,12 +135,20 @@ def build_complex(
             if not isinstance(v, str) or v not in vertex_set:
                 raise ComplexError(f"simplex {raw!r} references unknown vertex {v!r}")
         given.add(make_simplex(raw))
+    if not given:
+        raise ComplexError("a complex needs at least one simplex")
+    unused = vertex_set.difference(*given)
+    if unused:
+        raise ComplexError(f"vertices {sorted(unused)} lie in no simplex")
     coords = None
     if coordinates is not None:
         coords = {v: tuple(coordinates[v]) for v in vertices if v in coordinates}
         missing = [v for v in vertices if v not in coords]
         if missing:
             raise ComplexError(f"missing coordinates for vertices {missing}")
+        unknown = [v for v in coordinates if v not in vertex_set]
+        if unknown:
+            raise ComplexError(f"coordinates given for vertices {unknown} not in the complex")
         for v, p in coords.items():
             if not is_rational_point(p):
                 raise ComplexError(
@@ -258,8 +268,8 @@ class Subdivision:
 
     The barycenter b(s) of each base simplex s is a vertex of K'; a set of
     them spans a simplex iff their carriers form a strict flag in the base,
-    whose maximal member carries the simplex.  One dimension of K' is read
-    without building the rest.
+    whose maximal member carries the simplex.  One dimension of K' is read,
+    with the carrier of each of its simplices, without building the rest.
     """
 
     base: SimplicialComplex
@@ -270,36 +280,31 @@ class Subdivision:
         """Barycenter name -> the base simplex it stands for."""
         return {barycenter_name(s): s for s in self.base.simplices}
 
-    def flags(self, i: int) -> tuple[Simplex, ...]:
-        """Sorted i-simplices of K': flags (s_0,) grown i times by a proper coface of the top."""
+    def flags(self, i: int) -> dict[Simplex, Simplex]:
+        """i-simplex of K' -> its carrier s_i, over the flags s_0 < ... < s_i in walk order."""
         if i not in self._flags:
             name = {s: v for v, s in self.carriers.items()}.__getitem__
             cofaces = self.base.cofaces if i > 0 else {}
             chains = [(s,) for s in self.base.simplices] if i >= 0 else []
             for _ in range(i):
                 chains = [c + (t,) for c in chains for t in cofaces[c[-1]] if len(t) > len(c[-1])]
-            self._flags[i] = tuple(sorted(tuple(sorted(map(name, c))) for c in chains))
+            self._flags[i] = {tuple(sorted(map(name, c))): c[-1] for c in chains}
         return self._flags[i]
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        """K': the flags of every dimension, each barycenter at the mean of its carrier."""
+        """K' in canonical order, each barycenter at the mean of its carrier's integer coordinates."""
         k = self.base
         coords = None
-        if k.coordinates is not None:
-            coords = {}
-            for v, s in self.carriers.items():
-                pts = [k.coordinates[w] for w in s]
-                coords[v] = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
+        if k.integer_coordinates is not None:
+            scale, ints = k.integer_coordinates
+            coords = {
+                v: tuple(Fraction(sum(col), scale * len(s)) for col in zip(*(ints[w] for w in s)))
+                for v, s in self.carriers.items()
+            }
+        vertices = sorted(v for (v,) in self.flags(0))
         simplices = sorted(f for i in range(k.dim + 1) for f in self.flags(i))
-        return SimplicialComplex(tuple(v for (v,) in self.flags(0)), tuple(simplices), coords)
-
-    def flag(self, s: Simplex) -> tuple[Simplex, ...]:
-        """Chain of base simplices carried by the vertices of s, by dimension."""
-        return tuple(sorted((self.carriers[v] for v in s), key=len))
-
-    def carrier(self, s: Simplex) -> Simplex:
-        return max((self.carriers[v] for v in s), key=len)
+        return SimplicialComplex(tuple(vertices), tuple(simplices), coords)
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:

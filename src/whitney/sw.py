@@ -67,7 +67,7 @@ def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     """
     for s in c.support:
         sub.base.require(s)
-    return Mod2Chain(c.dim, frozenset(t for t in sub.flags(c.dim) if sub.carrier(t) in c.support))
+    return Mod2Chain(c.dim, frozenset(t for t, s in sub.flags(c.dim).items() if s in c.support))
 
 
 @dataclass(frozen=True)

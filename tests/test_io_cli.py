@@ -9,7 +9,7 @@ from whitney import calculus as cal
 from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
 from whitney.errors import HomologyError, InputError
-from whitney.homology import fundamental_cycle
+from whitney.homology import boundary, fundamental_cycle
 from whitney.simplicial import Subdivision, build_complex, impure_simplex
 from whitney.verify import random_euler_function
 
@@ -204,6 +204,61 @@ def test_push_pull_cli(tmp_path, capsys):
     assert values["0"] == 1 and values["0,1"] == 1
 
 
+def test_push_cli(tmp_path):
+    # the constant 1 along the double cover of the circle: two points over each point
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"ring": "Z", "terms": [{"coeff": 1, "closed_support": [
+        ["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"], ["0", "5"]]}]}))
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"vertex_map": {str(v): str(v % 3 + 1) for v in range(6)}}))
+    out = tmp_path / "out.json"
+    code = run(
+        ["push", "--domain", CORPUS / "s1_6.json", "--codomain", CORPUS / "s1_3.json",
+         "--map", mp, "--fn", fn, "--out", out]
+    )
+    assert code == 0
+    circle = fileio.load_complex(CORPUS / "s1_3.json")
+    assert json.loads(out.read_text()) == {
+        "ring": "Z", "values": {",".join(s): 2 for s in circle.simplices}
+    }
+
+
+def test_dual_cli(tmp_path):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"ring": "Z", "values": {"1": 1}}))
+    out = tmp_path / "dual.json"
+    assert run(["dual", "--complex", CORPUS / "s1_3.json", "--fn", fn, "--out", out]) == 0
+    # a vertex of a circle is its own dual: its link is two points
+    assert json.loads(out.read_text()) == {"ring": "Z", "values": {"1": 1}}
+
+
+def test_subdivide_manifest_cli(tmp_path, circle):
+    out, manifest = tmp_path / "sd.json", tmp_path / "carriers.json"
+    code = run(["subdivide", "--complex", CORPUS / "s1_3.json", "--out", out,
+                "--manifest", manifest])
+    assert code == 0
+    assert json.loads(manifest.read_text()) == {
+        "carriers": {f"b({','.join(s)})": list(s) for s in circle.simplices}
+    }
+    assert fileio.load_complex(out) == Subdivision(circle).complex
+
+
+def test_bounds_witness_cli(tmp_path, capsys):
+    # s_1 of the torus bounds on its subdivision; the witness w has boundary s_1
+    sd, chain, witness = tmp_path / "sd.json", tmp_path / "s1.json", tmp_path / "w.json"
+    torus = CORPUS / "torus_7.json"
+    assert run(["subdivide", "--complex", torus, "--out", sd]) == 0
+    assert run(["stiefel", "--complex", torus, "--dim", 1, "--out", chain]) == 0
+    code, out = run(["bounds", "--complex", sd, "--chain", chain, "--witness", witness,
+                     "--format", "json"], capsys)
+    assert code == 0 and json.loads(out.out) == {"bounds": True}
+    k = fileio.load_complex(sd)
+    c = fileio.chain_from_dict(fileio.load_json(chain), k)
+    w = fileio.chain_from_dict(fileio.load_json(witness), k)
+    assert w.dim == 2 and w.support
+    assert boundary(k, w) == c
+
+
 def test_validate_cli(tmp_path, capsys):
     good = CORPUS / "s1_3.json"
     bad = tmp_path / "bad.json"
@@ -211,6 +266,23 @@ def test_validate_cli(tmp_path, capsys):
     code, out = run(["validate", good], capsys)
     assert code == 0 and "ok:" in out.out
     assert run(["validate", bad]) == 1
+
+
+def test_validate_basis_affine_map_and_unknown_files(tmp_path, capsys):
+    basis, affine, unknown = (tmp_path / f"{n}.json" for n in ("basis", "affine", "unknown"))
+    basis.write_text(json.dumps({"ambient_dim": 2, "vectors": [["1", "1/2"]]}))
+    affine.write_text(json.dumps(
+        {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"]}}))
+    unknown.write_text(json.dumps({"colour": "blue"}))
+    code, out = run(["validate", basis, affine, "--complex", CORPUS / "s1_3.json"], capsys)
+    assert code == 0
+    assert out.out == f"ok: {basis} (basis)\nok: {affine} (affine_map)\n"
+    code, out = run(["validate", affine, unknown], capsys)
+    assert code == 1 and out.out == ""
+    assert [json.loads(line) for line in out.err.splitlines()] == [
+        {"file": str(affine), "error": "affine map file needs --complex for validation"},
+        {"file": str(unknown), "error": f"{unknown}: unrecognized file type"},
+    ]
 
 
 @pytest.mark.parametrize("data, args, error", [
@@ -296,6 +368,19 @@ def test_project_rejects_dependent_basis(tmp_path, capsys):
         {"vertices": ["a", "b"], "maximal_simplices": [[1, "a"]]},
         "simplex [1, 'a'] references unknown vertex 1",
         id="foreign-id"),
+    pytest.param(
+        {"vertices": ["a", "b"], "maximal_simplices": [["a"]]},
+        "vertices ['b'] lie in no simplex",
+        id="unused-vertex"),
+    pytest.param(
+        {"vertices": [], "maximal_simplices": []},
+        "a complex needs at least one simplex",
+        id="no-simplex"),
+    pytest.param(
+        {"vertices": ["a"], "maximal_simplices": [["a"]],
+         "coordinates": {"a": ["0"], "z": ["1"]}},
+        "coordinates given for vertices ['z'] not in the complex",
+        id="foreign-coordinates"),
 ])
 def test_rejected_complex_exit_code(tmp_path, capsys, data, message):
     path = tmp_path / "k.json"
@@ -303,6 +388,36 @@ def test_rejected_complex_exit_code(tmp_path, capsys, data, message):
     code, out = run(["chi", "--complex", path], capsys)
     assert code == 3
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite", ["calculus", "stiefel"])
+def test_verify_rejects_a_complex_with_no_simplex(tmp_path, capsys, suite):
+    (tmp_path / "empty.json").write_text(json.dumps({"vertices": [], "maximal_simplices": []}))
+    code, out = run(["verify", "--suite", suite, "--trials", 4, "--complexes", tmp_path], capsys)
+    assert (code, out.out, out.err) == (3, "", "error: a complex needs at least one simplex\n")
+
+
+def _output_argv(flag, target, tmp_path):
+    """A command that succeeds up to writing ``target`` through ``flag``."""
+    s1, out = CORPUS / "s1_3.json", tmp_path / "out.json"
+    if flag == "--witness":
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({"dim": 1, "simplices": [["1", "2"], ["1", "3"], ["2", "3"]]}))
+        return ["bounds", "--complex", CORPUS / "delta2.json", "--chain", chain, flag, target]
+    return {
+        "--out": ["stiefel", "--complex", s1, "--dim", 0, flag, target],
+        "--report": ["polar", "--complex", s1, "--dim", 0, "--moment", "--out", out, flag, target],
+        "--manifest": ["subdivide", "--complex", s1, "--out", out, flag, target],
+    }[flag]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report", "--witness", "--manifest"])
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, flag, target):
+    path = tmp_path / "nowhere" / "x.json" if target == "missing-dir" else tmp_path
+    code, out = run(_output_argv(flag, path, tmp_path), capsys)
+    assert code == 2
+    assert out.err.startswith(f"error: cannot write {path}: ") and out.err.count("\n") == 1
 
 
 def test_stiefel_suite_on_indexless_impure_directory(tmp_path, capsys):
@@ -572,6 +687,33 @@ def test_verify_cli(capsys):
     )
     assert code == 0
     assert "suite calculus: ok (seed 3)" in out.out
+
+
+def test_verify_cli_json(capsys):
+    code, out = run(
+        ["verify", "--suite", "stiefel", "--seed", 1, "--trials", 3, "--format", "json"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out.out)
+    assert (payload["suite"], payload["seed"], payload["ok"]) == ("stiefel", 1, True)
+    assert payload["properties"] and all(p["failures"] == 0 for p in payload["properties"])
+
+
+def test_failing_suite_writes_its_counterexample(tmp_path, monkeypatch, capsys):
+    # a closed triangle is not an Euler space: labelled as one, half-link parity fails
+    spaces = tmp_path / "spaces"
+    spaces.mkdir()
+    (spaces / "tri.json").write_text(json.dumps(
+        {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]]}))
+    (spaces / "index.json").write_text(json.dumps({"complexes": [
+        {"name": "tri", "file": "tri.json", "euler": True, "pure": True}]}))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(["verify", "--suite", "polar", "--seed", 1, "--complexes", spaces], capsys)
+    assert code == 1
+    assert "FAIL: half-link parity" in out.out and "suite polar: FAILED (seed 1)" in out.out
+    assert out.err == "counterexample written to counterexample_polar_1.json\n"
+    counterexample = json.loads((tmp_path / "counterexample_polar_1.json").read_text())
+    assert counterexample["complex"] == "tri"
 
 
 def test_verify_rejects_negative_trials(capsys):

@@ -361,13 +361,12 @@ def test_integer_census_matches_fraction_oracle_on_rational_map(corpus):
 def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch):
     sub = subdivisions["rp2_6"]
     k = corpus["rp2_6_embedded"].complex
-    sd1 = barycentric_subdivision(k).complex  # its Fraction barycenters are built here
     basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
 
     def censuses():
-        # fresh complexes, so their integer coordinates are cleared on every call
-        k0, k1 = (simplicial.SimplicialComplex(c.vertices, c.simplices, c.coordinates)
-                  for c in (k, sd1))
+        # fresh complexes, so their integer coordinates and K' barycenters are built on every call
+        k0 = simplicial.SimplicialComplex(k.vertices, k.simplices, k.coordinates)
+        k1 = barycentric_subdivision(k0).complex
         return (
             polar.polar_census(polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
             polar.polar_census(polar.projection_map(k0, basis), cal.constant(k0, 1, cal.RING_Z2)),
@@ -381,7 +380,7 @@ def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch
         raise AssertionError("Fraction geometry called from the census")
 
     monkeypatch.setattr(exactlin, "affine_hyperplane", refuse)
-    # building Fraction(level, scale) for a report's offset is allowed; arithmetic is not
+    # a Fraction of two ints (a report's offset, a barycenter) is allowed; arithmetic is not
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, name, refuse)
@@ -487,8 +486,8 @@ def _fresh_ids(data, k):
 def _flag_keys(sub, sub2, new):
     """Keys that compare simplices of K' and of K2' through their flags, K's simplices renamed by new."""
     return (
-        lambda s: frozenset(tuple(sorted(new[v] for v in t)) for t in sub.flag(s)),
-        lambda s: frozenset(sub2.flag(s)),
+        lambda s: frozenset(tuple(sorted(new[v] for v in sub.carriers[w])) for w in s),
+        lambda s: frozenset(sub2.carriers[w] for w in s),
     )
 
 

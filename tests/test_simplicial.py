@@ -128,13 +128,14 @@ def test_subdivision_counts(circle):
 
 def test_subdivision_carriers(sphere):
     sub = barycentric_subdivision(sphere)
-    for v in sub.complex.vertices:
-        assert sub.carrier((v,)) in sphere.simplex_set
-    for s in sub.complex.simplices:
-        flag = sub.flag(s)
-        assert len(flag) == len(s)
-        for small, big in zip(flag, flag[1:]):
-            assert set(small) < set(big)
+    for i in range(sphere.dim + 1):
+        for s, carrier in sub.flags(i).items():
+            flag = sorted((sub.carriers[v] for v in s), key=len)
+            assert len(flag) == len(s)
+            for small, big in zip(flag, flag[1:]):
+                assert set(small) < set(big)
+            assert flag[-1] == carrier
+            assert carrier in sphere.simplex_set
 
 
 def test_subdivision_coordinates(circle):
@@ -161,7 +162,10 @@ def test_subdivision_matches_face_poset_oracle(corpus):
         sub = Subdivision(k)
         # one dimension at a time, before K' exists, and one past the top
         for i in range(k.dim + 2):
-            assert sub.flags(i) == prime.by_dim.get(i, ()), (case, i)
+            assert tuple(sorted(sub.flags(i))) == prime.by_dim.get(i, ()), (case, i)
+            # each flag's carrier is its largest vertex carrier
+            assert all(c == max((carriers[v] for v in s), key=len)
+                       for s, c in sub.flags(i).items()), (case, i)
         assert sub.carriers == carriers, case
         assert sub.complex == prime, case
         assert sub.complex.simplices == prime.simplices, case
@@ -171,7 +175,7 @@ def test_subdivision_matches_face_poset_oracle(corpus):
 
 def test_subdivision_is_a_function_of_its_base(circle):
     assert barycentric_subdivision(circle) == Subdivision(circle)
-    assert Subdivision(circle).flags(-1) == ()
+    assert Subdivision(circle).flags(-1) == {}
     with pytest.raises(TypeError):
         Subdivision(circle, barycentric_subdivision(circle).complex)
 

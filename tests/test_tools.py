@@ -47,3 +47,17 @@ def test_byte_identity_sweep_runs_every_subcommand():
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     swept = {argv[0] for argv in sweep.commands(CORPUS)}
     assert set(subparsers.choices) <= swept
+
+
+def test_byte_identity_sweep_fails_on_a_crash(tmp_path):
+    # a stub whitney package whose cli.main raises on every command, over an empty corpus
+    corpus = tmp_path / "whitney" / "corpus"
+    corpus.mkdir(parents=True)
+    (corpus / "index.json").write_text('{"complexes": []}')
+    (tmp_path / "whitney" / "__init__.py").write_text("")
+    (tmp_path / "whitney" / "cli.py").write_text("def main(argv):\n    raise RuntimeError(argv)\n")
+    proc = subprocess.run([sys.executable, ROOT / "tools" / "byte_identity.py", tmp_path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith("raised-RuntimeError ") for line in lines)

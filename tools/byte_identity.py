@@ -13,7 +13,10 @@ comes down to a diff:
     diff before.txt after.txt
 
 The optional argument is the directory holding the ``whitney`` package to
-run (default: ``src/`` of this checkout).  Standard library only.
+run (default: ``src/`` of this checkout).  A command that raises prints
+``raised-<Error>`` as its exit code and its traceback on stderr, and the
+sweep then exits 1, so a crash cannot pass as a changed hash.  Standard
+library only.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from pathlib import Path
 
 _TRIANGLE = [["1", "2"], ["1", "3"], ["2", "3"]]
 
-# written to in/; the last six are hostile inputs for the input checks
+# written to in/; the last nine are hostile inputs for the input checks
 INPUTS = {
     "fn_s1_3.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
                                             {"coeff": 2, "closed_support": _TRIANGLE}]},
@@ -56,6 +59,10 @@ INPUTS = {
     "chain_bad.json": {"dim": 0, "simplices": [1]},
     "chain_repeated.json": {"dim": 1, "simplices": [["1", "1"]]},
     "fn_repeated.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "1"]]}]},
+    "k_unused_vertex.json": {"vertices": ["a", "b"], "maximal_simplices": [["a"]]},
+    "k_no_simplex.json": {"vertices": [], "maximal_simplices": []},
+    "k_foreign_coords.json": {"vertices": ["a"], "maximal_simplices": [["a"]],
+                              "coordinates": {"a": ["0"], "z": ["1"]}},
 }
 
 
@@ -124,6 +131,11 @@ def commands(corpus: Path) -> list[list[str]]:
         ["validate", "in/vm_extra.json", "--domain", s1, "--codomain", s1],
         ["validate", "in/fn_s1_3.json", "in/map_s1_3.json", "in/map_extra.json",
          "--complex", s1],
+        ["chi", "--complex", "in/k_unused_vertex.json"],
+        ["subdivide", "--complex", "in/k_foreign_coords.json", "--out", "out/sd_foreign.json"],
+        ["validate", "in/k_unused_vertex.json", "in/k_no_simplex.json",
+         "in/k_foreign_coords.json"],
+        ["stiefel", "--complex", s1, "--dim", "0", "--out", "out/missing/s0.json"],
     ]
     for report in ([], ["--report", "out/report_{}.json"]):
         tag = "r" if report else "c"
@@ -200,7 +212,7 @@ def main(argv: list[str]) -> int:
         finally:
             os.chdir(home)
     print("\n".join(lines))
-    return 0
+    return 1 if any(line.startswith("raised-") for line in lines) else 0
 
 
 if __name__ == "__main__":
