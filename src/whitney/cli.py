@@ -9,7 +9,9 @@ failed verification suite, 2 input/parse errors, 3 simplicial errors,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -25,6 +27,22 @@ def _load_fn(path: Optional[str], k):
     if path is None:
         return cal.constant(k, 1)
     return fileio.function_from_dict(fileio.load_json(path), k)
+
+
+def _check_targets(*paths: Optional[str]) -> None:
+    """Fail before the first write, so that a command writes all of its files or none.
+
+    Each target must not be a directory and its parent directory must
+    exist; the error reads as the failed write itself would.
+    """
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            code = errno.EISDIR
+        elif not Path(path).parent.is_dir():
+            code = errno.ENOENT
+        else:
+            continue
+        raise InputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -134,6 +152,7 @@ def cmd_euler_check(args) -> int:
 def cmd_subdivide(args) -> int:
     k = fileio.load_complex(args.complex)
     sub = barycentric_subdivision(k)
+    _check_targets(args.out, args.manifest)
     fileio.dump_json(fileio.complex_to_dict(sub.complex), args.out)
     if args.manifest:
         fileio.dump_json(fileio.subdivision_manifest(sub), args.manifest)
@@ -214,6 +233,7 @@ def cmd_polar(args) -> int:
     provenance = {"construction": construction, "complex": Path(args.complex).name, "i": i}
     if args.random_plane:
         provenance["seed"] = args.seed
+    _check_targets(args.out, args.report)
     fileio.dump_json(fileio.chain_to_dict(c, provenance), args.out)
     if args.report:
         fileio.dump_json(
@@ -249,8 +269,11 @@ def cmd_verify(args) -> int:
     if not report.ok:
         first = next(p for p in report.properties if p.failures)
         out = Path(f"counterexample_{report.suite}_{report.seed}.json")
-        fileio.dump_json(first.counterexample, out)
-        print(f"counterexample written to {out}", file=sys.stderr)
+        try:
+            fileio.dump_json(first.counterexample, out)
+            print(f"counterexample written to {out}", file=sys.stderr)
+        except InputError as e:  # the suite's verdict stands
+            print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
 

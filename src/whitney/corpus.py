@@ -1,8 +1,7 @@
 """Bundled complex corpus and simplicial map suite.
 
-Every corpus space ships with its documented Euler / non-Euler status;
-tests and the verification suites re-derive the classification rather
-than trusting the label.
+Each space's Euler status and purity are derived from its complex on every
+load; no corpus file states them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .calculus import is_euler_space
-from .errors import InputError
+from .errors import InputError, WhitneyError
 from .fileio import complex_from_dict, corpus_index_from_dict, load_json
 from .simplicial import SimplicialComplex, SimplicialMap, impure_simplex, validate_map
 
@@ -34,28 +33,32 @@ def _data_dir() -> Path:
 def load_corpus(directory: Optional[str | Path] = None) -> dict[str, CorpusEntry]:
     """The bundled corpus, or every complex file of a user directory.
 
-    User directories may have an index.json like the bundled one; without
-    it, each *.json complex is loaded with its Euler status and purity
-    derived from the complex.
+    An index.json, when present, names the files to load; without one, each
+    *.json file that reads as a complex is loaded and the others skipped.
+    Euler status and purity are derived from each complex.  An error that
+    ends the load names its file.
     """
     base = Path(directory) if directory is not None else _data_dir()
-    index_path = base / "index.json"
+    indexed = (base / "index.json").exists()
+    if indexed:
+        listing = [(item["name"], item["file"], item.get("description", ""))
+                   for item in corpus_index_from_dict(load_json(base / "index.json"))]
+    else:
+        listing = [(path.stem, path.name, "") for path in sorted(base.glob("*.json"))]
     entries: dict[str, CorpusEntry] = {}
-    if index_path.exists():
-        for item in corpus_index_from_dict(load_json(index_path)):
-            k = complex_from_dict(load_json(base / item["file"]))
-            entries[item["name"]] = CorpusEntry(
-                item["name"], k, item["euler"], item["pure"], item.get("description", ""),
-            )
-        return entries
-    for path in sorted(base.glob("*.json")):
+    for name, file, description in listing:
         try:
-            k = complex_from_dict(load_json(path))
+            data = load_json(base / file)  # its errors name the path already
+            try:
+                k = complex_from_dict(data)
+            except WhitneyError as e:
+                raise type(e)(f"{file}: {e}") from e
         except InputError:
+            if indexed:
+                raise
             continue
-        entries[path.stem] = CorpusEntry(
-            path.stem, k, is_euler_space(k).is_euler, impure_simplex(k) is None, ""
-        )
+        euler = is_euler_space(k).is_euler
+        entries[name] = CorpusEntry(name, k, euler, impure_simplex(k) is None, description)
     if not entries:
         raise InputError(f"no complexes found in {base}")
     return entries

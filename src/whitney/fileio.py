@@ -287,12 +287,16 @@ def affine_map_from_dict(data: dict, k: SimplicialComplex) -> AffineVertexMap:
 # -- corpus index ---------------------------------------------------------------
 
 def corpus_index_from_dict(data: dict) -> list[dict]:
-    """Entries of a corpus index.json: string name and file, boolean euler and pure."""
+    """Entries of a corpus index.json: a string name and file, and an optional description.
+
+    An index only names files.  Other keys, such as ``euler`` or ``pure``,
+    are ignored: those facts are derived from each complex.
+    """
     items = _require(data, "complexes", "corpus index", list)
     for item in items:
         _check(item, dict, "corpus index: entry")
-        for key, kind in (("name", str), ("file", str), ("euler", bool), ("pure", bool)):
-            _require(item, key, "corpus index entry", kind)
+        for key in ("name", "file"):
+            _require(item, key, "corpus index entry", str)
         _check(item.get("description", ""), str, "corpus index entry: 'description'")
     return items
 

@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import NON_EULER_SPACES
+from relabelling import fresh_ids, relabel, relabel_function
 from whitney import calculus as cal
 from whitney.errors import CalculusError
-from whitney.simplicial import barycentric_subdivision, build_complex, faces
-from whitney.verify import random_function
+from whitney.simplicial import SimplicialComplex, barycentric_subdivision, build_complex, faces
+from whitney.verify import random_closed_subcomplex, random_function
 
 
 def closed(k, *simplices):
@@ -100,11 +104,47 @@ def test_projection_formula_chi(map_suite):
 
 
 def test_euler_space_census(corpus):
+    assert NON_EULER_SPACES < set(corpus)
     for entry in corpus.values():
         report = cal.is_euler_space(entry.complex)
-        assert report.is_euler == entry.euler, entry.name
-        if not entry.euler:
+        assert report.is_euler == (entry.name not in NON_EULER_SPACES) == entry.euler, entry.name
+        if not report.is_euler:
             assert report.offenders
+
+
+def test_euler_space_matches_general_path(corpus, subdivisions):
+    """The coface-parity closed form against euler_offenders of the constant 1 mod 2."""
+    rng = random.Random(15)
+    spaces = [e.complex for e in corpus.values()] + [s.complex for s in subdivisions.values()]
+    for kp in [s.complex for s in subdivisions.values()] * 25:
+        sub = random_closed_subcomplex(rng, kp)
+        if sub:
+            spaces.append(SimplicialComplex(kp.vertices, tuple(sorted(sub))))
+    assert len(spaces) >= 2 * len(corpus) + 300
+    for k in spaces:
+        oracle = tuple(cal.euler_offenders(cal.constant(k, 1, cal.RING_Z2)))
+        assert cal.is_euler_space(k) == cal.EulerSpaceReport(not oracle, oracle)
+    assert {cal.is_euler_space(k).is_euler for k in spaces} == {True, False}
+
+
+def test_euler_space_builds_no_function(corpus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_euler_space built a constructible function")
+
+    monkeypatch.setattr(cal.ConstructibleFunction, "__post_init__", refuse)
+    assert not cal.is_euler_space(corpus["bowtie"].complex).is_euler
+    assert cal.is_euler_space(corpus["rp2_6"].complex).is_euler
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), ring=st.sampled_from([cal.RING_Z, cal.RING_Z2]),
+       data=st.data())
+def test_dual_commutes_with_relabelling(corpus, seed, ring, data):
+    k = corpus[data.draw(st.sampled_from(sorted(corpus)))].complex
+    new = fresh_ids(data, k)
+    k2 = relabel(k, new)
+    a = random_function(random.Random(seed), k, ring)
+    assert cal.dual(relabel_function(a, k2, new)) == relabel_function(cal.dual(a), k2, new)
 
 
 def test_bowtie_offenders(corpus):

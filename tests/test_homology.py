@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relabelling import flag_keys, fresh_ids, relabel
 from whitney import homology as hom
+from whitney import sw
 from whitney.errors import HomologyError
 from whitney.homology import Mod2Chain, chain
 from whitney.simplicial import barycentric_subdivision
@@ -115,3 +119,46 @@ def test_deterministic_witness(sphere):
     w1 = hom.is_boundary(sphere, loop)[1]
     w2 = hom.is_boundary(sphere, loop)[1]
     assert w1.support == w2.support
+
+
+def _assert_witness(k, c, bounds, witness):
+    """A witness, when there is one, is a (dim c + 1)-chain of k with boundary c."""
+    if bounds:
+        assert witness.dim == c.dim + 1 and hom.boundary(k, witness).support == c.support
+    else:
+        assert witness is None
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["rp2_6", "torus_7", "wedge_spheres", "pinched_torus"]),
+       data=st.data())
+def test_is_boundary_verdict_invariant_under_relabelling(corpus, subdivisions, name, data):
+    k = corpus[name].complex
+    new = fresh_ids(data, k)
+    sub, sub2 = subdivisions[name], barycentric_subdivision(relabel(k, new))
+    flag, flag2 = flag_keys(sub, sub2, new)
+    verdicts = []
+    for i in range(k.dim + 1):
+        c, c2 = sw.stiefel_chain(sub, i), sw.stiefel_chain(sub2, i)
+        assert {flag(s) for s in c.support} == {flag2(s) for s in c2.support}
+        (bounds, witness), (bounds2, witness2) = (
+            hom.is_boundary(sub.complex, c), hom.is_boundary(sub2.complex, c2))
+        assert bounds == bounds2
+        _assert_witness(sub.complex, c, bounds, witness)
+        _assert_witness(sub2.complex, c2, bounds2, witness2)
+        verdicts.append(bounds)
+    # s_0 is chi(K) points mod 2 on a connected space: it bounds only on the torus (chi = 0)
+    assert verdicts[0] == (name == "torus_7")
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_witness_bounds_random_boundaries(corpus, subdivisions, data):
+    name = data.draw(st.sampled_from(sorted(n for n, e in corpus.items() if e.complex.dim >= 1)))
+    kp = subdivisions[name].complex
+    d = data.draw(st.integers(1, kp.dim))
+    x = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(kp.by_dim[d])))))
+    c = hom.boundary(kp, x)
+    bounds, witness = hom.is_boundary(kp, c)
+    assert bounds
+    _assert_witness(kp, c, bounds, witness)

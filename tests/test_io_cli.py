@@ -1,17 +1,21 @@
+import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from whitney import calculus as cal
 from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
 from whitney.errors import HomologyError, InputError
-from whitney.homology import boundary, fundamental_cycle
+from whitney.homology import Mod2Chain, boundary, fundamental_cycle
 from whitney.simplicial import Subdivision, build_complex, impure_simplex
-from whitney.verify import random_euler_function
+from whitney.verify import random_euler_function, random_function
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
 
@@ -394,7 +398,78 @@ def test_rejected_complex_exit_code(tmp_path, capsys, data, message):
 def test_verify_rejects_a_complex_with_no_simplex(tmp_path, capsys, suite):
     (tmp_path / "empty.json").write_text(json.dumps({"vertices": [], "maximal_simplices": []}))
     code, out = run(["verify", "--suite", suite, "--trials", 4, "--complexes", tmp_path], capsys)
-    assert (code, out.out, out.err) == (3, "", "error: a complex needs at least one simplex\n")
+    assert (code, out.out) == (3, "")
+    assert out.err == "error: empty.json: a complex needs at least one simplex\n"
+
+
+def _labelled_directory(tmp_path, k, labels):
+    """A corpus directory whose index.json gives k the name "k" and the labels of the old format."""
+    fileio.dump_json(fileio.complex_to_dict(k), tmp_path / "k.json")
+    index = {"complexes": [{"name": "k", "file": "k.json", "description": "", **labels}]}
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    return tmp_path
+
+
+CLOSED_TRIANGLE = build_complex(["1", "2", "3"], [["1", "2", "3"]])
+# S^2 v S^1: the boundary of a tetrahedron and a triangle circle share vertex 1
+S2_WEDGE_S1 = build_complex(
+    ["1", "2", "3", "4", "5", "6"],
+    [["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["2", "3", "4"],
+     ["1", "5"], ["5", "6"], ["1", "6"]],
+)
+
+
+@pytest.mark.parametrize("k, labels, suites", [
+    pytest.param(CLOSED_TRIANGLE, {"euler": True, "pure": True},
+                 ["calculus", "stiefel", "polar", "axioms"], id="closed-triangle-labelled-euler"),
+    pytest.param(S2_WEDGE_S1, {"euler": True, "pure": True}, ["stiefel"],
+                 id="s2-wedge-s1-labelled-pure"),
+    pytest.param(S2_WEDGE_S1, {"euler": "no", "pure": 7}, ["stiefel"],
+                 id="labels-of-any-type"),
+])
+def test_index_labels_are_ignored(tmp_path, monkeypatch, capsys, k, labels, suites):
+    spaces = _labelled_directory(tmp_path, k, labels)
+    monkeypatch.chdir(tmp_path)  # where a failing suite would write its counterexample
+    entry = load_corpus(spaces)["k"]
+    assert (entry.euler, entry.pure) == (cal.is_euler_space(k).is_euler,
+                                         impure_simplex(k) is None)
+    for suite in suites:
+        code, out = run(["verify", "--suite", suite, "--seed", 1, "--trials", 4,
+                         "--complexes", spaces], capsys)
+        assert (code, out.err) == (0, ""), suite
+        assert f"suite {suite}: ok (seed 1)" in out.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "k.json"]
+
+
+@pytest.mark.parametrize("suite", ["calculus", "stiefel", "polar", "axioms"])
+@pytest.mark.parametrize("indexed", [True, False], ids=["empty-index", "no-complex-files"])
+def test_verify_on_a_directory_with_no_complex(tmp_path, capsys, suite, indexed):
+    if indexed:
+        (tmp_path / "index.json").write_text(json.dumps({"complexes": []}))
+    else:
+        (tmp_path / "notes.json").write_text(json.dumps({"ring": "Z", "values": {}}))
+    code, out = run(["verify", "--suite", suite, "--complexes", tmp_path], capsys)
+    assert (code, out.out, out.err) == (2, "", f"error: no complexes found in {tmp_path}\n")
+
+
+@pytest.mark.parametrize("content, code, message", [
+    pytest.param({"vertices": [], "maximal_simplices": []}, 3,
+                 "error: empty.json: a complex needs at least one simplex\n", id="no-simplex"),
+    pytest.param({"vertices": 5, "maximal_simplices": []}, 2,
+                 "error: empty.json: complex file: 'vertices' must be a list, got 5\n",
+                 id="malformed-complex"),
+    # load_json's own message names the path; it gets no second prefix
+    pytest.param(None, 2, "error: cannot read {}: ", id="missing-file"),
+])
+def test_indexed_corpus_error_names_the_file_once(tmp_path, capsys, content, code, message):
+    path = tmp_path / "empty.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    (tmp_path / "index.json").write_text(
+        json.dumps({"complexes": [{"name": "e", "file": "empty.json"}]}))
+    result, out = run(["verify", "--suite", "calculus", "--complexes", tmp_path], capsys)
+    assert result == code
+    assert out.err.startswith(message.format(path)) and out.err.count("\n") == 1
 
 
 def _output_argv(flag, target, tmp_path):
@@ -420,13 +495,23 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, flag, target):
     assert out.err.startswith(f"error: cannot write {path}: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--report", "--manifest"])
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+def test_a_command_writes_all_of_its_files_or_none(tmp_path, capsys, flag, target):
+    """--out is writable, the second target is not: nothing is written, and the error is the write's."""
+    path = tmp_path / "nowhere" / "x.json" if target == "missing-dir" else tmp_path / "a-dir"
+    if target == "a-dir":
+        path.mkdir()
+    code, out = run(_output_argv(flag, path, tmp_path), capsys)
+    assert code == 2
+    with pytest.raises(OSError) as write:
+        path.write_text("")
+    assert out.err == f"error: cannot write {path}: {write.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if target == "missing-dir" else ["a-dir"])
+
+
 def test_stiefel_suite_on_indexless_impure_directory(tmp_path, capsys):
-    # S^2 v S^1: the boundary of a tetrahedron and a triangle circle share vertex 1
-    k = build_complex(
-        ["1", "2", "3", "4", "5", "6"],
-        [["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["2", "3", "4"],
-         ["1", "5"], ["5", "6"], ["1", "6"]],
-    )
+    k = S2_WEDGE_S1
     fileio.dump_json(fileio.complex_to_dict(k), tmp_path / "s2_wedge_s1.json")
     entry = load_corpus(tmp_path)["s2_wedge_s1"]
     assert entry.euler and not entry.pure
@@ -699,21 +784,46 @@ def test_verify_cli_json(capsys):
     assert payload["properties"] and all(p["failures"] == 0 for p in payload["properties"])
 
 
-def test_failing_suite_writes_its_counterexample(tmp_path, monkeypatch, capsys):
-    # a closed triangle is not an Euler space: labelled as one, half-link parity fails
+def _failing_polar_suite(tmp_path, monkeypatch):
+    """A corpus directory holding one triangle circle, "tri", on which half-link parity fails.
+
+    The census is patched to report chi- flipped, so the suite fails on an Euler space.
+    """
     spaces = tmp_path / "spaces"
     spaces.mkdir()
     (spaces / "tri.json").write_text(json.dumps(
-        {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]]}))
+        {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2"], ["1", "3"], ["2", "3"]]}))
     (spaces / "index.json").write_text(json.dumps({"complexes": [
-        {"name": "tri", "file": "tri.json", "euler": True, "pure": True}]}))
+        {"name": "tri", "file": "tri.json"}]}))
+    report = polar.half_link_report
+
+    def flipped(a, s, f):
+        r = report(a, s, f)
+        return dataclasses.replace(r, chi_minus=1 - r.chi_minus)
+
+    monkeypatch.setattr(polar, "half_link_report", flipped)
     monkeypatch.chdir(tmp_path)
-    code, out = run(["verify", "--suite", "polar", "--seed", 1, "--complexes", spaces], capsys)
+    return ["verify", "--suite", "polar", "--seed", 1, "--complexes", spaces]
+
+
+def test_failing_suite_writes_its_counterexample(tmp_path, monkeypatch, capsys):
+    code, out = run(_failing_polar_suite(tmp_path, monkeypatch), capsys)
     assert code == 1
     assert "FAIL: half-link parity" in out.out and "suite polar: FAILED (seed 1)" in out.out
     assert out.err == "counterexample written to counterexample_polar_1.json\n"
     counterexample = json.loads((tmp_path / "counterexample_polar_1.json").read_text())
     assert counterexample["complex"] == "tri"
+
+
+def test_failing_suite_exits_1_when_its_counterexample_cannot_be_written(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "counterexample_polar_1.json").mkdir()
+    code, out = run(_failing_polar_suite(tmp_path, monkeypatch), capsys)
+    assert code == 1
+    assert "suite polar: FAILED (seed 1)" in out.out
+    assert out.err.startswith("error: cannot write counterexample_polar_1.json: ")
+    assert out.err.count("\n") == 1
+    assert (tmp_path / "counterexample_polar_1.json").is_dir()
 
 
 def test_verify_rejects_negative_trials(capsys):
@@ -723,3 +833,109 @@ def test_verify_rejects_negative_trials(capsys):
     streams = capsys.readouterr()
     assert streams.out == ""
     assert "argument --trials: must be nonnegative, got -5" in streams.err
+
+
+def _dump(data):
+    return fileio.dump_json(data, None)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), subdivided=st.booleans(), coordinates=st.booleans(),
+       ring=st.sampled_from([cal.RING_Z, cal.RING_Z2]), data=st.data())
+def test_parse_serialize_round_trip_is_byte_stable(
+        corpus, subdivisions, seed, subdivided, coordinates, ring, data):
+    name = data.draw(st.sampled_from(sorted(corpus)))
+    k = subdivisions[name].complex if subdivided else corpus[name].complex
+    raw = fileio.complex_to_dict(k)
+    if not coordinates:
+        raw.pop("coordinates", None)
+    text = _dump(raw)
+    k = fileio.complex_from_dict(json.loads(text))
+    assert _dump(fileio.complex_to_dict(k)) == text
+    d = data.draw(st.integers(0, k.dim))
+    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(k.by_dim[d])))))
+    text = _dump(fileio.chain_to_dict(c))
+    assert _dump(fileio.chain_to_dict(fileio.chain_from_dict(json.loads(text), k))) == text
+    text = _dump(fileio.function_to_dict(random_function(random.Random(seed), k, ring)))
+    assert _dump(fileio.function_to_dict(fileio.function_from_dict(json.loads(text), k))) == text
+
+
+# one valid file of each kind, and the command that reads it ({f} is the file, {d} its directory)
+_FUZZ_SEEDS = [
+    (fileio.load_json(CORPUS / "rp2_6_embedded.json"),
+     ["subdivide", "--complex", "{f}", "--out", "{d}/out.json"]),
+    ({"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
+                             {"coeff": 2, "closed_support": [["1", "2"], ["2", "3"]]}]},
+     ["chi", "--complex", CORPUS / "s1_3.json", "--fn", "{f}"]),
+    ({"ring": "Z2", "values": {"1": 1, "1,2": 1, "2": 1}},
+     ["stiefel", "--complex", CORPUS / "s1_3.json", "--dim", 0, "--fn", "{f}",
+      "--out", "{d}/out.json"]),
+    ({"dim": 1, "simplices": [["1", "2"], ["1", "3"], ["2", "3"]]},
+     ["bounds", "--complex", CORPUS / "boundary_delta3.json", "--chain", "{f}",
+      "--witness", "{d}/w.json"]),
+    ({"vertex_map": {"0": "1", "1": "2", "2": "3", "3": "1", "4": "2", "5": "3"}},
+     ["pull", "--domain", CORPUS / "s1_6.json", "--codomain", CORPUS / "s1_3.json",
+      "--map", "{f}", "--fn", "{d}/fn.json", "--out", "{d}/out.json"]),
+    ({"ambient_dim": 2, "vectors": [["1", "3"]]},
+     ["polar", "--complex", CORPUS / "s1_6.json", "--dim", 0, "--project", "{f}",
+      "--out", "{d}/out.json"]),
+    ({"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"]}},
+     ["polar", "--complex", CORPUS / "s1_3.json", "--dim", 0, "--map", "{f}",
+      "--out", "{d}/out.json", "--report", "{d}/r.json"]),
+    ({"complexes": [{"name": "c", "file": "s1_3.json", "description": "circle"}]},
+     ["verify", "--suite", "stiefel", "--trials", 2, "--complexes", "{d}"]),
+]
+_JSON_VALUES = [None, True, 0, -1, 2.5, "x", "1/0", [], {}, [[]], [1], {"x": 1}]
+
+
+def _positions(value, path=()):
+    """The path of keys and indices to every value below the top of a JSON document."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc after one to three mutations: a key dropped, a value's JSON type swapped, a list emptied."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        positions = list(_positions(doc))
+        if not positions:
+            break
+        *parent_path, key = draw(st.sampled_from(positions))
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        value = parent[key]
+        kind = draw(st.sampled_from(["drop", "swap", "empty"]))
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif kind == "empty" and isinstance(value, list):
+            value.clear()
+        else:
+            others = [v for v in _JSON_VALUES if type(v) is not type(value)]
+            parent[key] = copy.deepcopy(draw(st.sampled_from(others)))
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_files_end_with_a_documented_exit_code(tmp_path, monkeypatch, capsys, data):
+    monkeypatch.chdir(tmp_path)  # a failing verify suite writes its counterexample here
+    doc, argv = data.draw(st.sampled_from(_FUZZ_SEEDS))
+    bad = data.draw(_mutated(doc))
+    directory = tmp_path / "d"
+    directory.mkdir(exist_ok=True)
+    for stale in directory.iterdir():
+        stale.unlink()
+    (directory / "s1_3.json").write_text((CORPUS / "s1_3.json").read_text())
+    (directory / "fn.json").write_text(json.dumps({"ring": "Z", "values": {"1": 1}}))
+    target = directory / ("index.json" if "--complexes" in argv else "f.json")
+    target.write_text(json.dumps(bad))
+    argv = [str(a).format(f=target, d=directory) for a in argv]
+    code, _out = run(argv, capsys)  # anything but a WhitneyError propagates and fails here
+    assert code in range(7), (argv, bad)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import fraction_oracle
 import pytest
+from relabelling import flag_keys, fresh_ids, relabel, relabel_function
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -465,32 +466,6 @@ def test_projection_basis_must_be_ints_or_fractions(corpus):
     assert all(type(x) is int for b in basis for x in b)
 
 
-def _relabel(k, new):
-    """k with vertex v renamed new[v]; coordinates kept."""
-    coords = None if k.coordinates is None else {new[v]: p for v, p in k.coordinates.items()}
-    return build_complex(
-        [new[v] for v in k.vertices], [[new[v] for v in s] for s in k.simplices], coords
-    )
-
-
-def _relabel_function(a, k2, new):
-    return cal.from_values(k2, {tuple(sorted(new[v] for v in s)): x for s, x in a.values.items()})
-
-
-def _fresh_ids(data, k):
-    """A bijection of k's vertex ids onto fresh string ids, drawn so that the canonical order changes."""
-    order = data.draw(st.permutations(range(len(k.vertices))))
-    return {v: f"x{j}" for v, j in zip(k.vertices, order)}
-
-
-def _flag_keys(sub, sub2, new):
-    """Keys that compare simplices of K' and of K2' through their flags, K's simplices renamed by new."""
-    return (
-        lambda s: frozenset(tuple(sorted(new[v] for v in sub.carriers[w])) for w in s),
-        lambda s: frozenset(sub2.carriers[w] for w in s),
-    )
-
-
 def _assert_same_census(census, census2, key, key2):
     """Chains and per-simplex reports agree once simplices are compared through key/key2."""
     (chain, reports), (chain2, reports2) = census, census2
@@ -508,10 +483,10 @@ def _assert_same_census(census, census2, key, key2):
        data=st.data())
 def test_projection_census_invariant_under_relabelling(corpus, name, seed, data):
     k = corpus[name].complex
-    new = _fresh_ids(data, k)
-    k2 = _relabel(k, new)
+    new = fresh_ids(data, k)
+    k2 = relabel(k, new)
     a = random_function(random.Random(seed), k)
-    a2 = _relabel_function(a, k2, new)
+    a2 = relabel_function(a, k2, new)
     for rank in range(1, k.dim + 2):
         basis, _chain, _reports = polar.sample_generic_subspace(a, rank, seed)
         _assert_same_census(
@@ -526,13 +501,13 @@ def test_projection_census_invariant_under_relabelling(corpus, name, seed, data)
 @given(seed=st.integers(0, 2 ** 16), data=st.data())
 def test_moment_census_invariant_under_relabelling(corpus, subdivisions, seed, data):
     k = corpus["rp2_6"].complex
-    new = _fresh_ids(data, k)
-    k2 = _relabel(k, new)
+    new = fresh_ids(data, k)
+    k2 = relabel(k, new)
     sub, sub2 = subdivisions["rp2_6"], barycentric_subdivision(k2)
     a = random_function(random.Random(seed), k)
     a_prime = cal.subdivide_function(sub, a)
-    a2_prime = cal.subdivide_function(sub2, _relabel_function(a, k2, new))
-    flag, flag2 = _flag_keys(sub, sub2, new)
+    a2_prime = cal.subdivide_function(sub2, relabel_function(a, k2, new))
+    flag, flag2 = flag_keys(sub, sub2, new)
     for i in range(k.dim + 1):
         _assert_same_census(
             polar.polar_census(polar.moment_map(sub, i), a_prime),
@@ -547,12 +522,12 @@ def test_moment_census_invariant_under_relabelling(corpus, subdivisions, seed, d
        data=st.data())
 def test_sw_representative_invariant_under_relabelling(corpus, subdivisions, name, seed, data):
     k = corpus[name].complex
-    new = _fresh_ids(data, k)
-    k2 = _relabel(k, new)
+    new = fresh_ids(data, k)
+    k2 = relabel(k, new)
     sub, sub2 = subdivisions[name], barycentric_subdivision(k2)
     a = random_euler_function(random.Random(seed), k)
-    a2 = _relabel_function(a, k2, new)
-    flag, flag2 = _flag_keys(sub, sub2, new)
+    a2 = relabel_function(a, k2, new)
+    flag, flag2 = flag_keys(sub, sub2, new)
     for i in range(k.dim + 1):
         rep = sw.sw_representative(sub, a, i)
         rep2 = sw.sw_representative(sub2, a2, i)

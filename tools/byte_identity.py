@@ -33,7 +33,14 @@ from pathlib import Path
 
 _TRIANGLE = [["1", "2"], ["1", "3"], ["2", "3"]]
 
-# written to in/; the last nine are hostile inputs for the input checks
+
+def _labelled(file: str) -> dict:
+    """A corpus index naming one file and labelling it Euler and pure; the loader ignores labels."""
+    return {"complexes": [{"name": "k", "file": file, "euler": True, "pure": True}]}
+
+
+# written to in/ (a name with a slash makes a corpus directory); the inputs from
+# map_extra.json on are hostile, for the input checks and the corpus loader
 INPUTS = {
     "fn_s1_3.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
                                             {"coeff": 2, "closed_support": _TRIANGLE}]},
@@ -63,6 +70,17 @@ INPUTS = {
     "k_no_simplex.json": {"vertices": [], "maximal_simplices": []},
     "k_foreign_coords.json": {"vertices": ["a"], "maximal_simplices": [["a"]],
                               "coordinates": {"a": ["0"], "z": ["1"]}},
+    "triangle_labelled/index.json": _labelled("triangle.json"),
+    "triangle_labelled/triangle.json": {"vertices": ["1", "2", "3"],
+                                        "maximal_simplices": [["1", "2", "3"]]},
+    "wedge_labelled/index.json": _labelled("s2_wedge_s1.json"),
+    # S^2 v S^1: the boundary of a tetrahedron and a triangle circle share vertex 1
+    "wedge_labelled/s2_wedge_s1.json": {"vertices": ["1", "2", "3", "4", "5", "6"],
+                                        "maximal_simplices": [
+        ["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["2", "3", "4"], ["1", "5"],
+        ["1", "6"], ["5", "6"]]},
+    "empty_index/index.json": {"complexes": []},
+    "empty_complex/empty.json": {"vertices": [], "maximal_simplices": []},
 }
 
 
@@ -159,6 +177,19 @@ def commands(corpus: Path) -> list[list[str]]:
     for suite in ("calculus", "stiefel", "polar", "axioms"):
         out.append(["verify", "--suite", suite, "--seed", "1", "--format", "json"])
     out.append(["verify", "--suite", "stiefel", "--seed", "2", "--trials", "7"])
+    for directory, suites in (("triangle_labelled", ("stiefel", "polar")),
+                              ("wedge_labelled", ("stiefel",)),
+                              ("empty_index", ("calculus", "stiefel")),
+                              ("empty_complex", ("calculus",))):
+        out += [["verify", "--suite", suite, "--seed", "1", "--trials", "4",
+                 "--complexes", f"in/{directory}"] for suite in suites]
+    # a command with two outputs whose second target cannot be written writes neither
+    out += [
+        ["polar", "--complex", s1, "--dim", "0", "--moment", "--out", "out/partial_c.json",
+         "--report", "out/nowhere/r.json"],
+        ["subdivide", "--complex", s1, "--out", "out/partial_k.json",
+         "--manifest", "out/nowhere/m.json"],
+    ]
     return out
 
 
@@ -177,6 +208,7 @@ def sweep(cli, corpus: Path, work: Path) -> list[str]:
     for d in ("in", "out"):
         (work / d).mkdir()
     for name, data in INPUTS.items():
+        (work / "in" / name).parent.mkdir(exist_ok=True)
         (work / "in" / name).write_text(json.dumps(data))
     lines = []
     for argv in commands(corpus):

@@ -6,20 +6,12 @@ tools/gen_corpus.py`` from the repository root.  The files go to
 canonical (sorted keys, stable simplex order), so reruns are
 byte-identical.
 """
-import json
 from pathlib import Path
 
-from whitney.simplicial import build_complex, barycentric_subdivision, impure_simplex
+from whitney.simplicial import build_complex, barycentric_subdivision
 from whitney.fileio import complex_to_dict, dump_json
-from whitney.calculus import is_euler_space
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
-
-def emit(name, vertices, maximal, coords=None):
-    k = build_complex(vertices, maximal, coords)
-    dump_json(complex_to_dict(k), OUT / f"{name}.json")
-    rep = is_euler_space(k)
-    return k, rep.is_euler, impure_simplex(k) is None
 
 from fractions import Fraction
 F = Fraction
@@ -27,11 +19,10 @@ F = Fraction
 entries = []
 
 def add(name, desc, vertices, maximal, coords=None):
-    k, euler, pure = emit(name, vertices, maximal, coords)
-    entries.append({"name": name, "file": f"{name}.json", "euler": euler,
-                    "pure": pure, "description": desc})
-    print(f"{name}: dim={k.dim} euler={euler} pure={pure} "
-          f"V={len(k.vertices)} simplices={len(k.simplices)}")
+    k = build_complex(vertices, maximal, coords)
+    dump_json(complex_to_dict(k), OUT / f"{name}.json")
+    entries.append({"name": name, "file": f"{name}.json", "description": desc})
+    print(f"{name}: dim={k.dim} V={len(k.vertices)} simplices={len(k.simplices)}")
 
 add("point", "single vertex", ["p"], [["p"]],
     {"p": (F(0),)})
