@@ -66,10 +66,8 @@ from .simplicial import (
     barycentric_subdivision,
     build_complex,
     compose,
-    euler_characteristic,
     induced_subdivided_map,
     link,
-    star,
     validate_map,
 )
 from .sw import (

@@ -38,10 +38,6 @@ class ConstructibleFunction:
     def __call__(self, s: Simplex) -> int:
         return self.values[s]
 
-    @property
-    def support(self) -> tuple[Simplex, ...]:
-        return tuple(s for s in self.base.simplices if self.values[s] != 0)
-
 
 def _function(k: SimplicialComplex, ring: str, vals: Mapping[Simplex, int]) -> ConstructibleFunction:
     """The function with these values, reduced mod 2 in Z2 mode."""

@@ -192,6 +192,8 @@ def cmd_bounds(args) -> int:
     k = fileio.load_complex(args.complex)
     c = fileio.chain_from_dict(fileio.load_json(args.chain), k)
     bounds, witness = hom.is_boundary(k, c)
+    if bounds:
+        _check_targets(args.witness)
     _emit({"bounds": bounds}, args.format)
     if bounds and args.witness:
         fileio.dump_json(fileio.chain_to_dict(witness), args.witness)

@@ -23,7 +23,6 @@ class CorpusEntry:
     complex: SimplicialComplex
     euler: bool
     pure: bool
-    description: str
 
 
 def _data_dir() -> Path:
@@ -41,12 +40,12 @@ def load_corpus(directory: Optional[str | Path] = None) -> dict[str, CorpusEntry
     base = Path(directory) if directory is not None else _data_dir()
     indexed = (base / "index.json").exists()
     if indexed:
-        listing = [(item["name"], item["file"], item.get("description", ""))
+        listing = [(item["name"], item["file"])
                    for item in corpus_index_from_dict(load_json(base / "index.json"))]
     else:
-        listing = [(path.stem, path.name, "") for path in sorted(base.glob("*.json"))]
+        listing = [(path.stem, path.name) for path in sorted(base.glob("*.json"))]
     entries: dict[str, CorpusEntry] = {}
-    for name, file, description in listing:
+    for name, file in listing:
         try:
             data = load_json(base / file)  # its errors name the path already
             try:
@@ -58,7 +57,7 @@ def load_corpus(directory: Optional[str | Path] = None) -> dict[str, CorpusEntry
                 raise
             continue
         euler = is_euler_space(k).is_euler
-        entries[name] = CorpusEntry(name, k, euler, impure_simplex(k) is None, description)
+        entries[name] = CorpusEntry(name, k, euler, impure_simplex(k) is None)
     if not entries:
         raise InputError(f"no complexes found in {base}")
     return entries

@@ -287,17 +287,21 @@ def affine_map_from_dict(data: dict, k: SimplicialComplex) -> AffineVertexMap:
 # -- corpus index ---------------------------------------------------------------
 
 def corpus_index_from_dict(data: dict) -> list[dict]:
-    """Entries of a corpus index.json: a string name and file, and an optional description.
+    """Entries of a corpus index.json: a unique string name and a file, and an optional description.
 
     An index only names files.  Other keys, such as ``euler`` or ``pure``,
     are ignored: those facts are derived from each complex.
     """
     items = _require(data, "complexes", "corpus index", list)
+    names = set()
     for item in items:
         _check(item, dict, "corpus index: entry")
         for key in ("name", "file"):
             _require(item, key, "corpus index entry", str)
         _check(item.get("description", ""), str, "corpus index entry: 'description'")
+        if item["name"] in names:
+            raise InputError(f"corpus index: name {item['name']!r} appears twice")
+        names.add(item["name"])
     return items
 
 

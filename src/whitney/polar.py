@@ -15,8 +15,10 @@ The singularity chain of the moment map of a barycentric subdivision
 is a carrier chain: the i-flags S of K' with b(carrier S) odd, where b is
 the function for odd i and its dual for even i (both the function, when
 it is Euler).  ``moment_chain`` reads it from the i-flags alone, building
-no K'; ``moment_map`` with ``polar_census`` stays the one general path
-(half-link reports, parity checks) and is the closed form's oracle.
+no K', for ``polar --moment``; ``sw`` reads the same carriers itself once
+it has tested the function for being Euler.  ``moment_map`` with
+``polar_census`` stays the one general path (half-link reports, parity
+checks) and is the closed form's oracle.
 
 Geometry is integer from the complex on.  The census needs only the side
 of each link vertex relative to the hyperplane through f(S), and a

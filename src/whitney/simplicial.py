@@ -199,20 +199,6 @@ def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
     return SimplicialComplex(k.vertices, tuple(out), k.coordinates)
 
 
-def star(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
-    """Closed star: faces of simplices containing s."""
-    k.require(s)
-    out: set[Simplex] = set()
-    for t in k.cofaces[s]:
-        out.update(faces(t))
-    return SimplicialComplex(k.vertices, tuple(sorted(out)), k.coordinates)
-
-
-def euler_characteristic(k: SimplicialComplex) -> int:
-    """Alternating simplex count."""
-    return sum((-1) ** (len(s) - 1) for s in k.simplices)
-
-
 @dataclass(frozen=True)
 class SimplicialMap:
     """Vertex assignment inducing a simplexwise-linear map."""

@@ -3,16 +3,15 @@
 The canonical representative of the i-th class of an Euler function a is
 the Euler-singularity chain of the moment map on the barycentric
 subdivision, which is the carrier chain of a: the i-flags S with
-a(carrier S) odd (``polar.moment_chain``).  For the constant function 1
-that is the sum of all i-simplices of the subdivision, the Stiefel chain.
-The representative, the Stiefel chain and sd# read only the i-flags
-(``Subdivision.flags``).
+a(carrier S) odd (``polar.moment_chain`` gives the closed form for any
+function).  For the constant function 1 that is the sum of all
+i-simplices of the subdivision, the Stiefel chain.  The representative,
+the Stiefel chain and sd# read only the i-flags (``Subdivision.flags``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .calculus import (
     ConstructibleFunction,
@@ -21,15 +20,9 @@ from .calculus import (
     pushforward,
     reduce_mod2,
 )
-from .errors import HomologyError, NotEulerError
+from .errors import CalculusError, HomologyError, NotEulerError
 from .homology import Mod2Chain, chain_pushforward, homologous
-from .polar import moment_chain
-from .simplicial import (
-    SimplicialMap,
-    Subdivision,
-    barycentric_subdivision,
-    induced_subdivided_map,
-)
+from .simplicial import SimplicialMap, Subdivision, induced_subdivided_map
 
 
 def stiefel_chain(sub: Subdivision, i: int) -> Mod2Chain:
@@ -42,19 +35,22 @@ def stiefel_chain(sub: Subdivision, i: int) -> Mod2Chain:
 def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chain:
     """Canonical chain representative of the i-th class of an Euler function.
 
-    The singularity chain of the moment map on the subdivision, read by
-    ``moment_chain`` as a carrier chain: the i-flags S with a(carrier S)
-    odd, since an Euler a equals its dual mod 2.  Duality commutes with
-    subdivision, so the function is Euler exactly when its subdivision
-    is; it is tested once, here, on the base.  Linear in the function,
-    and equal to the Stiefel chain when the function is identically 1.
+    The singularity chain of the moment map on the subdivision, read as a
+    carrier chain: the i-flags S with a(carrier S) odd.  That is
+    ``moment_chain`` at every i, since an Euler a equals its dual mod 2.
+    Duality commutes with subdivision, so the function is Euler exactly
+    when its subdivision is; it is tested once, here, on the base.  Linear
+    in the function, and equal to the Stiefel chain when the function is
+    identically 1.
     """
     a2 = reduce_mod2(a)
     if not is_euler_function(a2):
         raise NotEulerError("Stiefel-Whitney representatives require an Euler function")
     if not 0 <= i <= sub.base.dim:
         raise HomologyError(f"i={i} out of range for a {sub.base.dim}-complex")
-    return moment_chain(sub, a2, i)
+    if a2.base != sub.base:
+        raise CalculusError("function is not based on the subdivision's base")
+    return Mod2Chain(i, frozenset(s for s, carrier in sub.flags(i).items() if a2(carrier)))
 
 
 def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
@@ -86,8 +82,8 @@ def verify_pushforward_axiom(
     f: SimplicialMap,
     a: ConstructibleFunction,
     i: int,
-    sub_dom: Optional[Subdivision] = None,
-    sub_cod: Optional[Subdivision] = None,
+    sub_dom: Subdivision,
+    sub_cod: Subdivision,
 ) -> bool:
     """Pushforward compatibility of class representatives, decided up to boundaries.
 
@@ -95,8 +91,6 @@ def verify_pushforward_axiom(
     """
     a2 = reduce_mod2(a)
     fa = pushforward(f, a2)
-    sub_dom = sub_dom or barycentric_subdivision(f.domain)
-    sub_cod = sub_cod or barycentric_subdivision(f.codomain)
     fp = induced_subdivided_map(f, sub_dom, sub_cod)
     lhs = chain_pushforward(fp, sw_representative(sub_dom, a2, i))
     if i <= f.codomain.dim:

@@ -16,7 +16,7 @@ from . import calculus as cal
 from . import homology as hom
 from . import polar, sw
 from .corpus import CorpusEntry, MapEntry, load_corpus, load_map_suite
-from .errors import WhitneyError
+from .errors import InputError, WhitneyError
 from .fileio import function_to_dict
 from .simplicial import (
     Simplex,
@@ -366,4 +366,7 @@ def run_suite(
     if suite not in _SUITES:
         raise WhitneyError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
     corpus = load_corpus(complexes_dir)
-    return _SUITES[suite](seed, trials, corpus)
+    report = _SUITES[suite](seed, trials, corpus)
+    if not report.properties:
+        raise InputError(f"suite {suite} has nothing to check in {complexes_dir}")
+    return report

@@ -263,6 +263,16 @@ def test_bounds_witness_cli(tmp_path, capsys):
     assert boundary(k, w) == c
 
 
+def test_bounds_checks_no_witness_target_for_a_chain_that_does_not_bound(tmp_path, capsys):
+    # the triangle cycle bounds in the closed triangle (see _output_argv), not in the circle
+    chain = tmp_path / "c.json"
+    chain.write_text(json.dumps({"dim": 1, "simplices": [["1", "2"], ["1", "3"], ["2", "3"]]}))
+    code, out = run(["bounds", "--complex", CORPUS / "s1_3.json", "--chain", chain,
+                     "--witness", tmp_path / "nowhere" / "w.json"], capsys)
+    assert (code, out.out, out.err) == (0, "bounds: False\n", "")
+    assert list(tmp_path.iterdir()) == [chain]
+
+
 def test_validate_cli(tmp_path, capsys):
     good = CORPUS / "s1_3.json"
     bad = tmp_path / "bad.json"
@@ -420,11 +430,13 @@ S2_WEDGE_S1 = build_complex(
 
 
 @pytest.mark.parametrize("k, labels, suites", [
+    # a non-Euler space gives stiefel and polar nothing to check, whatever its labels say
     pytest.param(CLOSED_TRIANGLE, {"euler": True, "pure": True},
-                 ["calculus", "stiefel", "polar", "axioms"], id="closed-triangle-labelled-euler"),
-    pytest.param(S2_WEDGE_S1, {"euler": True, "pure": True}, ["stiefel"],
+                 {"calculus": 0, "stiefel": 2, "polar": 2, "axioms": 0},
+                 id="closed-triangle-labelled-euler"),
+    pytest.param(S2_WEDGE_S1, {"euler": True, "pure": True}, {"stiefel": 0},
                  id="s2-wedge-s1-labelled-pure"),
-    pytest.param(S2_WEDGE_S1, {"euler": "no", "pure": 7}, ["stiefel"],
+    pytest.param(S2_WEDGE_S1, {"euler": "no", "pure": 7}, {"stiefel": 0},
                  id="labels-of-any-type"),
 ])
 def test_index_labels_are_ignored(tmp_path, monkeypatch, capsys, k, labels, suites):
@@ -433,12 +445,36 @@ def test_index_labels_are_ignored(tmp_path, monkeypatch, capsys, k, labels, suit
     entry = load_corpus(spaces)["k"]
     assert (entry.euler, entry.pure) == (cal.is_euler_space(k).is_euler,
                                          impure_simplex(k) is None)
-    for suite in suites:
+    for suite, expected in suites.items():
         code, out = run(["verify", "--suite", suite, "--seed", 1, "--trials", 4,
                          "--complexes", spaces], capsys)
-        assert (code, out.err) == (0, ""), suite
-        assert f"suite {suite}: ok (seed 1)" in out.out
+        if expected:
+            assert (code, out.out, out.err) == (
+                2, "", f"error: suite {suite} has nothing to check in {spaces}\n")
+        else:
+            assert (code, out.err) == (0, ""), suite
+            assert f"suite {suite}: ok (seed 1)" in out.out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "k.json"]
+
+
+@pytest.mark.parametrize("suite, space", [("polar", "delta2"), ("stiefel", "interval")])
+def test_a_suite_that_checks_nothing_is_an_input_error(tmp_path, capsys, suite, space):
+    (tmp_path / f"{space}.json").write_bytes((CORPUS / f"{space}.json").read_bytes())
+    code, out = run(["verify", "--suite", suite, "--complexes", tmp_path], capsys)
+    assert (code, out.out, out.err) == (
+        2, "", f"error: suite {suite} has nothing to check in {tmp_path}\n")
+
+
+def test_repeated_index_name_is_an_input_error(tmp_path, capsys):
+    # entries are keyed by name: a repeated name would drop the Euler s1_3 without a word
+    (tmp_path / "index.json").write_text(json.dumps({"complexes": [
+        {"name": "a", "file": "s1_3.json"}, {"name": "a", "file": "delta2.json"}]}))
+    for space in ("s1_3", "delta2"):
+        (tmp_path / f"{space}.json").write_bytes((CORPUS / f"{space}.json").read_bytes())
+    with pytest.raises(InputError, match="corpus index: name 'a' appears twice"):
+        load_corpus(tmp_path)
+    code, out = run(["verify", "--suite", "polar", "--complexes", tmp_path], capsys)
+    assert (code, out.out, out.err) == (2, "", "error: corpus index: name 'a' appears twice\n")
 
 
 @pytest.mark.parametrize("suite", ["calculus", "stiefel", "polar", "axioms"])
@@ -491,7 +527,7 @@ def _output_argv(flag, target, tmp_path):
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, flag, target):
     path = tmp_path / "nowhere" / "x.json" if target == "missing-dir" else tmp_path
     code, out = run(_output_argv(flag, path, tmp_path), capsys)
-    assert code == 2
+    assert (code, out.out) == (2, "")  # bounds checks its witness target before it prints
     assert out.err.startswith(f"error: cannot write {path}: ") and out.err.count("\n") == 1
 
 

@@ -154,18 +154,23 @@ def _z_lift(rng, a):
     return cal.from_values(a.base, {s: x + 2 * rng.randint(-1, 1) for s, x in a.values.items()})
 
 
-def test_moment_chain_matches_census_oracle(corpus, subdivisions):
-    rng = random.Random(41)
+def _census_cases(corpus, subdivisions):
+    """sd of every corpus space, sd^2 of four of them, and sd of two 3-dimensional complexes."""
     cases = [(name, subdivisions[name]) for name in corpus] + [
         (f"sd1 {name}", barycentric_subdivision(subdivisions[name].complex))
         for name in ("torus_7", "rp2_6", "wedge_spheres", "pinched_torus")
     ]
     # no bundled space has dimension 3: the boundary of a 4-simplex and a closed 3-simplex
     five = [str(v) for v in range(5)]
-    cases += [(name, barycentric_subdivision(k)) for name, k in (
+    return cases + [(name, barycentric_subdivision(k)) for name, k in (
         ("boundary of the 4-simplex", build_complex(five, combinations(five, 4))),
         ("closed 3-simplex", build_complex(five[:4], [five[:4]])),
     )]
+
+
+def test_moment_chain_matches_census_oracle(corpus, subdivisions):
+    rng = random.Random(41)
+    cases = _census_cases(corpus, subdivisions)
     euler = set()
     for name, sub in cases:
         k = sub.base
@@ -180,6 +185,23 @@ def test_moment_chain_matches_census_oracle(corpus, subdivisions):
                 assert polar.moment_chain(sub, a, i) == oracle, (name, i)
     assert euler == {True, False}
     assert max(sub.base.dim for _name, sub in cases) == 3
+
+
+def test_representative_matches_moment_chain_and_census(corpus, subdivisions):
+    # sw_representative reads the carriers itself; moment_chain and the K' census are its oracles
+    rng = random.Random(43)
+    cases = [(name, sub) for name, sub in _census_cases(corpus, subdivisions)
+             if cal.is_euler_space(sub.base).is_euler]
+    assert {name for name, _sub in cases} >= {"sd1 torus_7", "boundary of the 4-simplex"}
+    for name, sub in cases:
+        k = sub.base
+        for a in [_z_lift(rng, random_euler_function(rng, k)) for _ in range(2)]:
+            for i in range(k.dim + 1):
+                rep = sw.sw_representative(sub, a, i)
+                oracle, _reports = polar.polar_census(
+                    polar.moment_map(sub, i), cal.subdivide_function(sub, a)
+                )
+                assert rep == polar.moment_chain(sub, a, i) == oracle, (name, i)
 
 
 def test_moment_chain_errors_match_the_census_path(corpus, subdivisions):

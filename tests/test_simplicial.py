@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import subdivision_oracle
+from whitney import calculus as cal
 from whitney import fileio, simplicial
 from whitney.errors import ComplexError, InputError, MapError
 from whitney.simplicial import (
@@ -10,12 +11,10 @@ from whitney.simplicial import (
     barycentric_subdivision,
     build_complex,
     compose,
-    euler_characteristic,
     faces,
     impure_simplex,
     induced_subdivided_map,
     link,
-    star,
     validate_map,
 )
 
@@ -91,14 +90,15 @@ def test_impure_simplex_agrees_with_index(corpus):
     assert impure_simplex(k) == ("3", "4")
 
 
-def test_link_and_star(sphere, corpus, subdivisions):
+def _chi(k):
+    return cal.chi(cal.constant(k, 1))
+
+
+def test_link(sphere, corpus, subdivisions):
     lk = link(sphere, ("1",))
     # link of a vertex in the 2-sphere boundary is a triangle circle
-    assert euler_characteristic(lk) == 0
+    assert _chi(lk) == 0
     assert lk.dim == 1
-    st = star(sphere, ("1",))
-    assert ("2", "3", "4") not in st.simplex_set
-    assert ("1", "2", "3") in st.simplex_set
     # link reads cofaces; check it against a scan of the definition
     for name, entry in corpus.items():
         for k in (entry.complex, subdivisions[name].complex):
@@ -113,10 +113,10 @@ def test_link_and_star(sphere, corpus, subdivisions):
 
 
 def test_euler_characteristic(corpus):
-    assert euler_characteristic(corpus["rp2_6"].complex) == 1
-    assert euler_characteristic(corpus["torus_7"].complex) == 0
-    assert euler_characteristic(corpus["boundary_delta3"].complex) == 2
-    assert euler_characteristic(corpus["pinched_torus"].complex) == 1
+    assert _chi(corpus["rp2_6"].complex) == 1
+    assert _chi(corpus["torus_7"].complex) == 0
+    assert _chi(corpus["boundary_delta3"].complex) == 2
+    assert _chi(corpus["pinched_torus"].complex) == 1
 
 
 def test_subdivision_counts(circle):
@@ -124,7 +124,7 @@ def test_subdivision_counts(circle):
     # 3 + 3 vertices, each edge split in two
     assert len(sub.complex.by_dim[0]) == 6
     assert len(sub.complex.by_dim[1]) == 6
-    assert euler_characteristic(sub.complex) == euler_characteristic(circle)
+    assert _chi(sub.complex) == _chi(circle)
 
 
 def test_subdivision_carriers(sphere):

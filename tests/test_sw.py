@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,26 @@ def test_representative_rejects_non_euler(corpus, subdivisions):
         sw.sw_representative(
             subdivisions["delta2"], cal.constant(corpus["delta2"].complex, 1, cal.RING_Z2), 0
         )
+
+
+def test_representative_takes_one_dual_at_every_i(monkeypatch, corpus, subdivisions):
+    # the Euler test is the only dual; the chain itself is read off the carriers
+    calls, real = [], cal.dual
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("whitney")]:
+        if getattr(module, "dual", None) is real:
+            monkeypatch.setattr(module, "dual", counted)
+    for name in ("rp2_6", "torus_7", "wedge_spheres"):
+        sub = subdivisions[name]
+        ones = cal.constant(corpus[name].complex, 1, cal.RING_Z2)
+        for i in range(sub.base.dim + 1):
+            calls.clear()
+            sw.sw_representative(sub, ones, i)
+            assert len(calls) == 1, (name, i)
 
 
 def test_representative_linear_in_function(corpus, subdivisions):
@@ -181,7 +202,8 @@ def test_pushforward_axiom_double_cover(map_suite):
     cover = next(m for m in map_suite if m.name == "double_cover").map
     ones = cal.constant(cover.domain, 1, cal.RING_Z2)
     for i in range(2):
-        assert sw.verify_pushforward_axiom(cover, ones, i)
+        assert sw.verify_pushforward_axiom(cover, ones, i, Subdivision(cover.domain),
+                                           Subdivision(cover.codomain))
 
 
 def test_pushforward_axiom_rejects_non_euler_function(map_suite):
@@ -189,4 +211,5 @@ def test_pushforward_axiom_rejects_non_euler_function(map_suite):
     cover = next(m for m in map_suite if m.name == "double_cover").map
     edge = cal.indicator(cover.domain, faces(("0", "1")), cal.RING_Z2)
     with pytest.raises(NotEulerError, match="require an Euler function"):
-        sw.verify_pushforward_axiom(cover, edge, 0)
+        sw.verify_pushforward_axiom(cover, edge, 0, Subdivision(cover.domain),
+                                    Subdivision(cover.codomain))

@@ -32,6 +32,7 @@ import traceback
 from pathlib import Path
 
 _TRIANGLE = [["1", "2"], ["1", "3"], ["2", "3"]]
+_DELTA2 = {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]]}
 
 
 def _labelled(file: str) -> dict:
@@ -71,8 +72,7 @@ INPUTS = {
     "k_foreign_coords.json": {"vertices": ["a"], "maximal_simplices": [["a"]],
                               "coordinates": {"a": ["0"], "z": ["1"]}},
     "triangle_labelled/index.json": _labelled("triangle.json"),
-    "triangle_labelled/triangle.json": {"vertices": ["1", "2", "3"],
-                                        "maximal_simplices": [["1", "2", "3"]]},
+    "triangle_labelled/triangle.json": _DELTA2,
     "wedge_labelled/index.json": _labelled("s2_wedge_s1.json"),
     # S^2 v S^1: the boundary of a tetrahedron and a triangle circle share vertex 1
     "wedge_labelled/s2_wedge_s1.json": {"vertices": ["1", "2", "3", "4", "5", "6"],
@@ -81,6 +81,11 @@ INPUTS = {
         ["1", "6"], ["5", "6"]]},
     "empty_index/index.json": {"complexes": []},
     "empty_complex/empty.json": {"vertices": [], "maximal_simplices": []},
+    "duplicate_name/index.json": {"complexes": [{"name": "a", "file": "s1_3.json"},
+                                                {"name": "a", "file": "delta2.json"}]},
+    "duplicate_name/s1_3.json": {"vertices": ["1", "2", "3"], "maximal_simplices": _TRIANGLE},
+    "duplicate_name/delta2.json": _DELTA2,
+    "delta2_only/delta2.json": _DELTA2,
 }
 
 
@@ -180,7 +185,9 @@ def commands(corpus: Path) -> list[list[str]]:
     for directory, suites in (("triangle_labelled", ("stiefel", "polar")),
                               ("wedge_labelled", ("stiefel",)),
                               ("empty_index", ("calculus", "stiefel")),
-                              ("empty_complex", ("calculus",))):
+                              ("empty_complex", ("calculus",)),
+                              ("duplicate_name", ("polar",)),
+                              ("delta2_only", ("polar",))):
         out += [["verify", "--suite", suite, "--seed", "1", "--trials", "4",
                  "--complexes", f"in/{directory}"] for suite in suites]
     # a command with two outputs whose second target cannot be written writes neither
@@ -190,6 +197,9 @@ def commands(corpus: Path) -> list[list[str]]:
         ["subdivide", "--complex", s1, "--out", "out/partial_k.json",
          "--manifest", "out/nowhere/m.json"],
     ]
+    # a chain that bounds, with a witness target that cannot be written: no verdict printed
+    out.append(["bounds", "--complex", c("delta2"), "--chain", "in/cycle_s1_3.json",
+                "--witness", "out/nowhere/w.json"])
     return out
 
 
