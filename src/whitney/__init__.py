@@ -41,7 +41,6 @@ from .homology import (
     Mod2Chain,
     betti_mod2,
     boundary,
-    chain_pushforward,
     fundamental_cycle,
     homologous,
     is_boundary,
@@ -66,12 +65,12 @@ from .simplicial import (
     barycentric_subdivision,
     build_complex,
     compose,
-    induced_subdivided_map,
     link,
     validate_map,
 )
 from .sw import (
     W0Report,
+    last_vertex_chain_map,
     stiefel_chain,
     subdivision_chain_map,
     sw_representative,

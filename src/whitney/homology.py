@@ -1,8 +1,7 @@
 """Mod 2 chains and homology over a fixed complex.
 
 Boundary operators, cycle/boundary decision procedures with exact
-witnesses, GF(2) Betti numbers, fundamental cycles, and chain pushforward
-along simplicial maps.
+witnesses, GF(2) Betti numbers and fundamental cycles.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import Iterable, Optional
 
 from .errors import HomologyError
 from .gf2 import Gf2System
-from .simplicial import Simplex, SimplicialComplex, SimplicialMap, facets, impure_simplex
+from .simplicial import Simplex, SimplicialComplex, facets, impure_simplex
 
 
 @dataclass(frozen=True)
@@ -128,17 +127,6 @@ def homologous(k: SimplicialComplex, c1: Mod2Chain, c2: Mod2Chain) -> bool:
         if not is_cycle(k, c):
             raise HomologyError("homologous requires cycles")
     return is_boundary(k, c1 + c2)[0]
-
-
-def chain_pushforward(f: SimplicialMap, c: Mod2Chain) -> Mod2Chain:
-    """Images f(S) summed mod 2, dropping dimension-collapsing simplices."""
-    _check_chain(f.domain, c)
-    out: set[Simplex] = set()
-    for s in c.support:
-        img = f.image(s)
-        if len(img) == len(s):
-            out.symmetric_difference_update({img})
-    return Mod2Chain(c.dim, frozenset(out))
 
 
 def fundamental_cycle(k: SimplicialComplex) -> Mod2Chain:

@@ -297,14 +297,3 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
     """Subdivided complex on the strict flags of k, derived lazily from k."""
     return Subdivision(k)
 
-
-def induced_subdivided_map(
-    f: SimplicialMap, sub_dom: Subdivision, sub_cod: Subdivision
-) -> SimplicialMap:
-    """Map of subdivisions sending the barycenter of s to the barycenter of f(s)."""
-    if sub_dom.base != f.domain or sub_cod.base != f.codomain:
-        raise MapError("subdivisions do not match the map's domain/codomain")
-    vm = {
-        barycenter_name(s): barycenter_name(f.image(s)) for s in f.domain.simplices
-    }
-    return validate_map(sub_dom.complex, sub_cod.complex, vm)

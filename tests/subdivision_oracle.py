@@ -4,7 +4,13 @@ The library's former construction, kept in the tests as an oracle: it
 builds the flags ending at each simplex bottom-up over every face of the
 simplex, collects all of K' at once, and names, carries and places each
 barycenter itself.  It shares no code with ``whitney.simplicial`` beyond
-the ``SimplicialComplex`` container it returns.
+the ``SimplicialComplex`` and ``SimplicialMap`` containers it returns and
+the ``validate_map`` check of a subdivided map.
+
+With it, the library's former pushforward one level up: the subdivided
+map f' on K', and the push of a chain along a simplicial map.  They are the
+oracle for the pushforward axiom, which the library now decides in the
+codomain itself, through the last-vertex map.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from whitney.simplicial import Simplex, SimplicialComplex
+from whitney.homology import Mod2Chain
+from whitney.simplicial import Simplex, SimplicialComplex, SimplicialMap, validate_map
 
 
 def _faces(s: Simplex) -> list[Simplex]:
@@ -54,3 +61,23 @@ def barycentric_subdivision(k: SimplicialComplex) -> tuple[SimplicialComplex, di
     )
     carriers = {names[s]: s for s in k.simplices}
     return prime, carriers
+
+
+def induced_subdivided_map(f: SimplicialMap) -> SimplicialMap:
+    """f': K' -> L', sending b(s) to b(f(s)), on the subdivisions built here."""
+    dom, _ = barycentric_subdivision(f.domain)
+    cod, _ = barycentric_subdivision(f.codomain)
+    vm = {_barycenter_name(s): _barycenter_name(f.image(s)) for s in f.domain.simplices}
+    return validate_map(dom, cod, vm)
+
+
+def chain_pushforward(f: SimplicialMap, c: Mod2Chain) -> Mod2Chain:
+    """Images f(S) summed mod 2, dropping dimension-collapsing simplices."""
+    out: set[Simplex] = set()
+    for s in c.support:
+        if s not in f.domain.simplex_set:
+            raise AssertionError(f"chain simplex {list(s)} is not in the domain")
+        img = f.image(s)
+        if len(img) == len(s):
+            out.symmetric_difference_update({img})
+    return Mod2Chain(c.dim, frozenset(out))

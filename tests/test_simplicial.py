@@ -13,7 +13,6 @@ from whitney.simplicial import (
     compose,
     faces,
     impure_simplex,
-    induced_subdivided_map,
     link,
     validate_map,
 )
@@ -203,11 +202,12 @@ def test_compose(map_suite):
 
 
 def test_induced_subdivided_map(map_suite):
+    # the pushforward axiom's oracle one level up, now kept in the tests
     by_name = {m.name: m for m in map_suite}
     f = by_name["double_cover"].map
     sd = barycentric_subdivision(f.domain)
     sc = barycentric_subdivision(f.codomain)
-    fp = induced_subdivided_map(f, sd, sc)
+    fp = subdivision_oracle.induced_subdivided_map(f)
     # the subdivided map sends barycenters to barycenters of image simplices
     assert fp.vertex_map["b(0,1)"] == "b(1,2)"
     assert fp.vertex_map["b(3)"] == "b(1)"

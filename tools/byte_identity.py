@@ -182,6 +182,9 @@ def commands(corpus: Path) -> list[list[str]]:
     for suite in ("calculus", "stiefel", "polar", "axioms"):
         out.append(["verify", "--suite", suite, "--seed", "1", "--format", "json"])
     out.append(["verify", "--suite", "stiefel", "--seed", "2", "--trials", "7"])
+    # more trials for the suites whose checks compare a subdivision with its base
+    out += [["verify", "--suite", suite, "--seed", "3", "--trials", "12", "--format", "json"]
+            for suite in ("axioms", "polar")]
     for directory, suites in (("triangle_labelled", ("stiefel", "polar")),
                               ("wedge_labelled", ("stiefel",)),
                               ("empty_index", ("calculus", "stiefel")),
