@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, combinations, filterfalse
 from pathlib import Path
 from typing import Any, Optional
 
@@ -31,17 +32,17 @@ from .simplicial import (
     Subdivision,
     build_complex,
     faces,
-    facets,
     make_simplex,
 )
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only, and nothing after them: "1/2\n" and Unicode digits are malformed
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InputError(f"rational must be a 'p/q' string, got {text!r}")
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise InputError(f"malformed rational {text!r}")
     p = int(m.group(1))
@@ -110,8 +111,47 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _to_json(x: Any, pad: str) -> str:
+    """x as ``json.dumps(x, indent=2, sort_keys=True)`` writes it, nested at indent ``pad``.
+
+    The library's encoder runs in pure Python whenever it indents; this one
+    joins a list of strings, such as a simplex, in one ``str.join``.
+    """
+    if isinstance(x, (list, tuple)) and x:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(_quote, x))
+        except TypeError:  # not all strings
+            body = sep.join([_to_json(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, dict) and x and all(isinstance(key, str) for key in x):
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [f"{_quote(key)}: {_to_json(v, inner)}" for key, v in sorted(x.items())]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    # floats, empty containers and keys that are not strings: the library's
+    # encoder, indented to this depth
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def dump_json(data: dict, path: Optional[str | Path]) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Write data as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline; return the text."""
+    text = _to_json(data, "") + "\n"
     if path is not None:
         try:
             Path(path).write_text(text)
@@ -138,12 +178,12 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
 
 
 def complex_to_dict(k: SimplicialComplex) -> dict:
-    # a simplex is maximal when it is no simplex's facet
-    covered = {f for s in k.simplices for f in facets(s)}
-    maximal = [list(s) for s in k.simplices if s not in covered]
+    # a simplex is maximal when it is no simplex's facet; k.simplices is in canonical order
+    sizes = map(len, k.simplices)
+    covered = set(chain.from_iterable(map(combinations, k.simplices, map((-1).__add__, sizes))))
     out: dict[str, Any] = {
         "vertices": list(k.vertices),
-        "maximal_simplices": sorted(maximal),
+        "maximal_simplices": list(map(list, filterfalse(covered.__contains__, k.simplices))),
     }
     if k.coordinates is not None:
         out["coordinates"] = {
@@ -183,10 +223,9 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
         c = Mod2Chain(dim, frozenset(support))
     except Exception as e:
         raise InputError(f"chain file: {e}") from e
-    if k is not None:
-        for s in c.support:
-            if s not in k.simplex_set:
-                raise InputError(f"chain simplex {list(s)} is not in the complex")
+    if k is not None and not c.support <= k.simplex_set:
+        s = next(s for s in c.support if s not in k.simplex_set)
+        raise InputError(f"chain simplex {list(s)} is not in the complex")
     return c
 
 

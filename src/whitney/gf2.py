@@ -10,27 +10,23 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def _lsb(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 class Gf2System:
     """Column-space of a GF(2) matrix, supporting rank and solve."""
 
     def __init__(self, columns: Sequence[int]):
         self.ncols = len(columns)
-        self.pivots: dict[int, tuple[int, int]] = {}  # row -> (vector, combo)
+        pivots: dict[int, tuple[int, int]] = {}  # row -> (vector, combo)
+        self.pivots = pivots
         for j, col in enumerate(columns):
             v, combo = col, 1 << j
             while v:
-                r = _lsb(v)
-                if r in self.pivots:
-                    pv, pc = self.pivots[r]
-                    v ^= pv
-                    combo ^= pc
-                else:
-                    self.pivots[r] = (v, combo)
+                r = (v & -v).bit_length() - 1
+                if r not in pivots:
+                    pivots[r] = (v, combo)
                     break
+                pv, pc = pivots[r]
+                v ^= pv
+                combo ^= pc
 
     @property
     def rank(self) -> int:
@@ -38,12 +34,12 @@ class Gf2System:
 
     def solve(self, b: int) -> Optional[int]:
         """Combination mask x (bit j = column j) with A x = b, or None."""
-        combo = 0
+        pivots, combo = self.pivots, 0
         while b:
-            r = _lsb(b)
-            if r not in self.pivots:
+            r = (b & -b).bit_length() - 1
+            if r not in pivots:
                 return None
-            pv, pc = self.pivots[r]
+            pv, pc = pivots[r]
             b ^= pv
             combo ^= pc
         return combo

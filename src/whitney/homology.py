@@ -6,12 +6,15 @@ witnesses, GF(2) Betti numbers and fundamental cycles.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, compress, repeat
 from typing import Iterable, Optional
 
 from .errors import HomologyError
 from .gf2 import Gf2System
-from .simplicial import Simplex, SimplicialComplex, facets, impure_simplex
+from .simplicial import Simplex, SimplicialComplex, impure_simplex
 
 
 @dataclass(frozen=True)
@@ -22,11 +25,11 @@ class Mod2Chain:
     support: frozenset[Simplex]
 
     def __post_init__(self):
-        for s in self.support:
-            if len(s) - 1 != self.dim:
-                raise HomologyError(
-                    f"simplex {list(s)} has dimension {len(s) - 1}, chain has {self.dim}"
-                )
+        if set(map(len, self.support)) - {self.dim + 1}:
+            s = next(s for s in self.support if len(s) - 1 != self.dim)
+            raise HomologyError(
+                f"simplex {list(s)} has dimension {len(s) - 1}, chain has {self.dim}"
+            )
 
     def __add__(self, other: "Mod2Chain") -> "Mod2Chain":
         if self.dim != other.dim:
@@ -45,38 +48,38 @@ def chain(dim: int, simplices: Iterable[Iterable[str]]) -> Mod2Chain:
 
 
 def _check_chain(k: SimplicialComplex, c: Mod2Chain) -> None:
-    for s in c.support:
-        if s not in k.simplex_set:
-            raise HomologyError(f"chain simplex {list(s)} is not in the complex")
+    if not c.support <= k.simplex_set:
+        s = next(s for s in c.support if s not in k.simplex_set)
+        raise HomologyError(f"chain simplex {list(s)} is not in the complex")
+
+
+def facet_sum(c: Mod2Chain) -> frozenset[Simplex]:
+    """Support of the mod 2 sum of the facets of c's simplices: the facets met an odd number of times.
+
+    Reads no complex.  A 0-simplex has the one empty facet ``()``.
+    """
+    counts = Counter(itertools.chain.from_iterable(map(combinations, c.support, repeat(c.dim))))
+    return frozenset(compress(counts, map((1).__and__, counts.values())))
 
 
 def boundary(k: SimplicialComplex, c: Mod2Chain) -> Mod2Chain:
     """Mod 2 sum of facets of the support simplices."""
     _check_chain(k, c)
-    out: set[Simplex] = set()
-    for s in c.support:
-        for f in facets(s):
-            out.symmetric_difference_update({f})
-    return Mod2Chain(c.dim - 1, frozenset(out))
+    return Mod2Chain(c.dim - 1, facet_sum(c))
 
 
 def is_cycle(k: SimplicialComplex, c: Mod2Chain) -> bool:
-    if c.dim == 0:
-        _check_chain(k, c)
-        return True
-    return not boundary(k, c)
+    _check_chain(k, c)
+    return c.dim == 0 or not facet_sum(c)
 
 
 def _boundary_system(k: SimplicialComplex, d: int) -> tuple[Gf2System, dict[Simplex, int], list[Simplex]]:
     """Columns of the boundary matrix C_d -> C_{d-1} in canonical order."""
     rows = {s: i for i, s in enumerate(k.by_dim.get(d - 1, ()))}
     cols = list(k.by_dim.get(d, ()))
-    columns = []
-    for s in cols:
-        v = 0
-        for f in facets(s):
-            v ^= 1 << rows[f]
-        columns.append(v)
+    # the facets of a simplex are distinct, so their bits sum without carries
+    bit, row = (1).__lshift__, rows.__getitem__
+    columns = [sum(map(bit, map(row, combinations(s, d)))) for s in cols]
     return Gf2System(columns), rows, cols
 
 
@@ -105,18 +108,16 @@ def is_boundary(
 ) -> tuple[bool, Optional[Mod2Chain]]:
     """Decide solvability of (boundary x = c); witness under canonical pivots."""
     _check_chain(k, c)
-    if not is_cycle(k, c):
+    if c.dim > 0 and facet_sum(c):
         raise HomologyError("is_boundary requires a cycle")
     if not c:
         return True, Mod2Chain(c.dim + 1, frozenset())
     system, rows, cols = _boundary_system(k, c.dim + 1)
-    b = 0
-    for s in c.support:
-        b ^= 1 << rows[s]
-    combo = system.solve(b)
+    combo = system.solve(sum(map((1).__lshift__, map(rows.__getitem__, c.support))))
     if combo is None:
         return False, None
-    witness = frozenset(cols[j] for j in range(len(cols)) if combo >> j & 1)
+    # character j of the reversed binary digits is bit j of combo, column j's coefficient
+    witness = frozenset(compress(cols, map("1".__eq__, bin(combo)[:1:-1])))
     return True, Mod2Chain(c.dim + 1, witness)
 
 

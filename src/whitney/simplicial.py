@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 from typing import Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
@@ -36,11 +36,6 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
 def faces(s: Simplex) -> list[Simplex]:
     """All nonempty faces of s, including s itself."""
     return [f for k in range(1, len(s) + 1) for f in combinations(s, k)]
-
-
-def facets(s: Simplex) -> list[Simplex]:
-    """Codimension-one faces of s."""
-    return [s[:i] + s[i + 1:] for i in range(len(s))]
 
 
 @dataclass(frozen=True)
@@ -67,10 +62,8 @@ class SimplicialComplex:
 
     @cached_property
     def by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        out: dict[int, list[Simplex]] = {}
-        for s in self.simplices:
-            out.setdefault(len(s) - 1, []).append(s)
-        return {d: tuple(ss) for d, ss in out.items()}
+        # a stable sort by size keeps the canonical order inside each dimension
+        return {n - 1: tuple(ss) for n, ss in groupby(sorted(self.simplices, key=len), key=len)}
 
     @cached_property
     def cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
@@ -157,7 +150,15 @@ def build_complex(
         dims = {len(p) for p in coords.values()}
         if len(dims) > 1:
             raise ComplexError("vertex coordinates have mixed ambient dimensions")
-    closure = {f for s in given for f in faces(s)}
+    # close one dimension at a time: the n-faces are the n-subsets of the
+    # (n+1)-level, together with the listed simplices of n vertices
+    listed_by_size = {n: set(ss) for n, ss in groupby(sorted(given, key=len), key=len)}
+    closure: set[Simplex] = set()
+    level: set[Simplex] = set()
+    for n in range(max(listed_by_size), 0, -1):
+        level = set(chain.from_iterable(map(combinations, level, repeat(n))))
+        level |= listed_by_size.get(n, set())
+        closure |= level
     k = SimplicialComplex(vertices, tuple(sorted(closure)), coords)
     if coords is not None:
         ints = k.integer_coordinates[1]

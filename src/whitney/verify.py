@@ -29,7 +29,6 @@ from .simplicial import (
     barycentric_subdivision,
     compose,
     faces,
-    facets,
     link,
 )
 
@@ -103,12 +102,7 @@ def _fn_repro(k_name: str, a: cal.ConstructibleFunction, extra: Optional[dict] =
 
 def _is_flag_cycle(c: hom.Mod2Chain) -> bool:
     """Cycle test for a chain of flags, read without the complex: the facets of a flag are flags."""
-    if c.dim == 0:
-        return True
-    boundary: set = set()
-    for s in c.support:
-        boundary.symmetric_difference_update(facets(s))
-    return not boundary
+    return c.dim == 0 or not hom.facet_sum(c)
 
 
 def _composable_pairs(maps: list[MapEntry]) -> list[tuple[MapEntry, MapEntry]]:

@@ -1,12 +1,13 @@
 import copy
 import dataclasses
+import enum
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from whitney import calculus as cal
@@ -31,7 +32,8 @@ def test_parse_rational():
     assert fileio.parse_rational("3/4") == Fraction(3, 4)
     assert fileio.parse_rational("-2") == Fraction(-2)
     assert fileio.parse_rational("-6/4") == Fraction(-3, 2)
-    for bad in ("1/0", "1.5", "a", "1/-2", ""):
+    # the format allows "p/q" alone: no trailing newline, no digits outside ASCII
+    for bad in ("1/0", "1.5", "a", "1/-2", "", "1/2\n", "2\n", "\u0663/4", "3/\u0664"):
         with pytest.raises(InputError):
             fileio.parse_rational(bad)
 
@@ -747,6 +749,10 @@ def test_polar_input_error_beats_map_error(tmp_path):
     pytest.param("dual", {"vertices": [1, 2], "maximal_simplices": [[1, 2]]}, id="int-ids-dual"),
     pytest.param("complex", {"vertices": ["a"], "maximal_simplices": [["a"]], "coordinates": [1]},
                  id="coordinates-not-object"),
+    pytest.param("complex", {"vertices": ["a"], "maximal_simplices": [["a"]],
+                             "coordinates": {"a": ["1/2\n"]}}, id="coordinate-trailing-newline"),
+    pytest.param("complex", {"vertices": ["a"], "maximal_simplices": [["a"]],
+                             "coordinates": {"a": ["\u0663/4"]}}, id="coordinate-unicode-digit"),
     pytest.param("function", {"ring": "Z", "values": [1]}, id="values-not-object"),
     pytest.param("function", {"ring": "Z", "values": {"1": "x"}}, id="value-string"),
     pytest.param("function", {"ring": "Z", "values": {"1": 1.5}}, id="value-float"),
@@ -873,6 +879,48 @@ def test_verify_rejects_negative_trials(capsys):
 
 def _dump(data):
     return fileio.dump_json(data, None)
+
+
+def _library_dump(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class _Level(enum.IntEnum):
+    """An int subclass with its own repr; JSON writes it as the int."""
+    LOW = -1
+    HIGH = 2
+
+
+# strings that need escaping, next to any text
+_ESCAPED = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+                            "\U0001f600", "a\"b", "x\\y", "/"])
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+                | st.sampled_from(list(_Level)) | st.floats() | _ESCAPED | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.lists(st.text(max_size=3) | _ESCAPED, max_size=3), max_size=3)
+                   | st.dictionaries(st.text(max_size=4) | _ESCAPED, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=_JSON_VALUES)
+@example(data={"ints": [0, 1, -1, 2 ** 64], "flags": (True, False, None), "empty": [[], {}, ""]})
+def test_dump_json_writes_the_library_encoders_bytes(data):
+    assert _dump(data) == _library_dump(data)
+
+
+def test_dump_json_matches_the_library_encoder_on_the_corpus(corpus, subdivisions):
+    for path in sorted(CORPUS.glob("*.json")):
+        data = fileio.load_json(path)
+        assert _dump(data) == _library_dump(data) == path.read_text()
+    for name, entry in corpus.items():
+        for k in (entry.complex, subdivisions[name].complex):
+            data = fileio.complex_to_dict(fileio.complex_from_dict(fileio.complex_to_dict(k)))
+            assert _dump(data) == _library_dump(data)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

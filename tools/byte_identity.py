@@ -60,6 +60,9 @@ INPUTS = {
     "basis_flat.json": {"ambient_dim": 5, "vectors": [["1", "2", "0", "1", "3"],
                                                       ["0", "1", "1", "0", "2"]]},
     "map_s1_3.json": {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"]}},
+    # a circle on ids that the writer must escape: non-ASCII, a quote and a backslash
+    "k_escaped.json": {"vertices": ["é", "a\"b", "x\\y"],
+                       "maximal_simplices": [["é", "a\"b"], ["é", "x\\y"], ["a\"b", "x\\y"]]},
     "map_extra.json": {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"],
                                                    "zzz": ["1/7"]}},
     "vm_extra.json": {"vertex_map": {"1": "1", "2": "2", "3": "3", "zzz": "1"}},
@@ -203,6 +206,14 @@ def commands(corpus: Path) -> list[list[str]]:
     # a chain that bounds, with a witness target that cannot be written: no verdict printed
     out.append(["bounds", "--complex", c("delta2"), "--chain", "in/cycle_s1_3.json",
                 "--witness", "out/nowhere/w.json"])
+    # escaped ids through subdivide, stiefel and bounds: s_0 bounds with a witness, s_1 does not
+    out.append(["subdivide", "--complex", "in/k_escaped.json", "--out", "out/sd1_escaped.json",
+                "--manifest", "out/sd1_escaped.carriers.json"])
+    for i in range(2):
+        out += [["stiefel", "--complex", "in/k_escaped.json", "--dim", str(i),
+                 "--out", f"out/s{i}_escaped.json"],
+                ["bounds", "--complex", "out/sd1_escaped.json", "--chain", f"out/s{i}_escaped.json",
+                 "--witness", f"out/w{i}_escaped.json"]]
     return out
 
 
