@@ -55,6 +55,7 @@ from .polar import (
     moment_chain,
     moment_map,
     polar_census,
+    polar_chain,
     projection_map,
     sample_generic_subspace,
 )

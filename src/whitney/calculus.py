@@ -30,7 +30,7 @@ class ConstructibleFunction:
     def __post_init__(self):
         if self.ring not in (RING_Z, RING_Z2):
             raise CalculusError(f"unknown ring tag {self.ring!r}")
-        if set(self.values) != set(self.base.simplices):
+        if self.values.keys() != self.base.simplex_set:
             raise CalculusError("values must cover every simplex exactly once")
         if self.ring == RING_Z2 and any(v not in (0, 1) for v in self.values.values()):
             raise CalculusError("mod 2 values must be 0 or 1")
@@ -110,9 +110,15 @@ def chi(a: ConstructibleFunction) -> int:
 
 
 def dual(a: ConstructibleFunction) -> ConstructibleFunction:
-    """Duality operator: signed coface sum on each open simplex."""
+    """Duality operator: signed coface sum on each open simplex (mod 2 the signs drop out)."""
     k = a.base
-    vals = {s: sum((-1) ** (len(t) - 1) * a(t) for t in k.cofaces[s]) for s in k.simplices}
+    cofaces = k.cofaces
+    if a.ring == RING_Z2:
+        value = a.values.__getitem__
+        return ConstructibleFunction(
+            k, RING_Z2, {s: sum(map(value, cofaces[s])) % 2 for s in k.simplices}
+        )
+    vals = {s: sum((-1) ** (len(t) - 1) * a(t) for t in cofaces[s]) for s in k.simplices}
     return _function(k, a.ring, vals)
 
 

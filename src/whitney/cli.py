@@ -205,7 +205,9 @@ def cmd_polar(args) -> int:
     i = args.dim
     a = cal.reduce_mod2(_load_fn(args.fn, k))
     if args.random_plane:
-        _basis, c, reports = polar.sample_generic_subspace(a, i + 1, args.seed)
+        basis, c = polar.sample_generic_subspace(a, i + 1, args.seed)
+        if args.report:
+            _c, reports = polar.polar_census(polar.projection_map(k, basis), a)
         construction = "projection"
     elif args.moment and not args.report:
         c = polar.moment_chain(barycentric_subdivision(k), a, i)

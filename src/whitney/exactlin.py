@@ -63,8 +63,13 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev
 
 
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix, with no denominators to clear."""
+    return _bareiss([list(r) for r in rows])[0]
+
+
 def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    return _bareiss([list(r) for r in clear_denominators(rows)[1]])[0]
+    return integer_rank(clear_denominators(rows)[1])
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:

@@ -20,6 +20,13 @@ it has tested the function for being Euler.  ``moment_map`` with
 ``polar_census`` stays the one general path (half-link reports, parity
 checks) and is the closed form's oracle.
 
+A generic projection is found by testing seeded candidates until one is
+nondegenerate.  ``sample_generic_subspace`` decides each candidate by
+``polar_chain``, which runs the census's side test (``_side_test``) and
+sums a(T) mod 2 over the upper cofaces without building a report; the
+CLI builds half-link reports only for the accepted plane, under
+``--report``, with ``polar_census``, which is ``polar_chain``'s oracle.
+
 Geometry is integer from the complex on.  The census needs only the side
 of each link vertex relative to the hyperplane through f(S), and a
 positive rescaling of the target keeps every side and every primitive
@@ -101,6 +108,40 @@ class HalfLinkReport:
     chi_minus: int
 
 
+def _side_test(f: AffineVertexMap, s: Simplex) -> tuple[tuple[int, ...], int, set[str]]:
+    """(normal, level, upper link vertices) of s under f.
+
+    The normal is the primitive integer normal of f(s) and the level
+    <normal, images[s_0]>; a link vertex w, the new vertex of an
+    (i+1)-coface, is upper when <normal, images[w]> exceeds the level.
+    Raises DegenerateMapError when f(s) spans no hyperplane or a link
+    vertex maps into it, naming the first such vertex in canonical order.
+    """
+    images = f.images
+    normal = integer_normal([images[v] for v in s])
+    if normal is None:
+        raise DegenerateMapError(
+            f"image of simplex {list(s)} does not span a hyperplane", offender=s
+        )
+    level = sum(map(mul, normal, images[s[0]]))
+    n = len(s) + 1
+    upper = set()
+    flat = []
+    for t in f.domain.cofaces[s]:
+        if len(t) == n:
+            (w,) = set(t).difference(s)
+            h = sum(map(mul, normal, images[w])) - level
+            if h > 0:
+                upper.add(w)
+            elif h == 0:
+                flat.append(w)
+    if flat:
+        raise DegenerateMapError(
+            f"link vertex {min(flat)!r} of {list(s)} maps into the hyperplane", offender=s
+        )
+    return normal, level, upper
+
+
 def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -> HalfLinkReport:
     """Weighted Euler integrals of both half-links of s under f.
 
@@ -111,9 +152,8 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
     the integral of each side, and the two cancel, so chi_plus is the sum
     of (-1)^dim U a(T) over the cofaces T of s whose U lies wholly on the
     positive side (chi_minus likewise): read from k.cofaces[s].  Sides
-    are signs of <n, images[w]> - <n, images[p_0]> on the map's integer images.
-    Raises DegenerateMapError when f(s) spans no hyperplane or a link
-    vertex of s maps into it.
+    come from ``_side_test``.  Raises DegenerateMapError when f(s) spans
+    no hyperplane or a link vertex of s maps into it.
     """
     k = f.domain
     if a.base != k:
@@ -123,29 +163,15 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
         raise PolarError(
             f"simplex {list(s)} has dimension {len(s) - 1}, expected {f.target_dim - 1}"
         )
-    images = f.images
-    normal = integer_normal([images[v] for v in s])
-    if normal is None:
-        raise DegenerateMapError(
-            f"image of simplex {list(s)} does not span a hyperplane", offender=s
-        )
-    level = sum(map(mul, normal, images[s[0]]))
+    normal, level, upper = _side_test(f, s)
     # (U, T) for each coface T = S * U, sorted into the canonical order of the link
     joins = sorted((tuple(v for v in t if v not in s), t) for t in k.cofaces[s] if t != s)
-    signs: dict[str, int] = {}
-    for (w,) in (u for u, _t in joins if len(u) == 1):
-        h = sum(map(mul, normal, images[w])) - level
-        if h == 0:
-            raise DegenerateMapError(
-                f"link vertex {w!r} of {list(s)} maps into the hyperplane", offender=s
-            )
-        signs[w] = 1 if h > 0 else -1
     cells = []
     chi_plus = 0
     chi_minus = 0
     for u, t in joins:
-        pos = any(signs[w] > 0 for w in u)
-        neg = any(signs[w] < 0 for w in u)
+        pos = not upper.isdisjoint(u)
+        neg = not upper.issuperset(u)
         weight = a(t)
         d = len(u) - 1
         if not neg:
@@ -160,9 +186,9 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
 
 
 def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
-    """The census of f with the zero function; returns the first offender."""
+    """The chain pass of f with the zero function; returns the first offender."""
     try:
-        polar_census(f, constant(f.domain, 0, RING_Z2))
+        polar_chain(f, constant(f.domain, 0, RING_Z2))
     except DegenerateMapError as e:
         return False, e.offender
     return True, None
@@ -196,6 +222,36 @@ def polar_census(
             support.add(s)
         reports.append(report)
     return Mod2Chain(i, frozenset(support)), tuple(reports)
+
+
+def polar_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
+    """Singularity chain of f for a, without the reports: ``polar_census(f, a)[0]``.
+
+    Each i-simplex S gets the side test of its report (``_side_test``);
+    mod 2 the sign (-1)^dim U drops out, so the coefficient is the sum of
+    a(T) over the cofaces T of S (S included) whose new vertices are all
+    upper, i.e. T inside S and its upper link vertices.  No cell, report
+    or Fraction is built and nothing is sorted.  Raises DegenerateMapError
+    at the first degenerate simplex in canonical order, as the census does.
+    """
+    k = f.domain
+    if a.base != k:
+        raise PolarError("function is not based on the map's domain")
+    i = f.target_dim - 1
+    values = a.values
+    cofaces = k.cofaces
+    support = []
+    for s in k.by_dim.get(i, ()):
+        try:
+            _normal, _level, upper = _side_test(f, s)
+        except DegenerateMapError:
+            raise DegenerateMapError(
+                f"map is degenerate at simplex {list(s)}", offender=s
+            ) from None
+        upper.update(s)
+        if sum(map(values.__getitem__, filter(upper.issuperset, cofaces[s]))) % 2:
+            support.append(s)
+    return Mod2Chain(i, frozenset(support))
 
 
 def euler_singularity_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
@@ -283,13 +339,14 @@ _MAX_RETRIES = 200
 
 def sample_generic_subspace(
     a: ConstructibleFunction, rank: int, seed: int
-) -> tuple[list[tuple[int, ...]], Mod2Chain, tuple[HalfLinkReport, ...]]:
+) -> tuple[list[tuple[int, ...]], Mod2Chain]:
     """Seeded integer basis, resampled until the induced map is nondegenerate.
 
     `a` is any function on a complex with coordinates; the map projects
     that complex onto `rank` seeded integer covectors.  Each candidate is
-    tested by its `polar_census`, so the accepted basis comes back with its
-    singularity chain Sigma(f) and half-link reports.  Whether `a` is Euler
+    decided by its `polar_chain`, so the accepted basis comes back with its
+    singularity chain Sigma(f); its half-link reports, when wanted, are
+    ``polar_census(projection_map(k, basis), a)[1]``.  Whether `a` is Euler
     is not tested here.  The stream is Python's Mersenne Twister seeded
     with `seed`; identical (seed, complex) pairs give identical bases.
     """
@@ -310,11 +367,11 @@ def sample_generic_subspace(
         if matrix_rank(basis) != rank:
             continue
         try:
-            chain, reports = polar_census(_project(k, basis), a)
+            chain = polar_chain(_project(k, basis), a)
         except DegenerateMapError as e:
             last_offender = e.offender
             continue
-        return basis, chain, reports
+        return basis, chain
     raise PolarError(
         f"no nondegenerate basis found in {_MAX_RETRIES} tries; "
         f"last offending simplex: {list(last_offender) if last_offender else None}"

@@ -17,7 +17,7 @@ from itertools import chain, combinations, groupby, repeat
 from typing import Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
-from .exactlin import clear_denominators, is_rational_point, matrix_rank
+from .exactlin import clear_denominators, integer_rank, is_rational_point
 
 Simplex = tuple[str, ...]
 Point = tuple[Fraction, ...]
@@ -99,7 +99,7 @@ class SimplicialComplex:
 
 def _affinely_independent(points: list[tuple[int, ...]]) -> bool:
     p0 = points[0]
-    return matrix_rank([[x - y for x, y in zip(p, p0)] for p in points[1:]]) == len(points) - 1
+    return integer_rank([x - y for x, y in zip(p, p0)] for p in points[1:]) == len(points) - 1
 
 
 def build_complex(

@@ -270,7 +270,7 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
             s_i = sw.last_vertex_chain_map(subdiv, sw.stiefel_chain(subdiv, i))
             prev = None
             for j in range(n_pairs):
-                _basis, sig, _reports = polar.sample_generic_subspace(
+                _basis, sig = polar.sample_generic_subspace(
                     ones, rank, seed=rng.randrange(10 ** 9)
                 )
                 report.prop("projection chain is homologous to the Stiefel chain").record(
@@ -305,13 +305,11 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
             d = restricted.dim
             for i, f in enumerate(moment_maps[entry.name][: d + 1]):
                 # both functions are Euler because the restricted complex is an Euler space
-                whole, _reports = polar.polar_census(f, ind)
+                whole = polar.polar_chain(f, ind)
                 f_restricted = polar.AffineVertexMap(
                     restricted, i + 1, {v: f.images[v] for v in restricted.vertices}, f.scale
                 )
-                part, _reports = polar.polar_census(
-                    f_restricted, cal.constant(restricted, 1, cal.RING_Z2)
-                )
+                part = polar.polar_chain(f_restricted, cal.constant(restricted, 1, cal.RING_Z2))
                 report.prop("restriction consistency of weighted chains").record(
                     whole.support == part.support,
                     lambda: {"complex": entry.name, "i": i,

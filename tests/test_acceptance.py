@@ -132,8 +132,9 @@ def test_criterion_07_half_link_parity(corpus, subdivisions):
         if e.complex.coordinates is not None:
             ones_k = cal.constant(e.complex, 1)
             for i in range(e.complex.dim + 1):
-                _basis, _chain, reports = polar.sample_generic_subspace(
-                    ones_k, i + 1, seed=100 + i
+                basis, _chain = polar.sample_generic_subspace(ones_k, i + 1, seed=100 + i)
+                _census, reports = polar.polar_census(
+                    polar.projection_map(e.complex, basis), ones_k
                 )
                 for r in reports:
                     ok = ok and r.chi_plus % 2 == r.chi_minus % 2
@@ -151,7 +152,7 @@ def test_criterion_08_projection_independence(corpus, subdivisions):
         s_i = sw.stiefel_chain(sub, i)
         chains = []
         for _ in range(11):
-            _basis, chain, _reports = polar.sample_generic_subspace(
+            _basis, chain = polar.sample_generic_subspace(
                 ones, rank, seed=rng.randrange(10 ** 9)
             )
             chains.append(chain)

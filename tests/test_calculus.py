@@ -169,6 +169,24 @@ def test_constant_one_euler_iff_space(corpus):
         assert cal.is_euler_function(ones) == entry.euler
 
 
+def test_function_must_cover_every_simplex_exactly(circle):
+    ones = cal.constant(circle, 1)
+    missing = {s: v for s, v in ones.values.items() if s != ("1", "2")}
+    for values in (missing, {**ones.values, ("1", "2", "3"): 1}, {**missing, ("9",): 1}):
+        for ring in (cal.RING_Z, cal.RING_Z2):
+            with pytest.raises(CalculusError, match="values must cover every simplex exactly once"):
+                cal.ConstructibleFunction(circle, ring, values)
+
+
+def test_mod2_dual_is_the_reduced_signed_sum(corpus):
+    # the Z2 dual drops the coface signs; they vanish mod 2
+    rng = random.Random(61)
+    for entry in corpus.values():
+        for _ in range(3):
+            a = random_function(rng, entry.complex)
+            assert cal.dual(cal.reduce_mod2(a)) == cal.reduce_mod2(cal.dual(a)), entry.name
+
+
 def test_ring_mismatch_rejected(circle):
     a = cal.constant(circle, 1, cal.RING_Z)
     b = cal.constant(circle, 1, cal.RING_Z2)

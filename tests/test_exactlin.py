@@ -55,6 +55,8 @@ def test_matrix_rank_matches_sympy(kind):
         m = _rank_deficient(rng, rows, cols, rng.randint(0, min(rows, cols)), entry)
         expected = sympy.Matrix(m).rank()
         assert exactlin.matrix_rank(m) == expected, m
+        if kind == "int":
+            assert exactlin.integer_rank(m) == expected, m
         ranks.add((expected, min(rows, cols)))
     # full and deficient ranks, the zero matrix included, all occur
     assert any(r < n for r, n in ranks) and any(r == n for r, n in ranks) and (0, 1) in ranks
@@ -65,6 +67,8 @@ def test_matrix_rank_skips_zero_columns():
     assert exactlin.matrix_rank([[0, 0, 1], [0, 2, 3], [0, 4, 6]]) == 2
     assert exactlin.matrix_rank([[0, 0], [0, 0]]) == 0
     assert exactlin.matrix_rank([]) == 0
+    assert exactlin.integer_rank([[0, 0, 1], [0, 2, 3], [0, 4, 6]]) == 2
+    assert exactlin.integer_rank([]) == 0
 
 
 @st.composite

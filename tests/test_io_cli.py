@@ -729,6 +729,49 @@ def test_euler_test_runs_once_on_the_given_complex(tmp_path, monkeypatch, corpus
     assert [base == k for base in bases] == [True]
 
 
+def test_random_plane_chain_builds_no_report(tmp_path, monkeypatch):
+    sd1 = tmp_path / "sd1.json"
+    assert run(["subdivide", "--complex", CORPUS / "rp2_6_embedded.json", "--out", sd1]) == 0
+    cases = [(CORPUS / "rp2_6_embedded.json", i, seed) for i in range(3) for seed in (1, 2)]
+    cases += [(sd1, 0, 4), (CORPUS / "s1_6.json", 1, 3)]
+    expected = []
+    for complex_path, i, seed in cases:
+        out = tmp_path / f"{i}_{seed}.json"
+        assert run(["polar", "--complex", complex_path, "--dim", i, "--random-plane",
+                    "--seed", seed, "--out", out]) == 0
+        expected.append(out.read_bytes())
+
+    def refuse(*args):
+        raise AssertionError("half-link report built without --report")
+
+    monkeypatch.setattr(polar, "half_link_report", refuse)
+    for (complex_path, i, seed), chain in zip(cases, expected):
+        out = tmp_path / "guarded.json"
+        assert run(["polar", "--complex", complex_path, "--dim", i, "--random-plane",
+                    "--seed", seed, "--out", out]) == 0
+        assert out.read_bytes() == chain, (complex_path, i, seed)
+
+
+def test_random_plane_reports_only_the_accepted_plane(tmp_path, monkeypatch):
+    # seed 4 at --dim 0 on sd1 of rp2_6_embedded accepts its eighth candidate
+    sd1 = tmp_path / "sd1.json"
+    assert run(["subdivide", "--complex", CORPUS / "rp2_6_embedded.json", "--out", sd1]) == 0
+    k = fileio.load_complex(sd1)
+    argv = ["polar", "--complex", sd1, "--dim", 0, "--random-plane", "--seed", 4]
+    assert run(argv + ["--out", tmp_path / "plain.json"]) == 0
+    candidates, reports = [], []
+    chain, report = polar.polar_chain, polar.half_link_report
+    monkeypatch.setattr(polar, "polar_chain", lambda f, a: candidates.append(f) or chain(f, a))
+    monkeypatch.setattr(polar, "half_link_report",
+                        lambda a, s, f: reports.append(s) or report(a, s, f))
+    out, hl = tmp_path / "c.json", tmp_path / "hl.json"
+    assert run(argv + ["--out", out, "--report", hl]) == 0
+    assert len(candidates) > 1
+    assert reports == list(k.by_dim[0])
+    assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert [tuple(r["simplex"]) for r in json.loads(hl.read_text())["half_links"]] == reports
+
+
 def test_polar_input_error_beats_map_error(tmp_path):
     # torus_7 has no coordinates, so sampling a plane would fail with exit 6
     fn = tmp_path / "bad.json"

@@ -111,7 +111,8 @@ def test_half_link_integral_matches_cells_on_projections(corpus):
     for a in functions:
         for rank in range(1, k.dim + 2):
             for seed in range(3):
-                _basis, _chain, reports = polar.sample_generic_subspace(a, rank, seed)
+                basis, _chain = polar.sample_generic_subspace(a, rank, seed)
+                _census, reports = polar.polar_census(polar.projection_map(k, basis), a)
                 for r in reports:
                     assert (r.chi_plus, r.chi_minus) == _cell_integral(r, cal.RING_Z2)
 
@@ -259,9 +260,9 @@ def test_projection_chain_on_circle(circle):
 def test_sample_generic_subspace_deterministic(corpus):
     k = corpus["rp2_6_embedded"].complex
     ones = cal.constant(k, 1, cal.RING_Z2)
-    b1, c1, r1 = polar.sample_generic_subspace(ones, 2, seed=11)
-    b2, c2, r2 = polar.sample_generic_subspace(ones, 2, seed=11)
-    assert (b1, c1, r1) == (b2, c2, r2)
+    b1, c1 = polar.sample_generic_subspace(ones, 2, seed=11)
+    b2, c2 = polar.sample_generic_subspace(ones, 2, seed=11)
+    assert (b1, c1) == (b2, c2)
     ok, _ = polar.is_nondegenerate(polar.projection_map(k, b1))
     assert ok
 
@@ -270,9 +271,10 @@ def test_sampler_chain_matches_chain_of_its_basis(corpus):
     k = corpus["rp2_6_embedded"].complex
     ones = cal.constant(k, 1, cal.RING_Z2)
     for i in range(k.dim + 1):
-        basis, chain, reports = polar.sample_generic_subspace(ones, i + 1, seed=3)
+        basis, chain = polar.sample_generic_subspace(ones, i + 1, seed=3)
         f = polar.projection_map(k, basis)
         assert chain == polar.euler_singularity_chain(f, ones)
+        _census, reports = polar.polar_census(f, ones)
         assert [r.simplex for r in reports] == list(k.by_dim[i])
 
 
@@ -281,7 +283,7 @@ def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
     sub = subdivisions["boundary_delta3"]
     ones = cal.constant(k, 1, cal.RING_Z2)
     for i in range(k.dim + 1):
-        _basis, sig, _reports = polar.sample_generic_subspace(ones, i + 1, seed=5 + i)
+        _basis, sig = polar.sample_generic_subspace(ones, i + 1, seed=5 + i)
         assert hom.homologous(
             sub.complex,
             sw.subdivision_chain_map(sub, sig),
@@ -298,6 +300,82 @@ def test_sampler_rank_tests_each_candidate_once(corpus, monkeypatch):
     for seed in range(5):
         polar.sample_generic_subspace(ones, 2, seed)
     assert len(calls) == 5
+
+
+def _chain_functions(rng, k):
+    """a = 1, random Euler and random functions on k, each in Z2 and lifted to Z."""
+    z2 = [cal.constant(k, 1, cal.RING_Z2), random_euler_function(rng, k),
+          cal.reduce_mod2(random_function(rng, k))]
+    return z2 + [_z_lift(rng, a) for a in z2]
+
+
+def test_polar_chain_matches_census_on_moment_maps(corpus, subdivisions):
+    rng = random.Random(47)
+    euler = set()
+    for name, entry in corpus.items():
+        if not entry.euler:
+            continue
+        sub = subdivisions[name]
+        for a in _chain_functions(rng, entry.complex):
+            euler.add(cal.is_euler_function(a))
+            a_prime = cal.subdivide_function(sub, a)
+            for i in range(entry.complex.dim + 1):
+                f = polar.moment_map(sub, i)
+                assert polar.polar_chain(f, a_prime) == polar.polar_census(f, a_prime)[0], (name, i)
+    assert euler == {True, False}
+
+
+def test_polar_chain_matches_census_on_sampled_projections(corpus):
+    rng = random.Random(53)
+    rings = set()
+    for name, entry in corpus.items():
+        k = entry.complex
+        if k.coordinates is None:
+            continue
+        for a in _chain_functions(rng, k):
+            rings.add(a.ring)
+            for rank in range(1, min(k.dim + 1, k.ambient_dim) + 1):
+                basis, chain = polar.sample_generic_subspace(a, rank, rng.randrange(10 ** 6))
+                f = polar.projection_map(k, basis)
+                assert chain == polar.polar_chain(f, a) == polar.polar_census(f, a)[0], (name, rank)
+    assert rings == {cal.RING_Z, cal.RING_Z2}
+
+
+def _collapsing_basis(k, edge, rank):
+    """``rank`` integer covectors vanishing on the direction of the edge."""
+    u, w = edge
+    d = [y - x for x, y in zip(k.coordinates[u], k.coordinates[w])]
+    j = next(j for j, x in enumerate(d) if x != 0)
+    # e_m d_j - e_j d_m for m != j: independent, and each is orthogonal to d
+    rows = []
+    for m in (m for m in range(len(d)) if m != j):
+        row = [0] * len(d)
+        row[m], row[j] = d[j], -d[m]
+        rows.append(row)
+    return rows[:rank]
+
+
+def test_polar_chain_and_census_agree_on_degenerate_maps(corpus, circle):
+    rng = random.Random(59)
+    maps = [height_map(circle, {v: 0 for v in circle.vertices}),
+            polar.AffineVertexMap(circle, 2, {v: (1, 1) for v in circle.vertices})]
+    for name in ("rp2_6_embedded", "wedge_spheres", "boundary_delta3"):
+        k = corpus[name].complex
+        maps += [polar.projection_map(k, _collapsing_basis(k, edge, rank))
+                 for edge in (k.by_dim[1][0], k.by_dim[1][-1]) for rank in (1, 2)]
+    offenders = set()
+    for f in maps:
+        for a in _chain_functions(rng, f.domain):
+            with pytest.raises(DegenerateMapError) as expected:
+                polar.polar_census(f, a)
+            with pytest.raises(DegenerateMapError) as e:
+                polar.polar_chain(f, a)
+            assert e.value.offender == expected.value.offender
+            assert str(e.value) == str(expected.value)
+            offenders.add(e.value.offender)
+        assert polar.is_nondegenerate(f) == (False, expected.value.offender)
+    # offenders in both dimensions, and not only each complex's first simplex
+    assert {len(s) for s in offenders} == {1, 2} and len(offenders) > 2
 
 
 def test_half_link_report_sorts_the_simplex(circle):
@@ -384,7 +462,7 @@ def test_integer_census_matches_fraction_oracle_on_rational_map(corpus):
 def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch):
     sub = subdivisions["rp2_6"]
     k = corpus["rp2_6_embedded"].complex
-    basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
+    basis, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
 
     def censuses():
         # fresh complexes, so their integer coordinates and K' barycenters are built on every call
@@ -437,7 +515,7 @@ def test_coface_census_matches_link_oracle_on_projections(corpus):
         a = random_function(rng, k)
         for rank in range(1, k.dim + 2):
             for seed in range(3):
-                basis, _chain, _reports = polar.sample_generic_subspace(a, rank, seed)
+                basis, _chain = polar.sample_generic_subspace(a, rank, seed)
                 assert _check_against_link_oracle(polar.projection_map(k, basis), a) > 0
 
 
@@ -464,7 +542,7 @@ def test_degenerate_census_names_the_first_link_vertex(corpus):
 def test_census_builds_no_link_complex(corpus, subdivisions, monkeypatch):
     sub = subdivisions["rp2_6"]
     k = corpus["rp2_6_embedded"].complex
-    basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
+    basis, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
     cases = [
         (polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
         (polar.projection_map(k, basis), cal.constant(k, 1, cal.RING_Z2)),
@@ -484,7 +562,7 @@ def test_projection_basis_must_be_ints_or_fractions(corpus):
     with pytest.raises(PolarError, match=r"basis vector must be ints or Fractions, got \[0\.1, 1\]"):
         polar.projection_map(k, [(0.1, 1)])
     assert polar.projection_map(k, [(2, 1)]) == polar.projection_map(k, [(Fraction(2), Fraction(1))])
-    basis, _chain, _reports = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 0)
+    basis, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 0)
     assert all(type(x) is int for b in basis for x in b)
 
 
@@ -510,7 +588,7 @@ def test_projection_census_invariant_under_relabelling(corpus, name, seed, data)
     a = random_function(random.Random(seed), k)
     a2 = relabel_function(a, k2, new)
     for rank in range(1, k.dim + 2):
-        basis, _chain, _reports = polar.sample_generic_subspace(a, rank, seed)
+        basis, _chain = polar.sample_generic_subspace(a, rank, seed)
         _assert_same_census(
             polar.polar_census(polar.projection_map(k, basis), a),
             polar.polar_census(polar.projection_map(k2, basis), a2),

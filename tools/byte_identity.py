@@ -182,6 +182,14 @@ def commands(corpus: Path) -> list[list[str]]:
         ]
         out += [["polar"] + argv + ["--out", f"out/polar_{tag}{j}.json"]
                 + [a.format(j) for a in report] for j, argv in enumerate(polar)]
+    # candidates are decided by the chain alone: seed 4 at --dim 0 on sd1 of rp2_6_embedded
+    # accepts its eighth candidate, whose reports are written; a non-Euler function exits 5
+    out += [
+        ["polar", "--complex", "out/sd1_rp2_6_embedded.json", "--dim", "0", "--random-plane",
+         "--seed", "4", "--out", "out/polar_retry.json", "--report", "out/report_retry.json"],
+        ["polar", "--complex", emb, "--dim", "1", "--random-plane", "--fn", "in/fn_edge.json",
+         "--out", "out/polar_edge.json"],
+    ]
     for suite in ("calculus", "stiefel", "polar", "axioms"):
         out.append(["verify", "--suite", suite, "--seed", "1", "--format", "json"])
     out.append(["verify", "--suite", "stiefel", "--seed", "2", "--trials", "7"])
