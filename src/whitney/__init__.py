@@ -71,6 +71,7 @@ from .simplicial import (
 )
 from .sw import (
     W0Report,
+    base_representative,
     last_vertex_chain_map,
     stiefel_chain,
     subdivision_chain_map,

@@ -130,6 +130,11 @@ def homologous(k: SimplicialComplex, c1: Mod2Chain, c2: Mod2Chain) -> bool:
     return is_boundary(k, c1 + c2)[0]
 
 
+def homologous_cycles(k: SimplicialComplex, c1: Mod2Chain, c2: Mod2Chain) -> bool:
+    """Both chains are cycles and their sum bounds; unlike ``homologous``, a non-cycle gives False."""
+    return is_cycle(k, c1) and is_cycle(k, c2) and is_boundary(k, c1 + c2)[0]
+
+
 def fundamental_cycle(k: SimplicialComplex) -> Mod2Chain:
     """Sum of all top simplices of a pure-dimensional complex, when a cycle."""
     d = k.dim

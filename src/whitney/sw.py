@@ -8,15 +8,18 @@ function).  For the constant function 1 that is the sum of all
 i-simplices of the subdivision, the Stiefel chain.  The representative,
 the Stiefel chain and sd# read only the i-flags (``Subdivision.flags``).
 
-Classes are decided one level down.  The last-vertex map pi: K' -> K
-sends b(s) to the last vertex of s in the canonical order; it is a
-simplicial approximation of the identity, so pi# is an isomorphism in
-homology, and pi# sd# = id on chains.  So a cycle c of K' bounds exactly
-when pi#(c) bounds in K, and pi# reads only the carriers, never K'.
+The last-vertex map pi: K' -> K sends b(s) to the last vertex of s in
+the canonical order; it is a simplicial approximation of the identity,
+so pi# is an isomorphism in homology, and pi# sd# = id on chains.  So a
+cycle c of K' bounds exactly when pi#(c) bounds in K.  Classes on K are
+read in closed form: ``base_representative`` is pi# of the representative,
+summed straight from the cofaces of K with no subdivision and no flag.
+``last_vertex_chain_map`` maps any chain of K' to K through the carriers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .calculus import (
@@ -26,9 +29,9 @@ from .calculus import (
     pushforward,
     reduce_mod2,
 )
-from .errors import CalculusError, HomologyError, MapError, NotEulerError
-from .homology import Mod2Chain, homologous
-from .simplicial import SimplicialMap, Subdivision
+from .errors import CalculusError, HomologyError, NotEulerError
+from .homology import Mod2Chain, homologous_cycles
+from .simplicial import SimplicialComplex, SimplicialMap, Subdivision
 
 
 def stiefel_chain(sub: Subdivision, i: int) -> Mod2Chain:
@@ -57,6 +60,41 @@ def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod
     if a2.base != sub.base:
         raise CalculusError("function is not based on the subdivision's base")
     return Mod2Chain(i, frozenset(s for s, carrier in sub.flags(i).items() if a2(carrier)))
+
+
+def base_representative(k: SimplicialComplex, a: ConstructibleFunction, i: int) -> Mod2Chain:
+    """pi# of the i-th representative of an Euler function, read on K itself.
+
+    Equal to ``last_vertex_chain_map(sub, sw_representative(sub, a, i))``
+    for the subdivision sub of k, with no subdivision built and no flag
+    read.  A flag s_0 < ... < s_i with top sigma maps onto the i-simplex
+    t = (t_0 < ... < t_i) exactly when s_j has last vertex t_j.  Such a
+    flag is fixed by the step j at which each u in sigma - t enters, and
+    that step needs t_j > u; so there are prod_u #{j : t_j > u} of them,
+    odd exactly when every u has an odd number of t's vertices above it.
+    Call such a u up.  The coefficient of t is then the sum of a(sigma)
+    mod 2 over the cofaces sigma of t (t included) whose new vertices
+    are all up: the form of ``polar.polar_chain`` (compare Goldstein and
+    Turner, Proc. AMS 58, 1976).  The checks and their order are
+    ``sw_representative``'s.
+    """
+    a2 = reduce_mod2(a)
+    if not is_euler_function(a2):
+        raise NotEulerError("Stiefel-Whitney representatives require an Euler function")
+    if not 0 <= i <= k.dim:
+        raise HomologyError(f"i={i} out of range for a {k.dim}-complex")
+    if a2.base != k:
+        raise CalculusError("function is not based on the complex")
+    values, cofaces = a2.values, k.cofaces
+    n = i + 1
+    support = []
+    for t in k.by_dim[i]:
+        up = {u for c in cofaces[t] if len(c) == n + 1 for u in c
+              if u not in t and (n - bisect(t, u)) % 2}
+        up.update(t)
+        if sum(map(values.__getitem__, filter(up.issuperset, cofaces[t]))) % 2:
+            support.append(t)
+    return Mod2Chain(i, frozenset(support))
 
 
 def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
@@ -109,29 +147,24 @@ def w0_degree(sub: Subdivision, a: ConstructibleFunction) -> W0Report:
     return W0Report(len(rep.support) % 2, chi(reduce_mod2(a)) % 2)
 
 
-def verify_pushforward_axiom(
-    f: SimplicialMap,
-    a: ConstructibleFunction,
-    i: int,
-    sub_dom: Subdivision,
-    sub_cod: Subdivision,
-) -> bool:
-    """Pushforward compatibility of class representatives, decided up to boundaries.
+def verify_pushforward_axiom(f: SimplicialMap, a: ConstructibleFunction, i: int) -> bool:
+    """Pushforward compatibility of class representatives, decided in the codomain up to boundaries.
 
     f' sends b(s) to b(f(s)), so f'#(w_i(a)) ~ w_i(f_* a) in the
     codomain's K' exactly when pi# of both sides are homologous in the
-    codomain itself.  On the left, pi f' is the vertex map sending b(s) to
-    the last vertex of f(s), read from the domain's carriers; neither K'
-    is built.  Each representative tests its own function for being Euler.
+    codomain itself.  On the right that is ``base_representative`` of f_* a.
+    On the left, pi f' sends b(s) to the last vertex of f(s); f pi sends it
+    to f(last vertex of s), and both land in the simplex f(s), so the two
+    vertex maps are contiguous and the left side is f# of
+    ``base_representative`` of a.  No subdivision is read.  Each
+    representative tests its own function for being Euler; a side that is
+    not a cycle fails the axiom.
     """
     a2 = reduce_mod2(a)
     fa = pushforward(f, a2)
-    if sub_dom.base != f.domain or sub_cod.base != f.codomain:
-        raise MapError("subdivisions do not match the map's domain/codomain")
-    last_of_image = {v: f.image(s)[-1] for v, s in sub_dom.carriers.items()}
-    lhs = _push(sw_representative(sub_dom, a2, i), last_of_image)
+    lhs = _push(base_representative(f.domain, a2, i), f.vertex_map)
     if i <= f.codomain.dim:
-        rhs = last_vertex_chain_map(sub_cod, sw_representative(sub_cod, fa, i))
+        rhs = base_representative(f.codomain, fa, i)
     else:
         rhs = Mod2Chain(i, frozenset())
-    return homologous(f.codomain, lhs, rhs)
+    return homologous_cycles(f.codomain, lhs, rhs)

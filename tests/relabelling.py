@@ -15,6 +15,12 @@ def relabel(k, new):
     )
 
 
+def reverse_order(k):
+    """k relabelled so that its canonical vertex order is reversed."""
+    n = len(k.vertices)
+    return relabel(k, {v: f"v{n - 1 - j:03d}" for j, v in enumerate(k.vertices)})
+
+
 def rename(s, new):
     """The simplex s with its vertices renamed by new, in canonical order."""
     return tuple(sorted(new[v] for v in s))

@@ -10,7 +10,7 @@ the ``validate_map`` check of a subdivided map.
 With it, the library's former pushforward one level up: the subdivided
 map f' on K', and the push of a chain along a simplicial map.  They are the
 oracle for the pushforward axiom, which the library now decides in the
-codomain itself, through the last-vertex map.
+codomain itself, on class representatives read in closed form on the base.
 """
 
 from __future__ import annotations

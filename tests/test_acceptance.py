@@ -167,25 +167,17 @@ def test_criterion_08_projection_independence(corpus, subdivisions):
 
 def test_criterion_09_pushforward_axiom(map_suite):
     rng = random.Random(77)
-    subs = {}
-
-    def sub_of(k):
-        if id(k) not in subs:
-            subs[id(k)] = barycentric_subdivision(k)
-        return subs[id(k)]
-
     ok = True
     random_count = 0
     for m in map_suite:
         k = m.map.domain
-        sd, sc = sub_of(k), sub_of(m.map.codomain)
         ones = cal.constant(k, 1, cal.RING_Z2)
         fns = [ones] if cal.is_euler_function(ones) else []
         randoms = [verify.random_euler_function(rng, k) for _ in range(20)]
         random_count += len(randoms)
         for a in fns + randoms:
             for i in range(k.dim + 1):
-                ok = ok and sw.verify_pushforward_axiom(m.map, a, i, sd, sc)
+                ok = ok and sw.verify_pushforward_axiom(m.map, a, i)
     criterion(9, f"pushforward axiom over the map suite ({random_count} random Euler fns)",
               ok and random_count >= 100)
 

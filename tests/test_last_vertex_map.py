@@ -12,12 +12,12 @@ from functools import cached_property
 import pytest
 
 import subdivision_oracle
-from relabelling import relabel
+from relabelling import reverse_order
 from whitney import calculus as cal
 from whitney import homology as hom
 from whitney import polar, sw, verify
 from whitney.corpus import CorpusEntry
-from whitney.errors import HomologyError, MapError
+from whitney.errors import HomologyError
 from whitney.simplicial import Subdivision, barycentric_subdivision, build_complex
 
 EULER_SD1 = ("torus_7", "rp2_6")
@@ -129,12 +129,6 @@ def test_verdicts_agree_on_random_cycles(corpus, subdivisions):
     assert verdicts == {True, False}
 
 
-def _reversed(k):
-    """k relabelled so that its canonical vertex order is reversed."""
-    n = len(k.vertices)
-    return relabel(k, {v: f"v{n - 1 - j:03d}" for j, v in enumerate(k.vertices)})
-
-
 def _verdicts(k):
     """Every verdict taken through pi: w_i = 0 in K, and subdivision invariance in K'."""
     sub1 = barycentric_subdivision(k)
@@ -151,12 +145,12 @@ def _verdicts(k):
 def test_verdicts_survive_reversing_the_vertex_order(corpus):
     for entry in _euler(corpus):
         if entry.complex.n_simplices(0) > 1:
-            assert _verdicts(_reversed(entry.complex)) == _verdicts(entry.complex), entry.name
+            assert _verdicts(reverse_order(entry.complex)) == _verdicts(entry.complex), entry.name
 
 
 def test_suites_survive_reversing_the_vertex_order(corpus):
     names = ("rp2_6_embedded", "torus_7", "wedge_circles")
-    flipped = {n: CorpusEntry(n, _reversed(corpus[n].complex), True, True) for n in names}
+    flipped = {n: CorpusEntry(n, reverse_order(corpus[n].complex), True, True) for n in names}
     axioms = verify.run_axioms_suite(5, 4, flipped)
     polar_report = verify.run_polar_suite(5, 4, flipped)
     for report in (axioms, polar_report):
@@ -183,14 +177,7 @@ def test_pushforward_axiom_matches_the_oracle_one_level_up(map_suite):
                 rhs = (sw.sw_representative(sc, fa, i) if i <= f.codomain.dim
                        else hom.Mod2Chain(i, frozenset()))
                 expected = hom.homologous(fp.codomain, lhs, rhs)
-                assert sw.verify_pushforward_axiom(f, a, i, sd, sc) == expected, (m.name, i)
-
-
-def test_pushforward_axiom_rejects_mismatched_subdivisions(map_suite):
-    f = next(m for m in map_suite if m.name == "double_cover").map
-    ones = cal.constant(f.domain, 1, cal.RING_Z2)
-    with pytest.raises(MapError, match="subdivisions do not match"):
-        sw.verify_pushforward_axiom(f, ones, 0, Subdivision(f.codomain), Subdivision(f.codomain))
+                assert sw.verify_pushforward_axiom(f, a, i) == expected, (m.name, i)
 
 
 def _guard_complex(monkeypatch, refuse):
@@ -218,15 +205,36 @@ def test_axioms_suite_builds_no_second_subdivision(monkeypatch, corpus):
     ]
 
 
+def test_axioms_suite_subdivides_only_the_euler_corpus_spaces(monkeypatch, corpus):
+    # K' and K'' of each Euler space for subdivision invariance; nothing for the map suite
+    bases, real = [], verify.barycentric_subdivision
+    monkeypatch.setattr(verify, "barycentric_subdivision", lambda k: bases.append(k) or real(k))
+    assert verify.run_axioms_suite(3, 6, corpus).ok
+    assert len(bases) == 2 * sum(e.euler for e in corpus.values())
+
+
+def test_polar_suite_reads_the_stiefel_class_on_k(monkeypatch, corpus):
+    def refuse(*args):
+        raise AssertionError("mapped a chain of K' down to K")
+
+    monkeypatch.setattr(sw, "last_vertex_chain_map", refuse)
+    report = verify.run_polar_suite(2, 10, corpus)
+    assert report.ok and report.prop("projection chain is homologous to the Stiefel chain").trials
+
+
 def test_pushforward_axiom_builds_no_subdivided_complex(monkeypatch, map_suite):
+    # both sides are read on the base complexes: not even one dimension of K' is walked
+    def no_flags(self, i):
+        raise AssertionError(f"read the {i}-flags of a subdivision")
+
+    monkeypatch.setattr(Subdivision, "flags", no_flags)
     _guard_complex(monkeypatch, lambda sub, built: True)
     for m in map_suite:
         f = m.map
         ones = cal.constant(f.domain, 1, cal.RING_Z2)
         if cal.is_euler_function(ones):
             for i in range(f.domain.dim + 1):
-                assert sw.verify_pushforward_axiom(f, ones, i, Subdivision(f.domain),
-                                                   Subdivision(f.codomain)), (m.name, i)
+                assert sw.verify_pushforward_axiom(f, ones, i), (m.name, i)
 
 
 @pytest.mark.parametrize("i, collapsing", [(0, False), (1, False), (1, True), (2, False),

@@ -202,8 +202,7 @@ def test_pushforward_axiom_double_cover(map_suite):
     cover = next(m for m in map_suite if m.name == "double_cover").map
     ones = cal.constant(cover.domain, 1, cal.RING_Z2)
     for i in range(2):
-        assert sw.verify_pushforward_axiom(cover, ones, i, Subdivision(cover.domain),
-                                           Subdivision(cover.codomain))
+        assert sw.verify_pushforward_axiom(cover, ones, i)
 
 
 def test_pushforward_axiom_rejects_non_euler_function(map_suite):
@@ -211,5 +210,4 @@ def test_pushforward_axiom_rejects_non_euler_function(map_suite):
     cover = next(m for m in map_suite if m.name == "double_cover").map
     edge = cal.indicator(cover.domain, faces(("0", "1")), cal.RING_Z2)
     with pytest.raises(NotEulerError, match="require an Euler function"):
-        sw.verify_pushforward_axiom(cover, edge, 0, Subdivision(cover.domain),
-                                    Subdivision(cover.codomain))
+        sw.verify_pushforward_axiom(cover, edge, 0)

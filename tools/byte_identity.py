@@ -92,6 +92,21 @@ INPUTS = {
 }
 
 
+def _reversed(data: dict) -> dict:
+    """A complex file with its ids renamed so that the canonical vertex order is reversed."""
+    ids = sorted(data["vertices"])
+    new = {v: f"v{len(ids) - 1 - j:03d}" for j, v in enumerate(ids)}
+    out = {"vertices": [new[v] for v in data["vertices"]],
+           "maximal_simplices": [[new[v] for v in s] for s in data["maximal_simplices"]]}
+    if "coordinates" in data:
+        out["coordinates"] = {new[v]: p for v, p in data["coordinates"].items()}
+    return out
+
+
+# corpus spaces copied to in/reversed/ with the vertex order reversed, by _reversed
+REVERSED = ("torus_7", "rp2_6_embedded")
+
+
 def commands(corpus: Path) -> list[list[str]]:
     """The sweep, in order; a command may read what an earlier one wrote to out/."""
     names = [e["name"] for e in json.loads((corpus / "index.json").read_text())["complexes"]]
@@ -201,7 +216,9 @@ def commands(corpus: Path) -> list[list[str]]:
                               ("empty_index", ("calculus", "stiefel")),
                               ("empty_complex", ("calculus",)),
                               ("duplicate_name", ("polar",)),
-                              ("delta2_only", ("polar",))):
+                              ("delta2_only", ("polar",)),
+                              # classes on K are read in the canonical vertex order
+                              ("reversed", ("polar", "axioms"))):
         out += [["verify", "--suite", suite, "--seed", "1", "--trials", "4",
                  "--complexes", f"in/{directory}"] for suite in suites]
     # a command with two outputs whose second target cannot be written writes neither
@@ -242,6 +259,11 @@ def sweep(cli, corpus: Path, work: Path) -> list[str]:
     for name, data in INPUTS.items():
         (work / "in" / name).parent.mkdir(exist_ok=True)
         (work / "in" / name).write_text(json.dumps(data))
+    (work / "in" / "reversed").mkdir()
+    for path in (corpus / f"{name}.json" for name in REVERSED):
+        if path.exists():  # a stub corpus may lack it
+            (work / "in" / "reversed" / path.name).write_text(
+                json.dumps(_reversed(json.loads(path.read_text()))))
     lines = []
     for argv in commands(corpus):
         before = _snapshot(work)
