@@ -30,7 +30,7 @@ from .calculus import (
     reduce_mod2,
 )
 from .errors import CalculusError, HomologyError, NotEulerError
-from .homology import Mod2Chain, homologous_cycles
+from .homology import Mod2Chain, homologous
 from .simplicial import SimplicialComplex, SimplicialMap, Subdivision
 
 
@@ -167,4 +167,4 @@ def verify_pushforward_axiom(f: SimplicialMap, a: ConstructibleFunction, i: int)
         rhs = base_representative(f.codomain, fa, i)
     else:
         rhs = Mod2Chain(i, frozenset())
-    return homologous_cycles(f.codomain, lhs, rhs)
+    return homologous(f.codomain, lhs, rhs)

@@ -276,12 +276,12 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
                     ones, rank, seed=rng.randrange(10 ** 9)
                 )
                 report.prop("projection chain is homologous to the Stiefel chain").record(
-                    hom.homologous_cycles(k, sig, s_i),
+                    hom.homologous(k, sig, s_i),
                     lambda: {"complex": entry.name, "i": i, "basis_index": j},
                 )
                 if prev is not None:
                     report.prop("polar class is independent of the generic plane").record(
-                        hom.homologous_cycles(k, sig, prev),
+                        hom.homologous(k, sig, prev),
                         lambda: {"complex": entry.name, "i": i, "basis_index": j},
                     )
                 prev = sig

@@ -104,14 +104,12 @@ def test_homologous(sphere):
     assert hom.homologous(sphere, c1, c1)
 
 
-def test_homologous_cycles_is_false_on_a_non_cycle(sphere):
+def test_homologous_is_false_on_a_non_cycle(sphere):
     c1 = chain(1, [["1", "2"], ["2", "3"], ["1", "3"]])
     path = chain(1, [["1", "2"], ["2", "3"]])
-    assert hom.homologous_cycles(sphere, c1, chain(1, [["1", "2"], ["2", "4"], ["1", "4"]]))
-    assert not hom.homologous_cycles(sphere, c1, path)
-    assert not hom.homologous_cycles(sphere, path, c1)
-    with pytest.raises(HomologyError, match="homologous requires cycles"):
-        hom.homologous(sphere, c1, path)
+    assert not hom.homologous(sphere, c1, path)
+    assert not hom.homologous(sphere, path, c1)
+    assert not hom.homologous(sphere, path, path)
 
 
 def test_chain_pushforward_drops_collapsed(map_suite):
