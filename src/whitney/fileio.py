@@ -213,20 +213,30 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
     simplices = _lists(
         _require(data, "simplices", "chain file"), "chain file: 'simplices'", ids=True
     )
-    support: set[Simplex] = set()
-    for raw in simplices:
-        s = _simplex(raw, "chain file")
-        if s in support:
-            raise InputError(f"chain file: simplex {list(s)} is listed twice")
-        support.add(s)
-    try:
-        c = Mod2Chain(dim, frozenset(support))
-    except Exception as e:
-        raise InputError(f"chain file: {e}") from e
-    if k is not None and not c.support <= k.simplex_set:
-        s = next(s for s in c.support if s not in k.simplex_set)
-        raise InputError(f"chain simplex {list(s)} is not in the complex")
-    return c
+    listed = list(map(tuple, map(sorted, simplices)))
+    support = frozenset(listed)
+    # an empty, repeating or misdimensioned simplex, or one listed twice, fails
+    # these counts; the loop then names the first one, as make_simplex and Mod2Chain do
+    sizes = set(map(len, listed)) | set(map(len, map(set, listed)))
+    if len(support) < len(listed) or sizes - {dim + 1}:
+        seen: set[Simplex] = set()
+        for raw in simplices:
+            s = _simplex(raw, "chain file")
+            if s in seen:
+                raise InputError(f"chain file: simplex {list(s)} is listed twice")
+            seen.add(s)
+        try:
+            Mod2Chain(dim, frozenset(seen))
+        except Exception as e:
+            raise InputError(f"chain file: {e}") from e
+    if k is not None:
+        # k's own simplex tuples, which hold k's vertex strings
+        own = frozenset(filter(support.__contains__, k.by_dim.get(dim, ())))
+        if len(own) < len(support):
+            s = next(s for s in support if s not in k.simplex_set)
+            raise InputError(f"chain simplex {list(s)} is not in the complex")
+        support = own
+    return Mod2Chain(dim, support)
 
 
 def chain_to_dict(c: Mod2Chain, provenance: Optional[dict] = None) -> dict:

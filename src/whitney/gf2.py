@@ -1,45 +1,97 @@
-"""Bitset-packed GF(2) elimination.
+"""Bitset-packed GF(2) elimination with a pivot history.
 
-Columns are Python ints used as bit vectors over row indices.  Pivot rows
-are always the least set bit, and columns are consumed in their given
-(canonical) order, so ranks and solution witnesses are deterministic.
+Columns are Python ints used as bit vectors over row indices, consumed in
+their given (canonical) order.  A column is a pivot exactly when it is not
+in the span of the columns before it, so the pivot columns are the greedy
+basis of the column space, and ``solve`` returns the one solution supported
+on them.  Ranks and solution witnesses are therefore deterministic, and do
+not depend on which row each pivot is taken on.  That row is the highest
+set bit: on boundary matrices in canonical order it leaves the reduced
+columns almost as sparse as the columns themselves, where the least set
+bit fills them in.
+
+No combination mask is kept beside a pivot.  Each pivot records, in creation
+order, its row, its column and the rows of the earlier pivots its column was
+reduced by, so pivot p is column p plus the pivots it names (the R = ∂V
+bookkeeping of Edelsbrunner and Harer, *Computational Topology*, ch. VII).
+``solve`` reduces b to find which pivots sum to it, then expands them into
+columns in one pass from the newest pivot back.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from array import array
+from typing import Iterable, Optional
+
+
+def _bitset(indices: Iterable[int], width: int) -> int:
+    """The int whose set bits are the given indices, all below width.
+
+    Written as binary digits and read in one ``int`` call: linear in width,
+    where a sum of powers of two copies the growing total once per term.
+    """
+    digits = bytearray(b"0") * width
+    for i in indices:
+        digits[~i] = 49  # "1"; the last digit is bit 0
+    return int(digits, 2) if width else 0
 
 
 class Gf2System:
-    """Column-space of a GF(2) matrix, supporting rank and solve."""
+    """Column space of a GF(2) matrix, supporting rank and solve.
 
-    def __init__(self, columns: Sequence[int]):
-        self.ncols = len(columns)
-        pivots: dict[int, tuple[int, int]] = {}  # row -> (vector, combo)
-        self.pivots = pivots
-        for j, col in enumerate(columns):
-            v, combo = col, 1 << j
+    The columns may be any iterable; each is reduced as it arrives and only
+    the pivots are kept, so a generator's columns are freed one by one.
+    """
+
+    def __init__(self, columns: Iterable[int]):
+        pivots: dict[int, int] = {}  # row -> reduced vector, in creation order
+        # pivot p is column sources[p] plus the pivots at rows reduced_by[starts[p]:starts[p + 1]]
+        sources, starts, reduced_by = array("q"), array("q"), array("q")
+        ncols = 0
+        for j, v in enumerate(columns):
+            ncols = j + 1
+            used = []
             while v:
-                r = (v & -v).bit_length() - 1
-                if r not in pivots:
-                    pivots[r] = (v, combo)
+                r = v.bit_length() - 1
+                pv = pivots.get(r)
+                if pv is None:
+                    pivots[r] = v
+                    sources.append(j)
+                    starts.append(len(reduced_by))
+                    reduced_by.extend(used)
                     break
-                pv, pc = pivots[r]
                 v ^= pv
-                combo ^= pc
+                used.append(r)
+        self.pivots, self.ncols = pivots, ncols
+        self._history = sources, starts, reduced_by
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def solve(self, b: int) -> Optional[int]:
-        """Combination mask x (bit j = column j) with A x = b, or None."""
-        pivots, combo = self.pivots, 0
+        """Combination mask x (bit j = column j) with A x = b, or None.
+
+        b is a sum of the pivots in ``odd``.  Each pivot is its column plus
+        earlier pivots, so walking from the newest pivot back, a pivot still
+        in ``odd`` puts its column in x and toggles the pivots it names.
+        """
+        pivots, odd = self.pivots, set()
         while b:
-            r = (b & -b).bit_length() - 1
-            if r not in pivots:
+            r = b.bit_length() - 1
+            pv = pivots.get(r)
+            if pv is None:
                 return None
-            pv, pc = pivots[r]
             b ^= pv
-            combo ^= pc
-        return combo
+            odd.add(r)
+        sources, starts, reduced_by = self._history
+        columns, end = [], len(reduced_by)
+        for r, j, start in zip(reversed(pivots), reversed(sources), reversed(starts)):
+            if not odd:
+                break
+            if r in odd:
+                odd.remove(r)
+                odd.symmetric_difference_update(reduced_by[start:end])
+                columns.append(j)
+            end = start
+        return _bitset(columns, self.ncols)

@@ -13,7 +13,7 @@ from itertools import combinations, compress, repeat
 from typing import Iterable, Optional
 
 from .errors import HomologyError
-from .gf2 import Gf2System
+from .gf2 import Gf2System, _bitset
 from .simplicial import Simplex, SimplicialComplex, impure_simplex
 
 
@@ -74,12 +74,15 @@ def is_cycle(k: SimplicialComplex, c: Mod2Chain) -> bool:
 
 
 def _boundary_system(k: SimplicialComplex, d: int) -> tuple[Gf2System, dict[Simplex, int], list[Simplex]]:
-    """Columns of the boundary matrix C_d -> C_{d-1} in canonical order."""
+    """Columns of the boundary matrix C_d -> C_{d-1} in canonical order.
+
+    The columns reach ``Gf2System`` as a generator, so each is freed once reduced.
+    """
     rows = {s: i for i, s in enumerate(k.by_dim.get(d - 1, ()))}
     cols = list(k.by_dim.get(d, ()))
     # the facets of a simplex are distinct, so their bits sum without carries
     bit, row = (1).__lshift__, rows.__getitem__
-    columns = [sum(map(bit, map(row, combinations(s, d)))) for s in cols]
+    columns = (sum(map(bit, map(row, combinations(s, d)))) for s in cols)
     return Gf2System(columns), rows, cols
 
 
@@ -103,17 +106,48 @@ def betti_mod2(k: SimplicialComplex) -> HomologySummary:
     return HomologySummary(tuple(ranks[: top + 1]), betti)
 
 
+def _even_in_each_component(k: SimplicialComplex, c: Mod2Chain) -> bool:
+    """Whether every connected component of k holds an even number of c's vertices.
+
+    A 0-chain bounds exactly then: a path inside a component joins its
+    vertices in pairs.  Components come from union-find over the edges.
+    """
+    parent = {v: v for v in k.vertices}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in k.by_dim.get(1, ()):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+    counts = Counter(map(root, itertools.chain.from_iterable(c.support)))
+    return not any(map((1).__and__, counts.values()))
+
+
 def is_boundary(
     k: SimplicialComplex, c: Mod2Chain
 ) -> tuple[bool, Optional[Mod2Chain]]:
-    """Decide solvability of (boundary x = c); witness under canonical pivots."""
+    """Decide whether the cycle c bounds; if so, the witness x with boundary x = c.
+
+    The verdict needs no elimination when k has no (i+1)-simplices (a
+    nonzero cycle never bounds) or when i = 0 (a 0-chain bounds exactly when
+    each connected component holds an even number of its vertices).  The
+    witness is always the one ``Gf2System.solve`` gives on the boundary
+    matrix with its columns in canonical order: the solution supported on
+    the columns that are not sums of earlier ones.
+    """
     _check_chain(k, c)
     if c.dim > 0 and facet_sum(c):
         raise HomologyError("is_boundary requires a cycle")
     if not c:
         return True, Mod2Chain(c.dim + 1, frozenset())
+    if not k.n_simplices(c.dim + 1) or (c.dim == 0 and not _even_in_each_component(k, c)):
+        return False, None
     system, rows, cols = _boundary_system(k, c.dim + 1)
-    combo = system.solve(sum(map((1).__lshift__, map(rows.__getitem__, c.support))))
+    combo = system.solve(_bitset(map(rows.__getitem__, c.support), len(rows)))
     if combo is None:
         return False, None
     # character j of the reversed binary digits is bit j of combo, column j's coefficient

@@ -120,14 +120,25 @@ def build_complex(
     if len(vertices) != len(listed):
         raise ComplexError("duplicate vertex ids in vertex list")
     vertex_set = set(vertices)
-    given: set[Simplex] = set()
-    for raw in maximal_simplices:
-        raw = list(raw)
-        for v in raw:
-            # ids are strings, so anything else is foreign (and may be unhashable)
-            if not isinstance(v, str) or v not in vertex_set:
-                raise ComplexError(f"simplex {raw!r} references unknown vertex {v!r}")
-        given.add(make_simplex(raw))
+    # every occurrence of a vertex becomes the one string in the vertex tuple;
+    # a foreign or unhashable id fails the lookup, and an empty or repeating
+    # simplex fails the size checks, after which the loop names the first bad one
+    same = dict(zip(vertices, vertices)).__getitem__
+    maximal = list(maximal_simplices)
+    try:
+        given = set(map(tuple, map(sorted, map(map, repeat(same), maximal))))
+        valid = () not in given and list(map(len, given)) == list(map(len, map(set, given)))
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        given = set()
+        for raw in maximal:
+            raw = list(raw)
+            for v in raw:
+                # ids are strings, so anything else is foreign (and may be unhashable)
+                if not isinstance(v, str) or v not in vertex_set:
+                    raise ComplexError(f"simplex {raw!r} references unknown vertex {v!r}")
+            given.add(make_simplex(raw))
     if not given:
         raise ComplexError("a complex needs at least one simplex")
     unused = vertex_set.difference(*given)

@@ -1,14 +1,19 @@
+from functools import reduce
+from itertools import combinations
+from operator import xor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gf2_oracle
 import subdivision_oracle
 from relabelling import flag_keys, fresh_ids, relabel
 from whitney import homology as hom
 from whitney import sw
 from whitney.errors import HomologyError
 from whitney.homology import Mod2Chain, chain
-from whitney.simplicial import barycentric_subdivision
+from whitney.simplicial import barycentric_subdivision, build_complex
 
 
 def sympy_betti(k):
@@ -172,3 +177,37 @@ def test_witness_bounds_random_boundaries(corpus, subdivisions, data):
     bounds, witness = hom.is_boundary(kp, c)
     assert bounds
     _assert_witness(kp, c, bounds, witness)
+
+
+def _cycle_space(k, i):
+    """Masks over k.by_dim[i] spanning the i-cycles: vertices at i = 0, else the oracle's kernel."""
+    if i == 0:
+        return [1 << j for j in range(k.n_simplices(0))]
+    return gf2_oracle.MaskGf2System(gf2_oracle.boundary_columns(k, i)[0]).kernel
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_is_boundary_matches_mask_oracle(data):
+    # on each of two vertex pools, the d-skeleton of a simplex plus some of its
+    # (d+1)-faces: cycles that bound and cycles that do not, top-dimensional
+    # ones, and at d = 0 a random graph; the second pool, when drawn, is
+    # another component
+    listed = []
+    for pool, least in ((["a", "b", "c", "d", "e"], 1), (["p", "q", "r", "s", "t"], 0)):
+        vs = pool[:data.draw(st.integers(least, len(pool)))]
+        if not vs:
+            continue
+        d = data.draw(st.integers(0, min(2, len(vs) - 1)))
+        listed += combinations(vs, d + 1)
+        if len(vs) > d + 1:
+            listed += data.draw(st.lists(st.sampled_from(list(combinations(vs, d + 2)))))
+    k = build_complex(sorted({v for s in listed for v in s}), listed)
+    for i in range(k.dim + 1):
+        basis = _cycle_space(k, i)
+        masks = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4)) if basis else []
+        x = reduce(xor, masks, 0)
+        c = Mod2Chain(i, frozenset(s for j, s in enumerate(k.by_dim[i]) if x >> j & 1))
+        result = hom.is_boundary(k, c)
+        assert result == gf2_oracle.is_boundary(k, c)
+        _assert_witness(k, c, *result)

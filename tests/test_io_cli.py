@@ -318,6 +318,31 @@ def test_validate_reads_each_simplex_through_make_simplex(tmp_path, capsys, data
     assert json.loads(streams.err) == {"file": str(path), "error": error}
 
 
+@pytest.mark.parametrize("simplices, message", [
+    ([["1", "2"], ["2", "1"]], "chain file: simplex ['1', '2'] is listed twice"),
+    ([["1", "2"], ["3"]], "chain file: simplex ['3'] has dimension 0, chain has 1"),
+    ([["1", "2"], ["3", "1", "3"]], "chain file: duplicate vertex inside simplex ['3', '1', '3']"),
+    ([["1", "2"], []], "chain file: a simplex needs at least one vertex"),
+    ([["2", "1"], ["4", "1"]], "chain simplex ['1', '4'] is not in the complex"),
+])
+def test_chain_file_names_its_bad_simplex(circle, simplices, message):
+    with pytest.raises(InputError) as e:
+        fileio.chain_from_dict({"dim": 1, "simplices": simplices}, circle)
+    assert str(e.value) == message
+
+
+def test_parsed_complexes_and_chains_share_the_complexs_objects():
+    # json.loads makes a new string for every occurrence of an id
+    k = fileio.complex_from_dict(json.loads((CORPUS / "torus_7.json").read_text()))
+    vertex = dict(zip(k.vertices, k.vertices))
+    assert all(v is vertex[v] for s in k.simplices for v in s)
+    edges = dict(zip(k.by_dim[1], k.by_dim[1]))
+    data = json.loads(json.dumps({"dim": 1, "simplices": [list(reversed(s)) for s in k.by_dim[1][::3]]}))
+    c = fileio.chain_from_dict(data, k)
+    assert len(c.support) == len(data["simplices"])
+    assert all(s is edges[s] for s in c.support)
+
+
 EXTRA_VERTEX_MAP = {"vertex_map": {"1": "1", "2": "2", "3": "3", "zzz": "1"}}
 
 

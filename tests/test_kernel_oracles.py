@@ -74,7 +74,8 @@ def test_boundary_matches_per_facet_toggle(listed, data):
 def test_boundary_columns_match_facet_rows(monkeypatch, subdivisions, name):
     k = subdivisions[name].complex
     seen = []
-    monkeypatch.setattr(hom, "Gf2System", lambda columns: seen.append(columns) or Gf2System(columns))
+    # the columns arrive as a generator: keep a list of them and pass that on
+    monkeypatch.setattr(hom, "Gf2System", lambda columns: seen.append(list(columns)) or Gf2System(seen[-1]))
     for d in range(1, k.dim + 1):
         _system, rows, cols = hom._boundary_system(k, d)
         assert cols == list(k.by_dim[d])

@@ -40,6 +40,18 @@ def test_unknown_vertex_rejected():
         build_complex(["a"], [["a", "b"]])
 
 
+@pytest.mark.parametrize("maximal, message", [
+    ([["a", "b"], ["c", "z", "b"], ["a", "a"]], "simplex ['c', 'z', 'b'] references unknown vertex 'z'"),
+    ([["a", "b"], ["b", "c", "b"], ["z"]], "duplicate vertex inside simplex ['b', 'c', 'b']"),
+    ([["a", "b"], [], ["a", "a"]], "a simplex needs at least one vertex"),
+    ([["a", "b"], ["c", ["b"]]], "simplex ['c', ['b']] references unknown vertex ['b']"),
+])
+def test_the_first_bad_simplex_is_named(maximal, message):
+    with pytest.raises(ComplexError) as e:
+        build_complex(["a", "b", "c"], iter(maximal))
+    assert str(e.value) == message
+
+
 def test_affinely_dependent_coordinates_rejected():
     coords = {
         "1": (Fraction(0), Fraction(0)),

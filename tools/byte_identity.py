@@ -89,6 +89,12 @@ INPUTS = {
     "duplicate_name/s1_3.json": {"vertices": ["1", "2", "3"], "maximal_simplices": _TRIANGLE},
     "duplicate_name/delta2.json": _DELTA2,
     "delta2_only/delta2.json": _DELTA2,
+    # a triangle circle and a path: 0-chains bound exactly when each component holds
+    # an even number of their vertices
+    "k_two_components.json": {"vertices": ["1", "2", "3", "p", "q", "r"],
+                              "maximal_simplices": _TRIANGLE + [["p", "q"], ["q", "r"]]},
+    "c0_even.json": {"dim": 0, "simplices": [["1"], ["3"], ["p"], ["r"]]},
+    "c0_odd.json": {"dim": 0, "simplices": [["1"], ["3"], ["q"]]},
 }
 
 
@@ -231,6 +237,9 @@ def commands(corpus: Path) -> list[list[str]]:
     # a chain that bounds, with a witness target that cannot be written: no verdict printed
     out.append(["bounds", "--complex", c("delta2"), "--chain", "in/cycle_s1_3.json",
                 "--witness", "out/nowhere/w.json"])
+    # i = 0 on two components: even in each, so a witness is written; odd in the path
+    out += [["bounds", "--complex", "in/k_two_components.json", "--chain", f"in/c0_{parity}.json",
+             "--witness", f"out/w0_{parity}.json"] for parity in ("even", "odd")]
     # escaped ids through subdivide, stiefel and bounds: s_0 bounds with a witness, s_1 does not
     out.append(["subdivide", "--complex", "in/k_escaped.json", "--out", "out/sd1_escaped.json",
                 "--manifest", "out/sd1_escaped.carriers.json"])
