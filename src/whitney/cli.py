@@ -54,6 +54,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
+    if bool(args.domain) != bool(args.codomain):
+        raise InputError("--domain and --codomain must be given together")
     context_complex = fileio.load_complex(args.complex) if args.complex else None
     failures = 0
     for path in args.files:
@@ -64,7 +66,7 @@ def cmd_validate(args) -> int:
                 fileio.complex_from_dict(data)
             elif kind == "map":
                 vm = fileio.vertex_map_from_dict(data)
-                if args.domain and args.codomain:
+                if args.domain:
                     validate_map(
                         fileio.load_complex(args.domain),
                         fileio.load_complex(args.codomain),
@@ -204,22 +206,15 @@ def cmd_polar(args) -> int:
     k = fileio.load_complex(args.complex)
     i = args.dim
     a = cal.reduce_mod2(_load_fn(args.fn, k))
-    if args.random_plane:
-        basis, c = polar.sample_generic_subspace(a, i + 1, args.seed)
-        if args.report:
-            _c, reports = polar.polar_census(polar.projection_map(k, basis), a)
-        construction = "projection"
-    elif args.moment and not args.report:
-        c = polar.moment_chain(barycentric_subdivision(k), a, i)
+    if args.moment:
+        sub = barycentric_subdivision(k)
+        c = polar.moment_chain(sub, a, i)
         construction = "moment"
+    elif args.random_plane:
+        basis, c = polar.sample_generic_subspace(a, i + 1, args.seed)
+        construction = "projection"
     else:
-        census_fn = a
-        if args.moment:
-            sub = barycentric_subdivision(k)
-            f = polar.moment_map(sub, i)
-            census_fn = cal.subdivide_function(sub, a)
-            construction = "moment"
-        elif args.map:
+        if args.map:
             f = fileio.affine_map_from_dict(fileio.load_json(args.map), k)
             construction = "map"
         else:
@@ -228,7 +223,7 @@ def cmd_polar(args) -> int:
             construction = "projection"
         if f.target_dim != i + 1:
             raise PolarError(f"target dimension {f.target_dim} does not match i+1={i + 1}")
-        c, reports = polar.polar_census(f, census_fn)
+        c = polar.polar_chain(f, a)
     # after the chain, so a degenerate map or an out-of-range --dim (exit 6)
     # wins; on the function as given on --complex: duality commutes with
     # subdivision, so for --moment this decides the subdivided function too
@@ -238,12 +233,15 @@ def cmd_polar(args) -> int:
     if args.random_plane:
         provenance["seed"] = args.seed
     _check_targets(args.out, args.report)
+    if args.report:
+        if args.moment:
+            f, a = polar.moment_map(sub, i), cal.subdivide_function(sub, a)
+        elif args.random_plane:
+            f = polar.projection_map(k, basis)
+        half_links = [fileio.half_link_report_to_dict(r) for r in polar.polar_census(f, a)[1]]
     fileio.dump_json(fileio.chain_to_dict(c, provenance), args.out)
     if args.report:
-        fileio.dump_json(
-            {"half_links": [fileio.half_link_report_to_dict(r) for r in reports]},
-            args.report,
-        )
+        fileio.dump_json({"half_links": half_links}, args.report)
     return 0
 
 

@@ -11,21 +11,21 @@ Euler is what makes it a cycle, so only the entry points that promise a
 class (``euler_singularity_chain`` here, the CLI and ``sw``) test that,
 once, on the function they were given.
 
-The singularity chain of the moment map of a barycentric subdivision
-is a carrier chain: the i-flags S of K' with b(carrier S) odd, where b is
-the function for odd i and its dual for even i (both the function, when
-it is Euler).  ``moment_chain`` reads it from the i-flags alone, building
-no K', for ``polar --moment``; ``sw`` reads the same carriers itself once
-it has tested the function for being Euler.  ``moment_map`` with
+The singularity chain of the moment map of a barycentric subdivision,
+for an Euler function, is a carrier chain: the i-flags S of K' whose
+carrier has the function odd.  ``moment_chain`` reads it from the i-flags
+alone, building no K' and taking no dual; it is the one carrier reader,
+behind ``polar --moment`` and ``sw.sw_representative``, which test the
+function for being Euler themselves.  ``moment_map`` with
 ``polar_census`` stays the one general path (half-link reports, parity
 checks) and is the closed form's oracle.
 
 A generic projection is found by testing seeded candidates until one is
 nondegenerate.  ``sample_generic_subspace`` decides each candidate by
 ``polar_chain``, which runs the census's side test (``_side_test``) and
-sums a(T) mod 2 over the upper cofaces without building a report; the
-CLI builds half-link reports only for the accepted plane, under
-``--report``, with ``polar_census``, which is ``polar_chain``'s oracle.
+sums a(T) mod 2 over the upper cofaces without building a report; it is
+the chain of every given map too.  ``polar_census``, its oracle, builds
+the half-link reports, which the CLI adds only under ``--report``.
 
 Geometry is integer from the complex on.  The census needs only the side
 of each link vertex relative to the hyperplane through f(S), and a
@@ -47,7 +47,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .calculus import RING_Z2, ConstructibleFunction, constant, dual, is_euler_function, reduce_mod2
+from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
 from .errors import CalculusError, DegenerateMapError, NotEulerError, PolarError
 from .exactlin import clear_denominators, integer_normal, is_rational_point, matrix_rank
 from .homology import Mod2Chain
@@ -259,7 +259,7 @@ def euler_singularity_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod
 
     A degenerate map is reported before a non-Euler function.
     """
-    chain, _reports = polar_census(f, a)
+    chain = polar_chain(f, a)
     if not is_euler_function(a):
         raise NotEulerError("singularity chain requires an Euler function")
     return chain
@@ -277,12 +277,11 @@ def moment_map(sub: Subdivision, i: int) -> AffineVertexMap:
 
 
 def moment_chain(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chain:
-    """Singularity chain of ``moment_map(sub, i)`` for a: the i-flags S with b(carrier S) odd.
+    """The i-flags of sub whose carrier has a odd: Sigma of ``moment_map(sub, i)`` for an Euler a.
 
-    b is a mod 2 for odd i and dual(a) mod 2 for even i; both are a when a
-    is Euler.  A flag S = s_0 < ... < s_i of dimensions k_0 < ... < k_i has
-    census normal (c_1, ..., c_(i+1)) of p(t) = prod_j (t - k_j), signed by
-    sigma, the sign of its first nonzero entry; a link vertex w is up when
+    A flag S = s_0 < ... < s_i of dimensions k_0 < ... < k_i has census
+    normal (c_1, ..., c_(i+1)) of p(t) = prod_j (t - k_j), signed by sigma,
+    the sign of its first nonzero entry; a link vertex w is up when
     sigma p(dim carrier(w)) > 0.  First, sigma = (-1)^i: c_1 = (-1)^i e_i(k),
     and e_i > 0 as the k_j are distinct non-negative integers.  So a
     dimension is up iff an odd number of the k_j lie below it: the gap from
@@ -290,14 +289,15 @@ def moment_chain(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chai
     T of S with every new vertex up insert one chain into each such gap,
     independently, out of Fubini(n) = 1 mod 2 in a gap of rank n.  So
     a(carrier T) summed over them is a(s_i) for odd i and dual(a)(s_i) for
-    even i: ``polar_census(moment_map(sub, i), subdivide_function(sub, a))[0]``.
+    even i, and both are a(s_i) when a is Euler: then this chain is
+    ``polar_census(moment_map(sub, i), subdivide_function(sub, a))[0]``.
+    Whether a is Euler is not tested here.
     """
     if not 0 <= i <= sub.base.dim:
         raise PolarError(f"i={i} out of range for a {sub.base.dim}-complex")
     if a.base != sub.base:
         raise CalculusError("function is not based on the subdivision's base")
-    b = reduce_mod2(a) if i % 2 else dual(reduce_mod2(a))
-    return Mod2Chain(i, frozenset(s for s, carrier in sub.flags(i).items() if b(carrier)))
+    return Mod2Chain(i, frozenset(s for s, carrier in sub.flags(i).items() if a(carrier) % 2))
 
 
 def projection_map(

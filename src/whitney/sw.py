@@ -3,10 +3,10 @@
 The canonical representative of the i-th class of an Euler function a is
 the Euler-singularity chain of the moment map on the barycentric
 subdivision, which is the carrier chain of a: the i-flags S with
-a(carrier S) odd (``polar.moment_chain`` gives the closed form for any
-function).  For the constant function 1 that is the sum of all
-i-simplices of the subdivision, the Stiefel chain.  The representative,
-the Stiefel chain and sd# read only the i-flags (``Subdivision.flags``).
+a(carrier S) odd, read by ``polar.moment_chain`` once a is known to be
+Euler.  For the constant function 1 that is the sum of all i-simplices of
+the subdivision, the Stiefel chain.  The representative, the Stiefel
+chain and sd# read only the i-flags (``Subdivision.flags``).
 
 The last-vertex map pi: K' -> K sends b(s) to the last vertex of s in
 the canonical order; it is a simplicial approximation of the identity,
@@ -31,6 +31,7 @@ from .calculus import (
 )
 from .errors import CalculusError, HomologyError, NotEulerError
 from .homology import Mod2Chain, homologous
+from .polar import moment_chain
 from .simplicial import SimplicialComplex, SimplicialMap, Subdivision
 
 
@@ -45,10 +46,10 @@ def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod
     """Canonical chain representative of the i-th class of an Euler function.
 
     The singularity chain of the moment map on the subdivision, read as a
-    carrier chain: the i-flags S with a(carrier S) odd.  That is
-    ``moment_chain`` at every i, since an Euler a equals its dual mod 2.
-    Duality commutes with subdivision, so the function is Euler exactly
-    when its subdivision is; it is tested once, here, on the base.  Linear
+    carrier chain by ``polar.moment_chain``: the i-flags S with
+    a(carrier S) odd.  Duality commutes with subdivision, so the function
+    is Euler exactly when its subdivision is; it is tested once, here, on
+    the base, before the range of i and the base of the function.  Linear
     in the function, and equal to the Stiefel chain when the function is
     identically 1.
     """
@@ -57,9 +58,7 @@ def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod
         raise NotEulerError("Stiefel-Whitney representatives require an Euler function")
     if not 0 <= i <= sub.base.dim:
         raise HomologyError(f"i={i} out of range for a {sub.base.dim}-complex")
-    if a2.base != sub.base:
-        raise CalculusError("function is not based on the subdivision's base")
-    return Mod2Chain(i, frozenset(s for s, carrier in sub.flags(i).items() if a2(carrier)))
+    return moment_chain(sub, a2, i)
 
 
 def base_representative(k: SimplicialComplex, a: ConstructibleFunction, i: int) -> Mod2Chain:

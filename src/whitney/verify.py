@@ -191,12 +191,12 @@ def run_stiefel_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) ->
             for i in range(k.dim + 1):
                 s_i = sw.stiefel_chain(subdiv, i)
                 report.prop("Stiefel chains of Euler spaces are cycles").record(
-                    hom.is_cycle(subdiv.complex, s_i),
+                    _is_flag_cycle(s_i),
                     lambda entry=entry, i=i: {"complex": entry.name, "i": i},
                 )
         if entry.name == "delta2":
             report.prop("negative control: s_1 of the closed 2-simplex").record(
-                not hom.is_cycle(subdiv.complex, sw.stiefel_chain(subdiv, 1)),
+                not _is_flag_cycle(sw.stiefel_chain(subdiv, 1)),
                 lambda entry=entry: {"complex": entry.name},
             )
         if not entry.euler:
@@ -225,7 +225,7 @@ def run_stiefel_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) ->
             reps = [sw.sw_representative(subdiv, a, i) for i in range(k.dim + 1)]
             for rep in reps:
                 report.prop("representatives of Euler functions are cycles").record(
-                    hom.is_cycle(subdiv.complex, rep), repro
+                    _is_flag_cycle(rep), repro
                 )
             w0 = sw.w0_degree(subdiv, a)
             report.prop("degree of w0 equals chi mod 2").record(

@@ -369,6 +369,15 @@ def test_validate_rejects_map_of_vertex_outside_domain(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("given", ["--domain", "--codomain"])
+def test_validate_needs_domain_and_codomain_together(tmp_path, capsys, given):
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"vertex_map": {"1": "9", "2": "2", "3": "3"}}))
+    code, streams = run(["validate", mp, given, CORPUS / "s1_3.json"], capsys)
+    assert (code, streams.out) == (2, "")
+    assert streams.err == "error: --domain and --codomain must be given together\n"
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["chi", "--complex", missing]) == 2
@@ -660,7 +669,7 @@ def test_polar_rejects_non_euler_function(tmp_path, capsys, complex_name, dim, m
 
 
 def test_moment_chain_solves_no_hyperplane(tmp_path, monkeypatch, corpus, subdivisions):
-    # the census path runs first, unguarded: its --report and --out bytes, and its chain
+    # the reference is the K' census chain with the CLI's provenance; --report runs unguarded
     rng = random.Random(43)
     cases = []
     for entry in corpus.values():
@@ -681,7 +690,10 @@ def test_moment_chain_solves_no_hyperplane(tmp_path, monkeypatch, corpus, subdiv
                 chain, _reports = polar.polar_census(
                     polar.moment_map(sub, i), cal.subdivide_function(sub, b)
                 )
-                cases.append((argv, out.read_bytes(), sub, b, i, chain))
+                provenance = {"construction": "moment", "complex": f"{entry.name}.json", "i": i}
+                census_bytes = fileio.dump_json(fileio.chain_to_dict(chain, provenance), None)
+                assert out.read_text() == census_bytes, argv
+                cases.append((argv, census_bytes.encode(), sub, b, i, chain))
 
     def refuse(*args):
         raise AssertionError("hyperplane census or K' on the closed-form path")
@@ -739,19 +751,24 @@ def test_stiefel_fn_exit_codes(tmp_path, capsys, dim, fn, code, message):
     pytest.param(["stiefel", "--fn"], id="stiefel-fn"),
 ])
 def test_euler_test_runs_once_on_the_given_complex(tmp_path, monkeypatch, corpus, argv):
-    # duality commutes with subdivision, so K decides the function on K' too
+    # duality commutes with subdivision, so K decides the function on K' too; one dual at every i
     k = corpus["rp2_6"].complex
     fn = tmp_path / "fn.json"
     fileio.dump_json(fileio.function_to_dict(random_euler_function(random.Random(4), k)), fn)
     bases = []
     dual = cal.dual
-    monkeypatch.setattr(cal, "dual", lambda a: bases.append(a.base) or dual(a))
+    # a module that imported dual by name would call it past cal.dual
+    for module in (cal, polar, sw):
+        monkeypatch.setattr(module, "dual", lambda a: bases.append(a.base) or dual(a),
+                            raising=False)
     if argv[-1] == "--fn":
         argv = argv + [fn]
-    code = run(argv[:1] + ["--complex", CORPUS / "rp2_6.json", "--dim", 1] + argv[1:]
-               + ["--out", tmp_path / "c.json"])
-    assert code == 0
-    assert [base == k for base in bases] == [True]
+    for i in range(k.dim + 1):
+        bases.clear()
+        code = run(argv[:1] + ["--complex", CORPUS / "rp2_6.json", "--dim", i] + argv[1:]
+                   + ["--out", tmp_path / "c.json"])
+        assert code == 0
+        assert [base == k for base in bases] == [True], i
 
 
 def test_random_plane_chain_builds_no_report(tmp_path, monkeypatch):
@@ -775,6 +792,60 @@ def test_random_plane_chain_builds_no_report(tmp_path, monkeypatch):
         assert run(["polar", "--complex", complex_path, "--dim", i, "--random-plane",
                     "--seed", seed, "--out", out]) == 0
         assert out.read_bytes() == chain, (complex_path, i, seed)
+
+
+def _polar_argvs(tmp_path, with_fn):
+    """polar argvs for all four constructions, each with an Euler --fn when with_fn."""
+    s1, emb = CORPUS / "s1_3.json", CORPUS / "rp2_6_embedded.json"
+    affine, basis = tmp_path / "affine.json", tmp_path / "basis.json"
+    affine.write_text(json.dumps(
+        {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": ["2"]}}))
+    basis.write_text(json.dumps({"ambient_dim": 5, "vectors": [
+        ["1", "3", "9", "27", "81"], ["1", "-2", "5", "-7", "11"]]}))
+    cases = [(CORPUS / "rp2_6.json", i, ["--moment"]) for i in range(3)]
+    cases += [(s1, 0, ["--map", affine]), (emb, 1, ["--project", basis])]
+    cases += [(emb, i, ["--random-plane", "--seed", 5]) for i in range(3)]
+    rng = random.Random(8)
+    argvs = []
+    for j, (complex_path, i, mode) in enumerate(cases):
+        argv = ["polar", "--complex", complex_path, "--dim", i] + mode
+        if with_fn:
+            fn = tmp_path / f"fn{j}.json"
+            a = random_euler_function(rng, fileio.load_complex(complex_path))
+            fileio.dump_json(fileio.function_to_dict(a), fn)
+            argv += ["--fn", fn]
+        argvs.append(argv)
+    return argvs
+
+
+@pytest.mark.parametrize("with_fn", [False, True], ids=["constant", "fn"])
+def test_report_leaves_the_chain_unchanged(tmp_path, with_fn):
+    for argv in _polar_argvs(tmp_path, with_fn):
+        plain, out, report = tmp_path / "plain.json", tmp_path / "c.json", tmp_path / "hl.json"
+        assert run(argv + ["--out", plain]) == 0, argv
+        assert run(argv + ["--out", out, "--report", report]) == 0, argv
+        assert out.read_bytes() == plain.read_bytes(), argv
+        assert json.loads(report.read_text())["half_links"], argv
+
+
+def test_map_and_project_chains_build_no_report(tmp_path, monkeypatch):
+    argvs = [argv for with_fn in (False, True) for argv in _polar_argvs(tmp_path, with_fn)
+             if "--map" in argv or "--project" in argv]
+    expected = []
+    for argv in argvs:
+        out = tmp_path / "c.json"
+        assert run(argv + ["--out", out]) == 0
+        expected.append(out.read_bytes())
+
+    def refuse(*args):
+        raise AssertionError("half-link report built without --report")
+
+    monkeypatch.setattr(polar, "half_link_report", refuse)
+    for argv, chain in zip(argvs, expected):
+        out = tmp_path / "guarded.json"
+        assert run(argv + ["--out", out]) == 0
+        assert out.read_bytes() == chain, argv
+    assert len(argvs) == 4
 
 
 def test_random_plane_reports_only_the_accepted_plane(tmp_path, monkeypatch):

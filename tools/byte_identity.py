@@ -203,6 +203,10 @@ def commands(corpus: Path) -> list[list[str]]:
         ]
         out += [["polar"] + argv + ["--out", f"out/polar_{tag}{j}.json"]
                 + [a.format(j) for a in report] for j, argv in enumerate(polar)]
+    # --report with a non-constant Euler function at even i, where the carrier rule needs it Euler
+    out += [["polar", "--complex", c("rp2_6"), "--dim", str(i), "--moment", "--fn",
+             "in/fn_rp2_6.json", "--out", f"out/fn_moment_r{i}.json",
+             "--report", f"out/fn_report{i}.json"] for i in (0, 2)]
     # candidates are decided by the chain alone: seed 4 at --dim 0 on sd1 of rp2_6_embedded
     # accepts its eighth candidate, whose reports are written; a non-Euler function exits 5
     out += [
