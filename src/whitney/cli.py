@@ -57,6 +57,8 @@ def cmd_validate(args) -> int:
     if bool(args.domain) != bool(args.codomain):
         raise InputError("--domain and --codomain must be given together")
     context_complex = fileio.load_complex(args.complex) if args.complex else None
+    if args.domain:
+        domain, codomain = fileio.load_complex(args.domain), fileio.load_complex(args.codomain)
     failures = 0
     for path in args.files:
         try:
@@ -67,11 +69,7 @@ def cmd_validate(args) -> int:
             elif kind == "map":
                 vm = fileio.vertex_map_from_dict(data)
                 if args.domain:
-                    validate_map(
-                        fileio.load_complex(args.domain),
-                        fileio.load_complex(args.codomain),
-                        vm,
-                    )
+                    validate_map(domain, codomain, vm)
             elif kind == "function":
                 if context_complex is None:
                     raise InputError("function file needs --complex for validation")
@@ -211,7 +209,7 @@ def cmd_polar(args) -> int:
         c = polar.moment_chain(sub, a, i)
         construction = "moment"
     elif args.random_plane:
-        basis, c = polar.sample_generic_subspace(a, i + 1, args.seed)
+        f, c = polar.sample_generic_subspace(a, i + 1, args.seed)
         construction = "projection"
     else:
         if args.map:
@@ -236,9 +234,7 @@ def cmd_polar(args) -> int:
     if args.report:
         if args.moment:
             f, a = polar.moment_map(sub, i), cal.subdivide_function(sub, a)
-        elif args.random_plane:
-            f = polar.projection_map(k, basis)
-        half_links = [fileio.half_link_report_to_dict(r) for r in polar.polar_census(f, a)[1]]
+        half_links = [fileio.half_link_report_to_dict(r) for r in polar.polar_census(f, a)]
     fileio.dump_json(fileio.chain_to_dict(c, provenance), args.out)
     if args.report:
         fileio.dump_json({"half_links": half_links}, args.report)

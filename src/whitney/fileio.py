@@ -22,7 +22,7 @@ from .calculus import (
     from_values,
     indicator_sum,
 )
-from .errors import ComplexError, InputError
+from .errors import ComplexError, InputError, WhitneyError
 from .exactlin import clear_denominators
 from .homology import Mod2Chain
 from .polar import AffineVertexMap
@@ -216,7 +216,7 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
     listed = list(map(tuple, map(sorted, simplices)))
     support = frozenset(listed)
     # an empty, repeating or misdimensioned simplex, or one listed twice, fails
-    # these counts; the loop then names the first one, as make_simplex and Mod2Chain do
+    # these counts; the loop then names the first one in file order
     sizes = set(map(len, listed)) | set(map(len, map(set, listed)))
     if len(support) < len(listed) or sizes - {dim + 1}:
         seen: set[Simplex] = set()
@@ -224,16 +224,16 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
             s = _simplex(raw, "chain file")
             if s in seen:
                 raise InputError(f"chain file: simplex {list(s)} is listed twice")
+            if len(s) != dim + 1:
+                raise InputError(
+                    f"chain file: simplex {list(s)} has dimension {len(s) - 1}, chain has {dim}"
+                )
             seen.add(s)
-        try:
-            Mod2Chain(dim, frozenset(seen))
-        except Exception as e:
-            raise InputError(f"chain file: {e}") from e
     if k is not None:
         # k's own simplex tuples, which hold k's vertex strings
         own = frozenset(filter(support.__contains__, k.by_dim.get(dim, ())))
         if len(own) < len(support):
-            s = next(s for s in support if s not in k.simplex_set)
+            s = next(s for s in listed if s not in k.simplex_set)
             raise InputError(f"chain simplex {list(s)} is not in the complex")
         support = own
     return Mod2Chain(dim, support)
@@ -271,7 +271,7 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
             terms.append((coeff, closure))
         try:
             return indicator_sum(k, terms, ring)
-        except Exception as e:
+        except WhitneyError as e:
             raise InputError(f"function file: {e}") from e
     if "values" in data:
         # keys are comma-joined sorted vertex ids; vertex names may contain
@@ -291,7 +291,7 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
             values[lookup[key]] = v
         try:
             return from_values(k, values, ring)
-        except Exception as e:
+        except WhitneyError as e:
             raise InputError(f"function file: {e}") from e
     raise InputError("function file: needs either 'terms' or 'values'")
 
@@ -329,7 +329,7 @@ def affine_map_from_dict(data: dict, k: SimplicialComplex) -> AffineVertexMap:
     scale, ints = clear_denominators(parsed.values())
     try:
         return AffineVertexMap(k, m, dict(zip(parsed, ints)), scale)
-    except Exception as e:
+    except WhitneyError as e:
         raise InputError(f"affine map file: {e}") from e
 
 

@@ -26,7 +26,7 @@ class Mod2Chain:
 
     def __post_init__(self):
         if set(map(len, self.support)) - {self.dim + 1}:
-            s = next(s for s in self.support if len(s) - 1 != self.dim)
+            s = min(s for s in self.support if len(s) - 1 != self.dim)
             raise HomologyError(
                 f"simplex {list(s)} has dimension {len(s) - 1}, chain has {self.dim}"
             )
@@ -49,7 +49,7 @@ def chain(dim: int, simplices: Iterable[Iterable[str]]) -> Mod2Chain:
 
 def _check_chain(k: SimplicialComplex, c: Mod2Chain) -> None:
     if not c.support <= k.simplex_set:
-        s = next(s for s in c.support if s not in k.simplex_set)
+        s = min(c.support - k.simplex_set)
         raise HomologyError(f"chain simplex {list(s)} is not in the complex")
 
 

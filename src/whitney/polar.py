@@ -16,16 +16,20 @@ for an Euler function, is a carrier chain: the i-flags S of K' whose
 carrier has the function odd.  ``moment_chain`` reads it from the i-flags
 alone, building no K' and taking no dual; it is the one carrier reader,
 behind ``polar --moment`` and ``sw.sw_representative``, which test the
-function for being Euler themselves.  ``moment_map`` with
-``polar_census`` stays the one general path (half-link reports, parity
-checks) and is the closed form's oracle.
+function for being Euler themselves.  ``moment_map`` under the general
+path (``polar_chain``, and ``polar_census`` for half-link reports and
+parity checks) is the closed form's oracle.
 
 A generic projection is found by testing seeded candidates until one is
 nondegenerate.  ``sample_generic_subspace`` decides each candidate by
 ``polar_chain``, which runs the census's side test (``_side_test``) and
 sums a(T) mod 2 over the upper cofaces without building a report; it is
-the chain of every given map too.  ``polar_census``, its oracle, builds
-the half-link reports, which the CLI adds only under ``--report``.
+the chain of every given map too, and the sampler returns the map it
+accepted with its chain.  ``polar_census`` builds the half-link reports
+alone, which the CLI adds only under ``--report``; the tests read the
+census's chain, a(S) - chi_plus mod 2 at each report, as the oracle of
+``polar_chain`` and ``moment_chain``.  ``_side_test`` raises the one
+``DegenerateMapError``, naming the simplex and the reason.
 
 Geometry is integer from the complex on.  The census needs only the side
 of each link vertex relative to the hyperplane through f(S), and a
@@ -114,14 +118,15 @@ def _side_test(f: AffineVertexMap, s: Simplex) -> tuple[tuple[int, ...], int, se
     The normal is the primitive integer normal of f(s) and the level
     <normal, images[s_0]>; a link vertex w, the new vertex of an
     (i+1)-coface, is upper when <normal, images[w]> exceeds the level.
-    Raises DegenerateMapError when f(s) spans no hyperplane or a link
-    vertex maps into it, naming the first such vertex in canonical order.
+    Raises DegenerateMapError, naming s and the reason, when f(s) spans no
+    hyperplane or a link vertex maps into it (the first such vertex in
+    canonical order).
     """
     images = f.images
     normal = integer_normal([images[v] for v in s])
     if normal is None:
         raise DegenerateMapError(
-            f"image of simplex {list(s)} does not span a hyperplane", offender=s
+            f"map is degenerate at simplex {list(s)}: its image spans no hyperplane", offender=s
         )
     level = sum(map(mul, normal, images[s[0]]))
     n = len(s) + 1
@@ -137,7 +142,9 @@ def _side_test(f: AffineVertexMap, s: Simplex) -> tuple[tuple[int, ...], int, se
                 flat.append(w)
     if flat:
         raise DegenerateMapError(
-            f"link vertex {min(flat)!r} of {list(s)} maps into the hyperplane", offender=s
+            f"map is degenerate at simplex {list(s)}: "
+            f"link vertex {min(flat)!r} maps into its hyperplane",
+            offender=s,
         )
     return normal, level, upper
 
@@ -194,44 +201,29 @@ def is_nondegenerate(f: AffineVertexMap) -> tuple[bool, Optional[Simplex]]:
     return True, None
 
 
-def polar_census(
-    f: AffineVertexMap, a: ConstructibleFunction
-) -> tuple[Mod2Chain, tuple[HalfLinkReport, ...]]:
-    """Singularity chain and half-link reports of f over every i-simplex.
+def polar_census(f: AffineVertexMap, a: ConstructibleFunction) -> tuple[HalfLinkReport, ...]:
+    """Half-link reports of f over every i-simplex, in canonical order.
 
     A map to R^(i+1) has its singularities on the i-simplices, so i is
-    f.target_dim - 1.  One census per i-simplex tests nondegeneracy, gives
-    the coefficient a(S) - chi_plus_S(a) mod 2, and is kept as that
-    simplex's report.  The chain is defined for any function a; a being
-    Euler is what makes it a cycle, and callers that promise a class
-    test that themselves.  Raises DegenerateMapError at the first
-    degenerate simplex in canonical order.
+    f.target_dim - 1.  Each report tests nondegeneracy and gives chi_plus,
+    so a(S) - chi_plus mod 2 is the coefficient of S in Sigma(f), which
+    ``polar_chain`` computes without the reports.  Raises
+    DegenerateMapError at the first degenerate simplex in canonical order.
     """
-    i = f.target_dim - 1
     a2 = reduce_mod2(a)
-    support = set()
-    reports = []
-    for s in f.domain.by_dim.get(i, ()):
-        try:
-            report = half_link_report(a2, s, f)
-        except DegenerateMapError as e:
-            raise DegenerateMapError(
-                f"map is degenerate at simplex {list(e.offender)}", offender=e.offender
-            ) from None
-        if (a2(s) - report.chi_plus) % 2:
-            support.add(s)
-        reports.append(report)
-    return Mod2Chain(i, frozenset(support)), tuple(reports)
+    return tuple(half_link_report(a2, s, f) for s in f.domain.by_dim.get(f.target_dim - 1, ()))
 
 
 def polar_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
-    """Singularity chain of f for a, without the reports: ``polar_census(f, a)[0]``.
+    """Singularity chain Sigma(f) of a: a(S) - chi_plus_S(a) mod 2 at each i-simplex S.
 
     Each i-simplex S gets the side test of its report (``_side_test``);
     mod 2 the sign (-1)^dim U drops out, so the coefficient is the sum of
     a(T) over the cofaces T of S (S included) whose new vertices are all
     upper, i.e. T inside S and its upper link vertices.  No cell, report
-    or Fraction is built and nothing is sorted.  Raises DegenerateMapError
+    or Fraction is built and nothing is sorted.  The chain is defined for
+    any function a; a being Euler is what makes it a cycle, and callers
+    that promise a class test that themselves.  Raises DegenerateMapError
     at the first degenerate simplex in canonical order, as the census does.
     """
     k = f.domain
@@ -242,12 +234,7 @@ def polar_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
     cofaces = k.cofaces
     support = []
     for s in k.by_dim.get(i, ()):
-        try:
-            _normal, _level, upper = _side_test(f, s)
-        except DegenerateMapError:
-            raise DegenerateMapError(
-                f"map is degenerate at simplex {list(s)}", offender=s
-            ) from None
+        _normal, _level, upper = _side_test(f, s)
         upper.update(s)
         if sum(map(values.__getitem__, filter(upper.issuperset, cofaces[s]))) % 2:
             support.append(s)
@@ -290,7 +277,7 @@ def moment_chain(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod2Chai
     independently, out of Fubini(n) = 1 mod 2 in a gap of rank n.  So
     a(carrier T) summed over them is a(s_i) for odd i and dual(a)(s_i) for
     even i, and both are a(s_i) when a is Euler: then this chain is
-    ``polar_census(moment_map(sub, i), subdivide_function(sub, a))[0]``.
+    ``polar_chain(moment_map(sub, i), subdivide_function(sub, a))``.
     Whether a is Euler is not tested here.
     """
     if not 0 <= i <= sub.base.dim:
@@ -339,16 +326,16 @@ _MAX_RETRIES = 200
 
 def sample_generic_subspace(
     a: ConstructibleFunction, rank: int, seed: int
-) -> tuple[list[tuple[int, ...]], Mod2Chain]:
-    """Seeded integer basis, resampled until the induced map is nondegenerate.
+) -> tuple[AffineVertexMap, Mod2Chain]:
+    """A nondegenerate projection f on a seeded integer basis, and its chain Sigma(f).
 
-    `a` is any function on a complex with coordinates; the map projects
-    that complex onto `rank` seeded integer covectors.  Each candidate is
-    decided by its `polar_chain`, so the accepted basis comes back with its
-    singularity chain Sigma(f); its half-link reports, when wanted, are
-    ``polar_census(projection_map(k, basis), a)[1]``.  Whether `a` is Euler
-    is not tested here.  The stream is Python's Mersenne Twister seeded
-    with `seed`; identical (seed, complex) pairs give identical bases.
+    `a` is any function on a complex with coordinates; each candidate map
+    projects that complex onto `rank` seeded integer covectors and is
+    decided by its `polar_chain`, so the accepted map comes back with its
+    singularity chain; its half-link reports, when wanted, are
+    ``polar_census(f, a)``.  Whether `a` is Euler is not tested here.  The
+    stream is Python's Mersenne Twister seeded with `seed`; identical
+    (seed, complex) pairs give identical maps.
     """
     k = a.base
     if k.coordinates is None:
@@ -366,12 +353,13 @@ def sample_generic_subspace(
         ]
         if matrix_rank(basis) != rank:
             continue
+        f = _project(k, basis)
         try:
-            chain = polar_chain(_project(k, basis), a)
+            chain = polar_chain(f, a)
         except DegenerateMapError as e:
             last_offender = e.offender
             continue
-        return basis, chain
+        return f, chain
     raise PolarError(
         f"no nondegenerate basis found in {_MAX_RETRIES} tries; "
         f"last offending simplex: {list(last_offender) if last_offender else None}"

@@ -189,14 +189,15 @@ def impure_simplex(k: SimplicialComplex) -> Optional[Simplex]:
 
 
 def is_face_closed(k: SimplicialComplex, simplices: Iterable[Simplex]) -> Optional[Simplex]:
-    """Return a missing face if the set is not face-closed in k, else None."""
+    """The least missing face, in canonical order, if the set is not face-closed in k, else None.
+
+    Raises ComplexError naming the least simplex of the set that is not in k.
+    """
     sset = set(simplices)
-    for s in sset:
-        k.require(s)
-        for f in faces(s):
-            if f not in sset:
-                return f
-    return None
+    foreign = sset - k.simplex_set
+    if foreign:
+        k.require(min(foreign))
+    return min((f for s in sset for f in faces(s) if f not in sset), default=None)
 
 
 def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:

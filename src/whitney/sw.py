@@ -104,8 +104,8 @@ def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     so the image of the chain is the set of i-simplices carried by its
     support.  This is the subdivision chain map.
     """
-    for s in c.support:
-        sub.base.require(s)
+    if not c.support <= sub.base.simplex_set:
+        sub.base.require(min(c.support - sub.base.simplex_set))
     return Mod2Chain(c.dim, frozenset(t for t, s in sub.flags(c.dim).items() if s in c.support))
 
 
@@ -128,9 +128,9 @@ def last_vertex_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     ... < S keeps i + 1 distinct last vertices, so pi# sd# = id.
     """
     flags = sub.flags(c.dim)
-    for s in c.support:
-        if s not in flags:
-            raise HomologyError(f"chain simplex {list(s)} is not in the subdivision")
+    foreign = c.support.difference(flags)
+    if foreign:
+        raise HomologyError(f"chain simplex {list(min(foreign))} is not in the subdivision")
     return _push(c, {v: s[-1] for v, s in sub.carriers.items()})
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from . import calculus as cal
@@ -25,7 +26,7 @@ from . import homology as hom
 from . import polar, sw
 from .corpus import CorpusEntry, MapEntry, load_corpus, load_map_suite
 from .errors import InputError, WhitneyError
-from .fileio import function_to_dict
+from .fileio import format_rational, function_to_dict
 from .simplicial import (
     Simplex,
     SimplicialComplex,
@@ -101,6 +102,13 @@ def _fn_repro(k_name: str, a: cal.ConstructibleFunction, extra: Optional[dict] =
     if extra:
         out.update(extra)
     return out
+
+
+def _map_repro(k_name: str, i: int, j: int, f: polar.AffineVertexMap) -> dict:
+    """A failed check on the j-th sampled plane, which is written as a ``polar --map`` file."""
+    images = {v: [format_rational(Fraction(x, f.scale)) for x in p] for v, p in f.images.items()}
+    return {"complex": k_name, "i": i, "basis_index": j,
+            "map": {"target_dim": f.target_dim, "images": images}}
 
 
 def _is_flag_cycle(c: hom.Mod2Chain) -> bool:
@@ -255,8 +263,7 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
         ones_prime = cal.constant(subdiv.complex, 1, cal.RING_Z2)
         moment_maps[entry.name] = [polar.moment_map(subdiv, i) for i in range(k.dim + 1)]
         for i, f in enumerate(moment_maps[entry.name]):
-            _chain, reports = polar.polar_census(f, ones_prime)
-            for r in reports:
+            for r in polar.polar_census(f, ones_prime):
                 report.prop("half-link parity chi+ = chi- mod 2").record(
                     r.chi_plus == r.chi_minus,
                     lambda: {"complex": entry.name, "i": i, "simplex": list(r.simplex)},
@@ -272,17 +279,14 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
             s_i = sw.base_representative(k, ones, i)
             prev = None
             for j in range(n_pairs):
-                _basis, sig = polar.sample_generic_subspace(
-                    ones, rank, seed=rng.randrange(10 ** 9)
-                )
+                f, sig = polar.sample_generic_subspace(ones, rank, seed=rng.randrange(10 ** 9))
+                repro = lambda: _map_repro(entry.name, i, j, f)
                 report.prop("projection chain is homologous to the Stiefel chain").record(
-                    hom.homologous(k, sig, s_i),
-                    lambda: {"complex": entry.name, "i": i, "basis_index": j},
+                    hom.homologous(k, sig, s_i), repro
                 )
                 if prev is not None:
                     report.prop("polar class is independent of the generic plane").record(
-                        hom.homologous(k, sig, prev),
-                        lambda: {"complex": entry.name, "i": i, "basis_index": j},
+                        hom.homologous(k, sig, prev), repro
                     )
                 prev = sig
     # restriction consistency on closed Euler subcomplexes of Euler spaces

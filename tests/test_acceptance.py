@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from census_oracle import census_chain
 from conftest import NON_EULER_SPACES
 from whitney import calculus as cal
 from whitney import homology as hom
@@ -46,10 +47,10 @@ def test_criterion_02_moment_map_identity(corpus, subdivisions):
         sw.sw_representative(
             subdivisions[e.name], cal.constant(e.complex, 1, cal.RING_Z2), i
         ).support
-        == polar.polar_census(
+        == census_chain(
             polar.moment_map(subdivisions[e.name], i),
             cal.constant(subdivisions[e.name].complex, 1, cal.RING_Z2),
-        )[0].support
+        ).support
         == sw.stiefel_chain(subdivisions[e.name], i).support
         for e in euler_entries(corpus)
         for i in range(e.complex.dim + 1)
@@ -132,11 +133,8 @@ def test_criterion_07_half_link_parity(corpus, subdivisions):
         if e.complex.coordinates is not None:
             ones_k = cal.constant(e.complex, 1)
             for i in range(e.complex.dim + 1):
-                basis, _chain = polar.sample_generic_subspace(ones_k, i + 1, seed=100 + i)
-                _census, reports = polar.polar_census(
-                    polar.projection_map(e.complex, basis), ones_k
-                )
-                for r in reports:
+                f, _chain = polar.sample_generic_subspace(ones_k, i + 1, seed=100 + i)
+                for r in polar.polar_census(f, ones_k):
                     ok = ok and r.chi_plus % 2 == r.chi_minus % 2
     criterion(7, "half-link parity chi+ = chi- mod 2 at every simplex", ok)
 
@@ -152,7 +150,7 @@ def test_criterion_08_projection_independence(corpus, subdivisions):
         s_i = sw.stiefel_chain(sub, i)
         chains = []
         for _ in range(11):
-            _basis, chain = polar.sample_generic_subspace(
+            _f, chain = polar.sample_generic_subspace(
                 ones, rank, seed=rng.randrange(10 ** 9)
             )
             chains.append(chain)

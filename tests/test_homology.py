@@ -211,3 +211,24 @@ def test_is_boundary_matches_mask_oracle(data):
         result = hom.is_boundary(k, c)
         assert result == gf2_oracle.is_boundary(k, c)
         _assert_witness(k, c, *result)
+
+
+def test_errors_name_the_least_bad_simplex_of_a_set(circle, subdivisions):
+    # a set has no order of its own, so a message names its least bad simplex in canonical order
+    from whitney.errors import ComplexError
+    from whitney.simplicial import is_face_closed
+
+    foreign = Mod2Chain(1, frozenset({("3", "6"), ("1", "4"), ("2", "5")}))
+    with pytest.raises(HomologyError, match=r"^chain simplex \['1', '4'\] is not in the complex$"):
+        hom.boundary(circle, foreign)
+    with pytest.raises(ComplexError, match=r"^simplex \['1', '4'\] is not in the complex$"):
+        sw.subdivision_chain_map(subdivisions["s1_3"], foreign)
+    with pytest.raises(HomologyError,
+                       match=r"^chain simplex \['1', '4'\] is not in the subdivision$"):
+        sw.last_vertex_chain_map(subdivisions["s1_3"], foreign)
+    with pytest.raises(HomologyError, match=r"^simplex \['1'\] has dimension 0, chain has 1$"):
+        Mod2Chain(1, frozenset({("3",), ("1", "2"), ("1",), ("2",)}))
+    with pytest.raises(ComplexError, match=r"^simplex \['1', '9'\] is not in the complex$"):
+        is_face_closed(circle, {("1",), ("9",), ("1", "9")})
+    assert is_face_closed(circle, {("2", "3"), ("1", "2")}) == ("1",)
+    assert is_face_closed(circle, {("2", "3"), ("2",), ("3",)}) is None

@@ -2,11 +2,15 @@ import copy
 import dataclasses
 import enum
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from census_oracle import census_chain
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -331,6 +335,36 @@ def test_chain_file_names_its_bad_simplex(circle, simplices, message):
     assert str(e.value) == message
 
 
+# inputs with more than one bad entry; the parent named a different one under some of the seeds
+HASH_SEED_CASES = [
+    ("bounds", {"dim": 1, "simplices": [["1", "4"], ["2", "5"], ["3", "6"]]},
+     "error: chain simplex ['1', '4'] is not in the complex"),
+    ("bounds", {"dim": 1, "simplices": [["1"], ["2"]]},
+     "error: chain file: simplex ['1'] has dimension 0, chain has 1"),
+    ("chi", {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "9"]]}]},
+     "error: function file: simplex ['1', '9'] is not in the complex"),
+]
+
+
+def test_error_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    # a file names its first bad entry in file order, a set its least in canonical order
+    argvs = []
+    for j, (command, data, _message) in enumerate(HASH_SEED_CASES):
+        path = tmp_path / f"{j}.json"
+        path.write_text(json.dumps(data))
+        flag = "--chain" if command == "bounds" else "--fn"
+        argvs.append([command, "--complex", str(CORPUS / "s1_3.json"), flag, str(path)])
+    script = ("import json, sys\nfrom whitney import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n    cli.main(argv)\n")
+    expected = "".join(f"{message}\n" for _command, _data, message in HASH_SEED_CASES)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for seed in (0, 1, 4, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == expected, seed
+
+
 def test_parsed_complexes_and_chains_share_the_complexs_objects():
     # json.loads makes a new string for every occurrence of an id
     k = fileio.complex_from_dict(json.loads((CORPUS / "torus_7.json").read_text()))
@@ -376,6 +410,32 @@ def test_validate_needs_domain_and_codomain_together(tmp_path, capsys, given):
     code, streams = run(["validate", mp, given, CORPUS / "s1_3.json"], capsys)
     assert (code, streams.out) == (2, "")
     assert streams.err == "error: --domain and --codomain must be given together\n"
+
+
+def test_validate_loads_domain_and_codomain_once(tmp_path, monkeypatch, capsys):
+    maps = [tmp_path / f"map{j}.json" for j in range(3)]
+    for mp in maps:
+        mp.write_text(json.dumps({"vertex_map": {"1": "2", "2": "3", "3": "1"}}))
+    loaded = []
+    load = fileio.load_complex
+    monkeypatch.setattr(fileio, "load_complex", lambda path: loaded.append(path) or load(path))
+    circle = CORPUS / "s1_3.json"
+    code, streams = run(["validate", *maps, "--domain", circle, "--codomain", circle], capsys)
+    assert (code, streams.err) == (0, "")
+    assert streams.out == "".join(f"ok: {mp} (map)\n" for mp in maps)
+    assert loaded == [str(circle), str(circle)]
+
+
+def test_validate_unreadable_domain_exits_before_any_file(tmp_path, capsys):
+    maps = [tmp_path / f"map{j}.json" for j in range(3)]
+    for mp in maps:
+        mp.write_text(json.dumps({"vertex_map": {"1": "2", "2": "3", "3": "1"}}))
+    missing = tmp_path / "nope.json"
+    code, streams = run(["validate", *maps, "--domain", missing,
+                         "--codomain", CORPUS / "s1_3.json"], capsys)
+    assert (code, streams.out) == (2, "")
+    assert streams.err.startswith(f"error: cannot read {missing}: ")
+    assert streams.err.count("\n") == 1
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -610,7 +670,8 @@ def test_degenerate_map_exit_code_beats_non_euler_function(tmp_path, capsys):
          "--project", basis, "--fn", fn, "--out", tmp_path / "c.json"], capsys
     )
     assert code == 6
-    assert out.err == "error: map is degenerate at simplex ['a']\n"
+    assert out.err == ("error: map is degenerate at simplex ['a']: "
+                       "link vertex 'd' maps into its hyperplane\n")
 
 
 @pytest.mark.parametrize("complex_name, mode, payload", [
@@ -687,9 +748,7 @@ def test_moment_chain_solves_no_hyperplane(tmp_path, monkeypatch, corpus, subdiv
                 assert run(argv + ["--out", out, "--report", report]) == 0
                 half_links = json.loads(report.read_text())["half_links"]
                 assert [tuple(r["simplex"]) for r in half_links] == list(sub.complex.by_dim[i])
-                chain, _reports = polar.polar_census(
-                    polar.moment_map(sub, i), cal.subdivide_function(sub, b)
-                )
+                chain = census_chain(polar.moment_map(sub, i), cal.subdivide_function(sub, b))
                 provenance = {"construction": "moment", "complex": f"{entry.name}.json", "i": i}
                 census_bytes = fileio.dump_json(fileio.chain_to_dict(chain, provenance), None)
                 assert out.read_text() == census_bytes, argv
@@ -855,16 +914,24 @@ def test_random_plane_reports_only_the_accepted_plane(tmp_path, monkeypatch):
     k = fileio.load_complex(sd1)
     argv = ["polar", "--complex", sd1, "--dim", 0, "--random-plane", "--seed", 4]
     assert run(argv + ["--out", tmp_path / "plain.json"]) == 0
+    reference = tmp_path / "reference_hl.json"
+    assert run(argv + ["--out", tmp_path / "reference.json", "--report", reference]) == 0
     candidates, reports = [], []
     chain, report = polar.polar_chain, polar.half_link_report
     monkeypatch.setattr(polar, "polar_chain", lambda f, a: candidates.append(f) or chain(f, a))
     monkeypatch.setattr(polar, "half_link_report",
                         lambda a, s, f: reports.append(s) or report(a, s, f))
+
+    def refuse(*args):
+        raise AssertionError("the accepted plane's map built again for its reports")
+
+    monkeypatch.setattr(polar, "projection_map", refuse)
     out, hl = tmp_path / "c.json", tmp_path / "hl.json"
     assert run(argv + ["--out", out, "--report", hl]) == 0
     assert len(candidates) > 1
     assert reports == list(k.by_dim[0])
     assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert hl.read_bytes() == reference.read_bytes()
     assert [tuple(r["simplex"]) for r in json.loads(hl.read_text())["half_links"]] == reports
 
 
@@ -945,6 +1012,24 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, data):
     assert streams.err.startswith("error: ") and streams.err.count("\n") == 1
     if command == "map":
         assert streams.err.startswith("error: map file: ")
+
+
+@pytest.mark.parametrize("name, parse", [
+    ("indicator_sum", lambda k: fileio.function_from_dict(
+        {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "2"]]}]}, k)),
+    ("from_values", lambda k: fileio.function_from_dict({"ring": "Z", "values": {"1": 1}}, k)),
+    ("Mod2Chain", lambda k: fileio.chain_from_dict({"dim": 1, "simplices": [["1", "2"]]}, k)),
+    ("AffineVertexMap", lambda k: fileio.affine_map_from_dict(
+        {"target_dim": 1, "images": {"1": ["0"], "2": ["1"], "3": ["2"]}}, k)),
+], ids=["indicator_sum", "from_values", "Mod2Chain", "AffineVertexMap"])
+def test_a_library_fault_is_not_an_input_error(monkeypatch, circle, name, parse):
+    # only package errors become InputErrors (exit 2); a bug in the library keeps its traceback
+    def fault(*args):
+        raise TypeError("library fault")
+
+    monkeypatch.setattr(fileio, name, fault)
+    with pytest.raises(TypeError, match="library fault"):
+        parse(circle)
 
 
 def test_verify_cli(capsys):

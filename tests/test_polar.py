@@ -4,6 +4,7 @@ from itertools import combinations
 
 import fraction_oracle
 import pytest
+from census_oracle import census_chain
 from relabelling import flag_keys, fresh_ids, relabel, relabel_function
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,9 +112,8 @@ def test_half_link_integral_matches_cells_on_projections(corpus):
     for a in functions:
         for rank in range(1, k.dim + 2):
             for seed in range(3):
-                basis, _chain = polar.sample_generic_subspace(a, rank, seed)
-                _census, reports = polar.polar_census(polar.projection_map(k, basis), a)
-                for r in reports:
+                f, _chain = polar.sample_generic_subspace(a, rank, seed)
+                for r in polar.polar_census(f, a):
                     assert (r.chi_plus, r.chi_minus) == _cell_integral(r, cal.RING_Z2)
 
 
@@ -192,9 +192,7 @@ def test_moment_chain_matches_census_oracle(corpus, subdivisions):
             is_euler = cal.is_euler_function(a)
             euler.add(is_euler)
             for i in range(k.dim + 1):
-                oracle, _reports = polar.polar_census(
-                    polar.moment_map(sub, i), cal.subdivide_function(sub, a)
-                )
+                oracle = census_chain(polar.moment_map(sub, i), cal.subdivide_function(sub, a))
                 assert _carrier_chain(sub, a, i) == oracle, (name, i)
                 if is_euler or i % 2:
                     assert polar.moment_chain(sub, a, i) == oracle, (name, i)
@@ -213,9 +211,7 @@ def test_representative_matches_moment_chain_and_census(corpus, subdivisions):
         for a in [_z_lift(rng, random_euler_function(rng, k)) for _ in range(2)]:
             for i in range(k.dim + 1):
                 rep = sw.sw_representative(sub, a, i)
-                oracle, _reports = polar.polar_census(
-                    polar.moment_map(sub, i), cal.subdivide_function(sub, a)
-                )
+                oracle = census_chain(polar.moment_map(sub, i), cal.subdivide_function(sub, a))
                 assert rep == polar.moment_chain(sub, a, i) == oracle, (name, i)
 
 
@@ -255,7 +251,9 @@ def test_degenerate_map_reported_before_non_euler_function(circle):
         polar.euler_singularity_chain(f, edge)
     # the first offender in canonical order, not just any
     assert e.value.offender == ("1",)
-    assert str(e.value) == "map is degenerate at simplex ['1']"
+    assert str(e.value) == (
+        "map is degenerate at simplex ['1']: link vertex '2' maps into its hyperplane"
+    )
 
 
 def test_projection_map_requires_coordinates(corpus):
@@ -274,10 +272,11 @@ def test_projection_chain_on_circle(circle):
 def test_sample_generic_subspace_deterministic(corpus):
     k = corpus["rp2_6_embedded"].complex
     ones = cal.constant(k, 1, cal.RING_Z2)
-    b1, c1 = polar.sample_generic_subspace(ones, 2, seed=11)
-    b2, c2 = polar.sample_generic_subspace(ones, 2, seed=11)
-    assert (b1, c1) == (b2, c2)
-    ok, _ = polar.is_nondegenerate(polar.projection_map(k, b1))
+    f1, c1 = polar.sample_generic_subspace(ones, 2, seed=11)
+    f2, c2 = polar.sample_generic_subspace(ones, 2, seed=11)
+    assert (f1.images, f1.scale, c1) == (f2.images, f2.scale, c2)
+    assert f1.domain == k and f1.target_dim == 2
+    ok, _ = polar.is_nondegenerate(f1)
     assert ok
 
 
@@ -285,11 +284,9 @@ def test_sampler_chain_matches_chain_of_its_basis(corpus):
     k = corpus["rp2_6_embedded"].complex
     ones = cal.constant(k, 1, cal.RING_Z2)
     for i in range(k.dim + 1):
-        basis, chain = polar.sample_generic_subspace(ones, i + 1, seed=3)
-        f = polar.projection_map(k, basis)
-        census, reports = polar.polar_census(f, ones)
-        assert chain == census
-        assert [r.simplex for r in reports] == list(k.by_dim[i])
+        f, chain = polar.sample_generic_subspace(ones, i + 1, seed=3)
+        assert chain == census_chain(f, ones)
+        assert [r.simplex for r in polar.polar_census(f, ones)] == list(k.by_dim[i])
 
 
 def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
@@ -297,7 +294,7 @@ def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
     sub = subdivisions["boundary_delta3"]
     ones = cal.constant(k, 1, cal.RING_Z2)
     for i in range(k.dim + 1):
-        _basis, sig = polar.sample_generic_subspace(ones, i + 1, seed=5 + i)
+        _f, sig = polar.sample_generic_subspace(ones, i + 1, seed=5 + i)
         assert hom.homologous(
             sub.complex,
             sw.subdivision_chain_map(sub, sig),
@@ -335,7 +332,7 @@ def test_polar_chain_matches_census_on_moment_maps(corpus, subdivisions):
             a_prime = cal.subdivide_function(sub, a)
             for i in range(entry.complex.dim + 1):
                 f = polar.moment_map(sub, i)
-                assert polar.polar_chain(f, a_prime) == polar.polar_census(f, a_prime)[0], (name, i)
+                assert polar.polar_chain(f, a_prime) == census_chain(f, a_prime), (name, i)
     assert euler == {True, False}
 
 
@@ -349,9 +346,8 @@ def test_polar_chain_matches_census_on_sampled_projections(corpus):
         for a in _chain_functions(rng, k):
             rings.add(a.ring)
             for rank in range(1, min(k.dim + 1, k.ambient_dim) + 1):
-                basis, chain = polar.sample_generic_subspace(a, rank, rng.randrange(10 ** 6))
-                f = polar.projection_map(k, basis)
-                assert chain == polar.polar_chain(f, a) == polar.polar_census(f, a)[0], (name, rank)
+                f, chain = polar.sample_generic_subspace(a, rank, rng.randrange(10 ** 6))
+                assert chain == polar.polar_chain(f, a) == census_chain(f, a), (name, rank)
     assert rings == {cal.RING_Z, cal.RING_Z2}
 
 
@@ -378,6 +374,7 @@ def test_polar_chain_and_census_agree_on_degenerate_maps(corpus, circle):
         maps += [polar.projection_map(k, _collapsing_basis(k, edge, rank))
                  for edge in (k.by_dim[1][0], k.by_dim[1][-1]) for rank in (1, 2)]
     offenders = set()
+    reasons = set()
     for f in maps:
         for a in _chain_functions(rng, f.domain):
             with pytest.raises(DegenerateMapError) as expected:
@@ -386,8 +383,14 @@ def test_polar_chain_and_census_agree_on_degenerate_maps(corpus, circle):
                 polar.polar_chain(f, a)
             assert e.value.offender == expected.value.offender
             assert str(e.value) == str(expected.value)
+            with pytest.raises(DegenerateMapError) as e:
+                polar.half_link_report(a, expected.value.offender, f)
+            assert str(e.value) == str(expected.value)
             offenders.add(e.value.offender)
+            reasons.add(str(e.value).split(": ")[1].split()[0])
         assert polar.is_nondegenerate(f) == (False, expected.value.offender)
+    # both reasons: a flat image ("its image spans no hyperplane") and a flat link vertex
+    assert reasons == {"its", "link"}
     # offenders in both dimensions, and not only each complex's first simplex
     assert {len(s) for s in offenders} == {1, 2} and len(offenders) > 2
 
@@ -476,7 +479,7 @@ def test_integer_census_matches_fraction_oracle_on_rational_map(corpus):
 def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch):
     sub = subdivisions["rp2_6"]
     k = corpus["rp2_6_embedded"].complex
-    basis, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
+    basis = [(1, 3, 9, 27, 81), (1, -2, 5, -7, 11)]
 
     def censuses():
         # fresh complexes, so their integer coordinates and K' barycenters are built on every call
@@ -529,8 +532,8 @@ def test_coface_census_matches_link_oracle_on_projections(corpus):
         a = random_function(rng, k)
         for rank in range(1, k.dim + 2):
             for seed in range(3):
-                basis, _chain = polar.sample_generic_subspace(a, rank, seed)
-                assert _check_against_link_oracle(polar.projection_map(k, basis), a) > 0
+                f, _chain = polar.sample_generic_subspace(a, rank, seed)
+                assert _check_against_link_oracle(f, a) > 0
 
 
 def test_degenerate_census_names_the_first_link_vertex(corpus):
@@ -547,7 +550,8 @@ def test_degenerate_census_names_the_first_link_vertex(corpus):
                 continue
             with pytest.raises(DegenerateMapError) as e:
                 polar.half_link_report(a, s, f)
-            assert str(e.value) == f"link vertex {flat[0]!r} of {list(s)} maps into the hyperplane"
+            assert str(e.value) == (f"map is degenerate at simplex {list(s)}: "
+                                    f"link vertex {flat[0]!r} maps into its hyperplane")
             assert e.value.offender == s
             degenerate += 1
     assert degenerate > 0
@@ -556,10 +560,10 @@ def test_degenerate_census_names_the_first_link_vertex(corpus):
 def test_census_builds_no_link_complex(corpus, subdivisions, monkeypatch):
     sub = subdivisions["rp2_6"]
     k = corpus["rp2_6_embedded"].complex
-    basis, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
+    f, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 3)
     cases = [
         (polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),
-        (polar.projection_map(k, basis), cal.constant(k, 1, cal.RING_Z2)),
+        (f, cal.constant(k, 1, cal.RING_Z2)),
     ]
     expected = [polar.polar_census(f, a) for f, a in cases]
 
@@ -576,15 +580,16 @@ def test_projection_basis_must_be_ints_or_fractions(corpus):
     with pytest.raises(PolarError, match=r"basis vector must be ints or Fractions, got \[0\.1, 1\]"):
         polar.projection_map(k, [(0.1, 1)])
     assert polar.projection_map(k, [(2, 1)]) == polar.projection_map(k, [(Fraction(2), Fraction(1))])
-    basis, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 0)
-    assert all(type(x) is int for b in basis for x in b)
+    f, _chain = polar.sample_generic_subspace(cal.constant(k, 1, cal.RING_Z2), 2, 0)
+    assert all(type(x) is int for p in f.images.values() for x in p) and type(f.scale) is int
 
 
-def _assert_same_census(census, census2, key, key2):
+def _assert_same_census(f, a, f2, a2, key, key2):
     """Chains and per-simplex reports agree once simplices are compared through key/key2."""
-    (chain, reports), (chain2, reports2) = census, census2
+    chain, chain2 = census_chain(f, a), census_chain(f2, a2)
     assert {key(s) for s in chain.support} == {key2(s) for s in chain2.support}
-    by_key = {key2(r.simplex): r for r in reports2}
+    reports = polar.polar_census(f, a)
+    by_key = {key2(r.simplex): r for r in polar.polar_census(f2, a2)}
     assert len(by_key) == len(reports)
     for r in reports:
         r2 = by_key[key(r.simplex)]
@@ -602,13 +607,11 @@ def test_projection_census_invariant_under_relabelling(corpus, name, seed, data)
     a = random_function(random.Random(seed), k)
     a2 = relabel_function(a, k2, new)
     for rank in range(1, k.dim + 2):
-        basis, _chain = polar.sample_generic_subspace(a, rank, seed)
-        _assert_same_census(
-            polar.polar_census(polar.projection_map(k, basis), a),
-            polar.polar_census(polar.projection_map(k2, basis), a2),
-            lambda s: tuple(sorted(new[v] for v in s)),
-            lambda s: s,
-        )
+        # relabelling changes no candidate's geometry, so both accept the same basis
+        f, _chain = polar.sample_generic_subspace(a, rank, seed)
+        f2, _chain2 = polar.sample_generic_subspace(a2, rank, seed)
+        assert {new[v]: p for v, p in f.images.items()} == f2.images and f.scale == f2.scale
+        _assert_same_census(f, a, f2, a2, lambda s: tuple(sorted(new[v] for v in s)), lambda s: s)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -624,10 +627,7 @@ def test_moment_census_invariant_under_relabelling(corpus, subdivisions, seed, d
     flag, flag2 = flag_keys(sub, sub2, new)
     for i in range(k.dim + 1):
         _assert_same_census(
-            polar.polar_census(polar.moment_map(sub, i), a_prime),
-            polar.polar_census(polar.moment_map(sub2, i), a2_prime),
-            flag,
-            flag2,
+            polar.moment_map(sub, i), a_prime, polar.moment_map(sub2, i), a2_prime, flag, flag2
         )
 
 

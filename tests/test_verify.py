@@ -49,3 +49,29 @@ def test_polar_suite_reads_the_census(monkeypatch):
     monkeypatch.setattr(polar, "polar_census", counted_census)
     monkeypatch.setattr(polar, "half_link_report", report_inside_census)
     assert verify.run_suite("polar", seed=1, trials=10).ok
+
+
+def test_projection_counterexample_holds_the_sampled_map(corpus, monkeypatch):
+    # the plane of a failed projection check is written as a file that polar --map reads
+    from fractions import Fraction
+
+    from whitney import calculus as cal
+    from whitney import fileio
+    from whitney import homology as hom
+
+    sampled = []
+    sample = polar.sample_generic_subspace
+    monkeypatch.setattr(polar, "sample_generic_subspace",
+                        lambda a, rank, seed: sampled.append(sample(a, rank, seed)) or sampled[-1])
+    monkeypatch.setattr(hom, "homologous", lambda k, c1, c2: False)
+    name = "rp2_6_embedded"
+    k = corpus[name].complex
+    report = verify.run_polar_suite(1, 10, {name: corpus[name]})
+    counterexample = report.prop("projection chain is homologous to the Stiefel chain").counterexample
+    assert (counterexample["complex"], counterexample["i"], counterexample["basis_index"]) == (
+        name, 0, 0)
+    f, chain = sampled[0]
+    g = fileio.affine_map_from_dict(counterexample["map"], k)
+    assert {v: [Fraction(x, g.scale) for x in p] for v, p in g.images.items()} == {
+        v: [Fraction(x, f.scale) for x in p] for v, p in f.images.items()}
+    assert polar.polar_chain(g, cal.constant(k, 1, cal.RING_Z2)) == chain

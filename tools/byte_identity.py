@@ -95,6 +95,10 @@ INPUTS = {
                               "maximal_simplices": _TRIANGLE + [["p", "q"], ["q", "r"]]},
     "c0_even.json": {"dim": 0, "simplices": [["1"], ["3"], ["p"], ["r"]]},
     "c0_odd.json": {"dim": 0, "simplices": [["1"], ["3"], ["q"]]},
+    # more than one bad entry: the message names one, whatever the hash seed
+    "chain_foreign.json": {"dim": 1, "simplices": [["1", "4"], ["2", "5"], ["3", "6"]]},
+    "chain_low_dim.json": {"dim": 1, "simplices": [["1"], ["2"]]},
+    "fn_foreign.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "9"]]}]},
 }
 
 
@@ -163,6 +167,10 @@ def commands(corpus: Path) -> list[list[str]]:
          "--out", "out/fn_edge_moment0.json"],
         ["chi", "--complex", s1, "--fn", "in/fn_repeated.json"],
         ["validate", "in/chain_repeated.json"],
+        ["bounds", "--complex", s1, "--chain", "in/chain_foreign.json"],
+        ["validate", "in/chain_foreign.json", "--complex", s1],
+        ["bounds", "--complex", s1, "--chain", "in/chain_low_dim.json"],
+        ["chi", "--complex", s1, "--fn", "in/fn_foreign.json"],
         ["push", "--domain", s6, "--codomain", s1, "--map", "in/double_cover.json",
          "--fn", "in/fn_s1_6.json", "--out", "out/push.json"],
         ["pull", "--domain", s6, "--codomain", s1, "--map", "in/double_cover.json",
