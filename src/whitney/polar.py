@@ -21,7 +21,12 @@ path (``polar_chain``, and ``polar_census`` for half-link reports and
 parity checks) is the closed form's oracle.
 
 A generic projection is found by testing seeded candidates until one is
-nondegenerate.  ``sample_generic_subspace`` decides each candidate by
+nondegenerate.  Each of its N = 1 + |K_i| + (i + 2)|K_(i+1)| conditions (a
+basis of full rank, f(S) spanning a hyperplane, a link vertex w off it) is a
+nonzero polynomial of degree <= i + 1 in the basis entries, as S * w is
+affinely independent; entries drawn from [-B, B], B = 128 (i + 1) N, make a
+candidate fail with probability below 1/256 (Schwartz-Zippel).
+``sample_generic_subspace`` decides each candidate by
 ``polar_chain``, which runs the census's side test (``_side_test``) and
 sums a(T) mod 2 over the upper cofaces without building a report; it is
 the chain of every given map too, and the sampler returns the map it
@@ -335,7 +340,9 @@ def sample_generic_subspace(
     singularity chain; its half-link reports, when wanted, are
     ``polar_census(f, a)``.  Whether `a` is Euler is not tested here.  The
     stream is Python's Mersenne Twister seeded with `seed`; identical
-    (seed, complex) pairs give identical maps.
+    (seed, complex) pairs give identical maps.  Every entry is drawn from
+    [-B, B], B = 128 rank N for the N conditions of the module docstring,
+    so a candidate fails with probability below 1/256.
     """
     k = a.base
     if k.coordinates is None:
@@ -343,24 +350,17 @@ def sample_generic_subspace(
     n = k.ambient_dim
     if not 1 <= rank <= n:
         raise PolarError(f"rank {rank} out of range for ambient dimension {n}")
+    conditions = 1 + len(k.by_dim.get(rank - 1, ())) + (rank + 1) * len(k.by_dim.get(rank, ()))
+    bound = 128 * rank * conditions
     rng = random.Random(seed)
-    last_offender = None
-    for attempt in range(_MAX_RETRIES):
-        bound = 9 + attempt
-        basis = [
-            tuple(rng.randint(-bound, bound) for _ in range(n))
-            for _ in range(rank)
-        ]
+    last = None
+    for _ in range(_MAX_RETRIES):
+        basis = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(rank)]
         if matrix_rank(basis) != rank:
             continue
         f = _project(k, basis)
         try:
-            chain = polar_chain(f, a)
+            return f, polar_chain(f, a)
         except DegenerateMapError as e:
-            last_offender = e.offender
-            continue
-        return f, chain
-    raise PolarError(
-        f"no nondegenerate basis found in {_MAX_RETRIES} tries; "
-        f"last offending simplex: {list(last_offender) if last_offender else None}"
-    )
+            last = e
+    raise PolarError(f"no nondegenerate basis in {_MAX_RETRIES} tries; last candidate: {last}")

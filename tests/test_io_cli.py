@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from whitney import calculus as cal
 from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
-from whitney.errors import HomologyError, InputError
+from whitney.errors import DegenerateMapError, HomologyError, InputError, PolarError
 from whitney.homology import Mod2Chain, boundary, fundamental_cycle
 from whitney.simplicial import Subdivision, build_complex, impure_simplex
 from whitney.verify import random_euler_function, random_function
@@ -908,17 +908,26 @@ def test_map_and_project_chains_build_no_report(tmp_path, monkeypatch):
 
 
 def test_random_plane_reports_only_the_accepted_plane(tmp_path, monkeypatch):
-    # seed 4 at --dim 0 on sd1 of rp2_6_embedded accepts its eighth candidate
+    # every run rejects its first candidate, so each accepts a later one
     sd1 = tmp_path / "sd1.json"
     assert run(["subdivide", "--complex", CORPUS / "rp2_6_embedded.json", "--out", sd1]) == 0
     k = fileio.load_complex(sd1)
     argv = ["polar", "--complex", sd1, "--dim", 0, "--random-plane", "--seed", 4]
-    assert run(argv + ["--out", tmp_path / "plain.json"]) == 0
-    reference = tmp_path / "reference_hl.json"
-    assert run(argv + ["--out", tmp_path / "reference.json", "--report", reference]) == 0
     candidates, reports = [], []
     chain, report = polar.polar_chain, polar.half_link_report
-    monkeypatch.setattr(polar, "polar_chain", lambda f, a: candidates.append(f) or chain(f, a))
+
+    def reject_first(f, a):
+        candidates.append(f)
+        if len(candidates) == 1:
+            raise DegenerateMapError("first candidate rejected")
+        return chain(f, a)
+
+    monkeypatch.setattr(polar, "polar_chain", reject_first)
+    assert run(argv + ["--out", tmp_path / "plain.json"]) == 0
+    candidates.clear()
+    reference = tmp_path / "reference_hl.json"
+    assert run(argv + ["--out", tmp_path / "reference.json", "--report", reference]) == 0
+    candidates.clear()
     monkeypatch.setattr(polar, "half_link_report",
                         lambda a, s, f: reports.append(s) or report(a, s, f))
 
@@ -933,6 +942,24 @@ def test_random_plane_reports_only_the_accepted_plane(tmp_path, monkeypatch):
     assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
     assert hl.read_bytes() == reference.read_bytes()
     assert [tuple(r["simplex"]) for r in json.loads(hl.read_text())["half_links"]] == reports
+
+
+def test_random_plane_failure_names_the_last_reason(tmp_path, monkeypatch, capsys, corpus):
+    def degenerate(f, s):
+        raise DegenerateMapError(f"map is degenerate at simplex {list(s)}: "
+                                 "its image spans no hyperplane", offender=s)
+
+    monkeypatch.setattr(polar, "_side_test", degenerate)
+    message = ("no nondegenerate basis in 200 tries; last candidate: "
+               "map is degenerate at simplex ['1', '2']: its image spans no hyperplane")
+    ones = cal.constant(corpus["rp2_6_embedded"].complex, 1, cal.RING_Z2)
+    with pytest.raises(PolarError) as e:
+        polar.sample_generic_subspace(ones, 2, 0)
+    assert type(e.value) is PolarError and str(e.value) == message
+    code, out = run(["polar", "--complex", CORPUS / "rp2_6_embedded.json", "--dim", 1,
+                     "--random-plane", "--out", tmp_path / "c.json"], capsys)
+    assert code == 6
+    assert out.err == f"error: {message}\n"
 
 
 def test_polar_input_error_beats_map_error(tmp_path):

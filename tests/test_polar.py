@@ -313,6 +313,18 @@ def test_sampler_rank_tests_each_candidate_once(corpus, monkeypatch):
     assert len(calls) == 5
 
 
+def test_sampler_candidates_fail_rarely(subdivisions, monkeypatch):
+    # entries come from one range where a candidate fails with probability below 1/256
+    k = subdivisions["rp2_6_embedded"].complex
+    ones = cal.constant(k, 1, cal.RING_Z2)
+    candidates = []
+    project = polar._project
+    monkeypatch.setattr(polar, "_project", lambda k, b: candidates.append(b) or project(k, b))
+    for seed in range(20):
+        polar.sample_generic_subspace(ones, 1, seed)
+    assert 20 <= len(candidates) <= 22
+
+
 def _chain_functions(rng, k):
     """a = 1, random Euler and random functions on k, each in Z2 and lifted to Z."""
     z2 = [cal.constant(k, 1, cal.RING_Z2), random_euler_function(rng, k),

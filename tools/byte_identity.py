@@ -215,8 +215,8 @@ def commands(corpus: Path) -> list[list[str]]:
     out += [["polar", "--complex", c("rp2_6"), "--dim", str(i), "--moment", "--fn",
              "in/fn_rp2_6.json", "--out", f"out/fn_moment_r{i}.json",
              "--report", f"out/fn_report{i}.json"] for i in (0, 2)]
-    # candidates are decided by the chain alone: seed 4 at --dim 0 on sd1 of rp2_6_embedded
-    # accepts its eighth candidate, whose reports are written; a non-Euler function exits 5
+    # the accepted plane's reports are written: seed 4 at --dim 0 on sd1 of rp2_6_embedded
+    # accepts its first candidate (the tests force a rejected one); a non-Euler function exits 5
     out += [
         ["polar", "--complex", "out/sd1_rp2_6_embedded.json", "--dim", "0", "--random-plane",
          "--seed", "4", "--out", "out/polar_retry.json", "--report", "out/report_retry.json"],
