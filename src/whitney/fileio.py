@@ -45,8 +45,10 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise InputError(f"malformed rational {text!r}")
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        p, q = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # more digits than int() converts
+        raise InputError(f"malformed rational of {len(text)} characters: too many digits") from None
     if q == 0:
         raise InputError(f"zero denominator in rational {text!r}")
     return Fraction(p, q)
@@ -106,6 +108,8 @@ def load_json(path: str | Path) -> dict:
         raise InputError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
+    except (RecursionError, ValueError) as e:  # nested too deep, or too many digits for int()
+        raise InputError(f"cannot parse {path}: {e}") from e
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return data
@@ -230,10 +234,11 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
                 )
             seen.add(s)
     if k is not None:
-        # k's own simplex tuples, which hold k's vertex strings
-        own = frozenset(filter(support.__contains__, k.by_dim.get(dim, ())))
+        # k's own simplex tuples, which hold k's vertex strings; only level dim is closed
+        level = k._level_set(dim)
+        own = frozenset(filter(support.__contains__, level))
         if len(own) < len(support):
-            s = next(s for s in listed if s not in k.simplex_set)
+            s = next(s for s in listed if s not in level)
             raise InputError(f"chain simplex {list(s)} is not in the complex")
         support = own
     return Mod2Chain(dim, support)

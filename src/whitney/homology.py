@@ -48,8 +48,9 @@ def chain(dim: int, simplices: Iterable[Iterable[str]]) -> Mod2Chain:
 
 
 def _check_chain(k: SimplicialComplex, c: Mod2Chain) -> None:
-    if not c.support <= k.simplex_set:
-        s = min(c.support - k.simplex_set)
+    level = k._level_set(c.dim)
+    if not c.support <= level:
+        s = min(c.support - level)
         raise HomologyError(f"chain simplex {list(s)} is not in the complex")
 
 
@@ -78,8 +79,8 @@ def _boundary_system(k: SimplicialComplex, d: int) -> tuple[Gf2System, dict[Simp
 
     The columns reach ``Gf2System`` as a generator, so each is freed once reduced.
     """
-    rows = {s: i for i, s in enumerate(k.by_dim.get(d - 1, ()))}
-    cols = list(k.by_dim.get(d, ()))
+    rows = {s: i for i, s in enumerate(k._level(d - 1))}
+    cols = list(k._level(d))
     # the facets of a simplex are distinct, so their bits sum without carries
     bit, row = (1).__lshift__, rows.__getitem__
     columns = (sum(map(bit, map(row, combinations(s, d)))) for s in cols)
@@ -119,7 +120,7 @@ def _even_in_each_component(k: SimplicialComplex, c: Mod2Chain) -> bool:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for a, b in k.by_dim.get(1, ()):
+    for a, b in k._level_set(1):
         ra, rb = root(a), root(b)
         if ra != rb:
             parent[ra] = rb

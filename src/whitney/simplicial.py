@@ -6,6 +6,10 @@ all outputs are bit-deterministic.  Optional vertex coordinates are exact
 rationals (ints or ``fractions.Fraction``s), which the predicates read
 cleared to integers (``integer_coordinates``); no predicate in the package
 touches floating point.
+
+A complex keeps the simplices it was built from and closes one dimension
+at a time, on first use, from the top down; so ``bounds`` on an i-chain
+reads dimensions i and i + 1 of K' and closes no dimension below i.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, groupby, repeat
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
 from .exactlin import clear_denominators, integer_rank, is_rational_point
@@ -40,30 +44,67 @@ def faces(s: Simplex) -> list[Simplex]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed set of simplices over a finite vertex set.
+    """Face closure of the simplices it is built from, over a finite vertex set.
 
-    ``simplices`` is canonically sorted.  ``coordinates``, when present,
-    assigns each vertex an exact rational point of a common ambient
-    dimension, with every simplex affinely independent.
+    Level d, the d-simplices in canonical order, is closed on first use from
+    the top dimension down: the listed d-simplices and the d-faces of level
+    d + 1.  Each level and its set are kept, so a reader of dimensions i and
+    i + 1 closes no level below i.  ``simplices`` merges the levels in
+    canonical order.  Two complexes are equal when their vertices, simplices
+    and coordinates are.  ``coordinates``, when present, assigns each vertex
+    an exact rational point of a common ambient dimension, with every simplex
+    affinely independent.
     """
 
     vertices: tuple[str, ...]
-    simplices: tuple[Simplex, ...]
+    _listed: Collection[Simplex] = field(compare=False, repr=False)
     coordinates: Optional[Mapping[str, Point]] = field(default=None, compare=True)
+    _sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sorted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        if self is other:
+            return True
+        same = self.vertices == other.vertices and self.coordinates == other.coordinates
+        return same and self.simplex_set == other.simplex_set
+
+    @cached_property
+    def _by_size(self) -> dict[int, list[Simplex]]:
+        return {n: list(ss) for n, ss in groupby(sorted(self._listed, key=len), key=len)}
+
+    def _level_set(self, d: int) -> frozenset[Simplex]:
+        if not 0 <= d <= self.dim:
+            return frozenset()
+        if d not in self._sets:
+            above = chain.from_iterable(map(combinations, self._level_set(d + 1), repeat(d + 1)))
+            # a set copied from a set gets a table sized for its entries, not its growth
+            self._sets[d] = frozenset(set(chain(self._by_size.get(d + 1, ()), above)))
+        return self._sets[d]
+
+    def _level(self, d: int) -> tuple[Simplex, ...]:
+        if d not in self._sorted:
+            self._sorted[d] = tuple(sorted(self._level_set(d)))
+        return self._sorted[d]
+
+    @cached_property
+    def simplices(self) -> tuple[Simplex, ...]:
+        # timsort merges the sorted levels
+        return tuple(sorted(chain.from_iterable(map(self._level, range(self.dim + 1)))))
 
     @cached_property
     def simplex_set(self) -> frozenset[Simplex]:
-        return frozenset(self.simplices)
+        return frozenset().union(*map(self._level_set, range(self.dim + 1)))
 
     @cached_property
     def dim(self) -> int:
         """Max simplex dimension; -1 for the empty complex."""
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return max(map(len, self._listed), default=0) - 1
 
     @cached_property
     def by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        # a stable sort by size keeps the canonical order inside each dimension
-        return {n - 1: tuple(ss) for n, ss in groupby(sorted(self.simplices, key=len), key=len)}
+        return {d: self._level(d) for d in range(self.dim + 1)}
 
     @cached_property
     def cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
@@ -89,10 +130,10 @@ class SimplicialComplex:
         return len(next(iter(self.coordinates.values()))) if self.coordinates else 0
 
     def n_simplices(self, d: int) -> int:
-        return len(self.by_dim.get(d, ()))
+        return len(self._level_set(d))
 
     def require(self, s: Simplex) -> Simplex:
-        if s not in self.simplex_set:
+        if s not in self._level_set(len(s) - 1):
             raise ComplexError(f"simplex {list(s)} is not in the complex")
         return s
 
@@ -107,7 +148,7 @@ def build_complex(
     maximal_simplices: Iterable[Iterable[str]],
     coordinates: Optional[Mapping[str, Iterable[Fraction]]] = None,
 ) -> SimplicialComplex:
-    """Face closure of the given simplices, canonically enumerated.
+    """The complex of the given simplices, checked; its closure waits for first use.
 
     The vertex list is the vertex set: the complex needs a simplex, every
     listed vertex must lie in one, and coordinates name listed vertices only.
@@ -126,19 +167,19 @@ def build_complex(
     same = dict(zip(vertices, vertices)).__getitem__
     maximal = list(maximal_simplices)
     try:
-        given = set(map(tuple, map(sorted, map(map, repeat(same), maximal))))
+        given = list(map(tuple, map(sorted, map(map, repeat(same), maximal))))
         valid = () not in given and list(map(len, given)) == list(map(len, map(set, given)))
     except (KeyError, TypeError):
         valid = False
     if not valid:
-        given = set()
+        given = []
         for raw in maximal:
             raw = list(raw)
             for v in raw:
                 # ids are strings, so anything else is foreign (and may be unhashable)
                 if not isinstance(v, str) or v not in vertex_set:
                     raise ComplexError(f"simplex {raw!r} references unknown vertex {v!r}")
-            given.add(make_simplex(raw))
+            given.append(make_simplex(raw))
     if not given:
         raise ComplexError("a complex needs at least one simplex")
     unused = vertex_set.difference(*given)
@@ -161,16 +202,7 @@ def build_complex(
         dims = {len(p) for p in coords.values()}
         if len(dims) > 1:
             raise ComplexError("vertex coordinates have mixed ambient dimensions")
-    # close one dimension at a time: the n-faces are the n-subsets of the
-    # (n+1)-level, together with the listed simplices of n vertices
-    listed_by_size = {n: set(ss) for n, ss in groupby(sorted(given, key=len), key=len)}
-    closure: set[Simplex] = set()
-    level: set[Simplex] = set()
-    for n in range(max(listed_by_size), 0, -1):
-        level = set(chain.from_iterable(map(combinations, level, repeat(n))))
-        level |= listed_by_size.get(n, set())
-        closure |= level
-    k = SimplicialComplex(vertices, tuple(sorted(closure)), coords)
+    k = SimplicialComplex(vertices, given, coords)
     if coords is not None:
         ints = k.integer_coordinates[1]
         for s in sorted(given):
@@ -208,8 +240,8 @@ def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
     out in canonical order.
     """
     k.require(s)
-    out = sorted(tuple(v for v in t if v not in s) for t in k.cofaces[s] if t != s)
-    return SimplicialComplex(k.vertices, tuple(out), k.coordinates)
+    out = [tuple(v for v in t if v not in s) for t in k.cofaces[s] if t != s]
+    return SimplicialComplex(k.vertices, out, k.coordinates)
 
 
 @dataclass(frozen=True)
@@ -302,8 +334,8 @@ class Subdivision:
                 for v, s in self.carriers.items()
             }
         vertices = sorted(v for (v,) in self.flags(0))
-        simplices = sorted(f for i in range(k.dim + 1) for f in self.flags(i))
-        return SimplicialComplex(tuple(vertices), tuple(simplices), coords)
+        simplices = [f for i in range(k.dim + 1) for f in self.flags(i)]
+        return SimplicialComplex(tuple(vertices), simplices, coords)
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:

@@ -304,7 +304,7 @@ def run_polar_suite(seed: int, trials: int, corpus: dict[str, CorpusEntry]) -> S
         for sub in candidates:
             if not sub:
                 continue
-            restricted = SimplicialComplex(kp.vertices, tuple(sorted(sub)))
+            restricted = SimplicialComplex(kp.vertices, sub)
             if not cal.is_euler_space(restricted).is_euler:
                 continue
             ind = cal.indicator(kp, sub, cal.RING_Z2)

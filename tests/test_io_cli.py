@@ -18,8 +18,8 @@ from whitney import calculus as cal
 from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
 from whitney.errors import DegenerateMapError, HomologyError, InputError, PolarError
-from whitney.homology import Mod2Chain, boundary, fundamental_cycle
-from whitney.simplicial import Subdivision, build_complex, impure_simplex
+from whitney.homology import Mod2Chain, boundary, fundamental_cycle, is_boundary
+from whitney.simplicial import SimplicialComplex, Subdivision, build_complex, impure_simplex
 from whitney.verify import random_euler_function, random_function
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "whitney" / "corpus"
@@ -36,8 +36,10 @@ def test_parse_rational():
     assert fileio.parse_rational("3/4") == Fraction(3, 4)
     assert fileio.parse_rational("-2") == Fraction(-2)
     assert fileio.parse_rational("-6/4") == Fraction(-3, 2)
-    # the format allows "p/q" alone: no trailing newline, no digits outside ASCII
-    for bad in ("1/0", "1.5", "a", "1/-2", "", "1/2\n", "2\n", "\u0663/4", "3/\u0664"):
+    # the format allows "p/q" alone: no trailing newline, no digits outside ASCII, and no
+    # more digits than int() converts
+    for bad in ("1/0", "1.5", "a", "1/-2", "", "1/2\n", "2\n", "\u0663/4", "3/\u0664",
+                "9" * 5000 + "/1", "1/" + "7" * 5000):
         with pytest.raises(InputError):
             fileio.parse_rational(bad)
 
@@ -277,6 +279,67 @@ def test_bounds_checks_no_witness_target_for_a_chain_that_does_not_bound(tmp_pat
                      "--witness", tmp_path / "nowhere" / "w.json"], capsys)
     assert (code, out.out, out.err) == (0, "bounds: False\n", "")
     assert list(tmp_path.iterdir()) == [chain]
+
+
+def test_bounds_closes_only_the_levels_it_reads(tmp_path, monkeypatch, capsys):
+    # K' of the torus is 2-dimensional: s_2 reads level 2 alone, s_1 levels 1 and 2
+    torus, kp = CORPUS / "torus_7.json", tmp_path / "kp.json"
+    assert run(["subdivide", "--complex", torus, "--out", kp]) == 0
+    argv, verdicts = {}, {}
+    for i in (1, 2):
+        chain = tmp_path / f"s{i}.json"
+        assert run(["stiefel", "--complex", torus, "--dim", i, "--out", chain]) == 0
+        argv[i] = ["bounds", "--complex", kp, "--chain", chain, "--witness", tmp_path / "w.json"]
+        verdicts[i] = run(argv[i], capsys), (tmp_path / "w.json").read_bytes() if i == 1 else None
+    assert verdicts[1][0][1].out == "bounds: True\n" and verdicts[2][0][1].out == "bounds: False\n"
+
+    def refuse(*args):
+        raise AssertionError("bounds read the whole complex")
+
+    for name in ("simplices", "simplex_set", "by_dim", "cofaces"):
+        monkeypatch.setattr(SimplicialComplex, name, property(refuse))
+    level_set, lowest = SimplicialComplex._level_set, {}
+
+    def guarded(k, d):
+        if d < lowest["i"]:
+            raise AssertionError(f"level {d} closed for an {lowest['i']}-chain")
+        return level_set(k, d)
+
+    monkeypatch.setattr(SimplicialComplex, "_level_set", guarded)
+    for i in (2, 1):
+        lowest["i"] = i
+        k = fileio.load_complex(kp)
+        c = fileio.chain_from_dict(fileio.load_json(tmp_path / f"s{i}.json"), k)
+        assert is_boundary(k, c)[0] is (i == 1)
+        assert sorted(k._sets) == list(range(i, 3))
+        w = tmp_path / "w.json"
+        w.unlink(missing_ok=True)
+        assert (run(argv[i], capsys), w.read_bytes() if i == 1 else None) == verdicts[i]
+
+
+# nested deeper than the recursion limit, and an integer past int()'s digit limit
+@pytest.mark.parametrize("text", [
+    '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"vertices": ["1"], "maximal_simplices": [["1"]], "n": ' + "9" * 5000 + "}",
+], ids=["deep", "long-integer"])
+def test_unparseable_json_is_an_input_error_that_names_the_file(tmp_path, capsys, text):
+    path = tmp_path / "k.json"
+    path.write_text(text)
+    code, out = run(["validate", path], capsys)
+    assert (code, out.out) == (1, "")
+    assert json.loads(out.err)["error"].startswith(f"cannot parse {path}: ")
+    code, out = run(["chi", "--complex", path], capsys)
+    assert code == 2 and out.err.startswith(f"error: cannot parse {path}: ")
+
+
+def test_over_long_rational_is_malformed(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"target_dim": 1, "images": {
+        "1": ["9" * 5000 + "/1"], "2": ["1/2"], "3": ["2"]}}))
+    code, out = run(["polar", "--complex", CORPUS / "s1_3.json", "--dim", 0, "--map", path,
+                     "--out", tmp_path / "c.json"], capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: malformed rational of 5002 characters: too many digits\n"
 
 
 def test_validate_cli(tmp_path, capsys):
@@ -1220,7 +1283,26 @@ _FUZZ_SEEDS = [
     ({"complexes": [{"name": "c", "file": "s1_3.json", "description": "circle"}]},
      ["verify", "--suite", "stiefel", "--trials", 2, "--complexes", "{d}"]),
 ]
-_JSON_VALUES = [None, True, 0, -1, 2.5, "x", "1/0", [], {}, [[]], [1], {"x": 1}]
+class _Raw:
+    """JSON text that json.dumps cannot write: nested past the recursion limit, or a number
+    with more digits than int() converts.  No parsed value has this type, so it replaces any."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+_JSON_VALUES = [None, True, 0, -1, 2.5, "x", "1/0", [], {}, [[]], [1], {"x": 1},
+                _Raw("[" * 100_000 + "]" * 100_000), _Raw("9" * 5000),
+                _Raw(json.dumps("9" * 5000 + "/1"))]
+
+
+def _dumps(doc):
+    """json.dumps(doc), with each _Raw value written as its text."""
+    raws = []
+    text = json.dumps(doc, default=lambda raw: f"@raw{raws.append(raw.text) or len(raws) - 1}@")
+    for j, raw in enumerate(raws):
+        text = text.replace(f'"@raw{j}@"', raw, 1)
+    return text
 
 
 def _positions(value, path=()):
@@ -1270,7 +1352,7 @@ def test_mutated_files_end_with_a_documented_exit_code(tmp_path, monkeypatch, ca
     (directory / "s1_3.json").write_text((CORPUS / "s1_3.json").read_text())
     (directory / "fn.json").write_text(json.dumps({"ring": "Z", "values": {"1": 1}}))
     target = directory / ("index.json" if "--complexes" in argv else "f.json")
-    target.write_text(json.dumps(bad))
+    target.write_text(_dumps(bad))
     argv = [str(a).format(f=target, d=directory) for a in argv]
     code, _out = run(argv, capsys)  # anything but a WhitneyError propagates and fails here
     assert code in range(7), (argv, bad)

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import subdivision_oracle
+from closure_oracle import EagerComplex
+from relabelling import relabel
 from whitney import calculus as cal
 from whitney import fileio, simplicial
 from whitney.errors import ComplexError, InputError, MapError
 from whitney.simplicial import (
+    SimplicialComplex,
     Subdivision,
     barycentric_subdivision,
     build_complex,
@@ -23,6 +27,61 @@ def test_face_closure():
     assert len(k.simplices) == 7
     assert ("1", "3") in k.simplex_set
     assert k.dim == 2
+
+
+def _assert_closes_as_eager(k, listed, what):
+    """k agrees with the eager closure of its listed simplices; its levels are read bottom up first."""
+    eager = EagerComplex(listed)
+    assert [k.n_simplices(d) for d in range(-1, eager.dim + 3)] == \
+        [eager.n_simplices(d) for d in range(-1, eager.dim + 3)], what
+    assert k.dim == eager.dim, what
+    assert k.by_dim == eager.by_dim, what
+    assert k.simplices == eager.simplices, what
+    assert k.simplex_set == eager.simplex_set, what
+    assert k.cofaces == eager.cofaces, what
+    whole = SimplicialComplex(k.vertices, eager.simplices, k.coordinates)
+    assert k == whole and whole == k, what
+    if k.coordinates is None:
+        assert hash(k) == hash(whole), what
+    top = eager.by_dim[eager.dim][-1]
+    assert k != SimplicialComplex(k.vertices, [s for s in eager.simplices if s != top],
+                                  k.coordinates), what
+    assert k != SimplicialComplex(k.vertices + ("~",), eager.simplices, k.coordinates), what
+
+
+def test_levels_match_the_eager_closure_on_the_corpus(corpus):
+    for name, entry in corpus.items():
+        data = fileio.load_json(Path(simplicial.__file__).parent / "corpus" / f"{name}.json")
+        k = fileio.complex_from_dict(data)
+        _assert_closes_as_eager(k, data["maximal_simplices"], name)
+        # relabelled so that the canonical vertex order is reversed
+        new = {v: f"v{len(k.vertices) - 1 - j:03d}" for j, v in enumerate(k.vertices)}
+        _assert_closes_as_eager(relabel(k, new), [[new[v] for v in s]
+                                                  for s in data["maximal_simplices"]],
+                                (name, "relabelled"))
+        sub = Subdivision(entry.complex)
+        flags = [s for i in range(entry.complex.dim + 1) for s in sub.flags(i)]
+        _assert_closes_as_eager(sub.complex, flags, (name, "sd1"))
+        sd1 = fileio.complex_to_dict(sub.complex)
+        _assert_closes_as_eager(fileio.complex_from_dict(sd1), sd1["maximal_simplices"],
+                                (name, "sd1 from its maximal simplices"))
+
+
+@pytest.mark.parametrize("listed", [
+    [["1", "2", "3"], ["3", "4"]],
+    [["1", "2", "3"], ["1", "2"], ["2"]],
+    [["1", "2", "3"], ["4"]],
+    [["1"]],
+], ids=["dangling-edge", "face-beside-coface", "lone-vertex", "point"])
+def test_levels_match_the_eager_closure_on_impure_listings(listed):
+    vertices = sorted({v for s in listed for v in s})
+    _assert_closes_as_eager(build_complex(vertices, listed), listed, listed)
+    # read top down this time: the top level first, then one below it
+    k = build_complex(vertices, listed)
+    eager = EagerComplex(listed)
+    assert k.n_simplices(k.dim) == eager.n_simplices(eager.dim)
+    assert k.by_dim.get(k.dim - 1, ()) == eager.by_dim.get(eager.dim - 1, ())
+    assert k.simplices == eager.simplices
 
 
 def test_duplicate_vertex_rejected():

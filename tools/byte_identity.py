@@ -99,6 +99,19 @@ INPUTS = {
     "chain_foreign.json": {"dim": 1, "simplices": [["1", "4"], ["2", "5"], ["3", "6"]]},
     "chain_low_dim.json": {"dim": 1, "simplices": [["1"], ["2"]]},
     "fn_foreign.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1", "9"]]}]},
+    # a rational with more digits than int() converts
+    "map_long.json": {"target_dim": 1, "images": {"1": ["9" * 5000 + "/1"], "2": ["1/2"],
+                                                  "3": ["2"]}},
+    # impure: its K' lists maximal simplices of two sizes
+    "k_dangling_edge.json": {"vertices": ["1", "2", "3", "4"],
+                             "maximal_simplices": [["1", "2", "3"], ["3", "4"]]},
+}
+# written as they stand: json.dumps cannot write a file nested past the recursion limit,
+# nor an integer with more digits than int() converts
+RAW_INPUTS = {
+    "k_deep.json": '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "k_long_integer.json": '{"vertices": ["1"], "maximal_simplices": [["1"]], "n": '
+                           + "9" * 5000 + "}",
 }
 
 
@@ -260,6 +273,19 @@ def commands(corpus: Path) -> list[list[str]]:
                  "--out", f"out/s{i}_escaped.json"],
                 ["bounds", "--complex", "out/sd1_escaped.json", "--chain", f"out/s{i}_escaped.json",
                  "--witness", f"out/w{i}_escaped.json"]]
+    # hostile inputs end in an input error, not a traceback
+    out += [["validate", "in/k_deep.json"], ["validate", "in/k_long_integer.json"],
+            ["polar", "--complex", s1, "--dim", "0", "--map", "in/map_long.json",
+             "--out", "out/polar_long.json"]]
+    # an impure complex through subdivide, stiefel and bounds
+    out.append(["subdivide", "--complex", "in/k_dangling_edge.json",
+                "--out", "out/sd1_dangling_edge.json"])
+    for i in range(3):
+        out += [["stiefel", "--complex", "in/k_dangling_edge.json", "--dim", str(i),
+                 "--out", f"out/s{i}_dangling_edge.json"],
+                ["bounds", "--complex", "out/sd1_dangling_edge.json",
+                 "--chain", f"out/s{i}_dangling_edge.json",
+                 "--witness", f"out/w{i}_dangling_edge.json"]]
     return out
 
 
@@ -280,6 +306,8 @@ def sweep(cli, corpus: Path, work: Path) -> list[str]:
     for name, data in INPUTS.items():
         (work / "in" / name).parent.mkdir(exist_ok=True)
         (work / "in" / name).write_text(json.dumps(data))
+    for name, text in RAW_INPUTS.items():
+        (work / "in" / name).write_text(text)
     (work / "in" / "reversed").mkdir()
     for path in (corpus / f"{name}.json" for name in REVERSED):
         if path.exists():  # a stub corpus may lack it
