@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import chain, combinations, filterfalse
 from pathlib import Path
@@ -108,8 +109,11 @@ def load_json(path: str | Path) -> dict:
         raise InputError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
-    except (RecursionError, ValueError) as e:  # nested too deep, or too many digits for int()
+    except (RecursionError, UnicodeDecodeError) as e:  # nested too deep, or not UTF-8
         raise InputError(f"cannot parse {path}: {e}") from e
+    except ValueError as e:  # the one left is an integer with more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"cannot parse {path}: an integer has more than {limit} digits") from e
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return data
@@ -235,7 +239,7 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
             seen.add(s)
     if k is not None:
         # k's own simplex tuples, which hold k's vertex strings; only level dim is closed
-        level = k._level_set(dim)
+        level = k.level_set(dim)
         own = frozenset(filter(support.__contains__, level))
         if len(own) < len(support):
             s = next(s for s in listed if s not in level)

@@ -14,26 +14,15 @@ No combination mask is kept beside a pivot.  Each pivot records, in creation
 order, its row, its column and the rows of the earlier pivots its column was
 reduced by, so pivot p is column p plus the pivots it names (the R = ∂V
 bookkeeping of Edelsbrunner and Harer, *Computational Topology*, ch. VII).
-``solve`` reduces b to find which pivots sum to it, then expands them into
-columns in one pass from the newest pivot back.
+``solve`` takes b as the indices of its set rows, reduces b to find which
+pivots sum to it, then expands them into column indices in one pass from
+the newest pivot back.  No caller builds or reads a bit vector.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Iterable, Optional
-
-
-def _bitset(indices: Iterable[int], width: int) -> int:
-    """The int whose set bits are the given indices, all below width.
-
-    Written as binary digits and read in one ``int`` call: linear in width,
-    where a sum of powers of two copies the growing total once per term.
-    """
-    digits = bytearray(b"0") * width
-    for i in indices:
-        digits[~i] = 49  # "1"; the last digit is bit 0
-    return int(digits, 2) if width else 0
 
 
 class Gf2System:
@@ -69,13 +58,21 @@ class Gf2System:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve(self, b: int) -> Optional[int]:
-        """Combination mask x (bit j = column j) with A x = b, or None.
+    def solve(self, rows: Iterable[int]) -> Optional[list[int]]:
+        """Column indices of the x with A x = b, highest first, or None.
 
-        b is a sum of the pivots in ``odd``.  Each pivot is its column plus
-        earlier pivots, so walking from the newest pivot back, a pivot still
-        in ``odd`` puts its column in x and toggles the pivots it names.
+        The set bits of b are ``rows``, distinct row indices.  b is a sum of
+        the pivots in ``odd``.  Each pivot is its column plus earlier pivots,
+        so walking from the newest pivot back, a pivot still in ``odd`` puts
+        its column in x and toggles the pivots it names.
         """
+        # b as binary digits read in one int() call: linear in its width, where a
+        # sum of powers of two copies the growing total once per term
+        rows = list(rows)
+        digits = bytearray(b"0") * (max(rows, default=-1) + 1)
+        for r in rows:
+            digits[~r] = 49  # "1"; the last digit is bit 0
+        b = int(digits, 2) if digits else 0
         pivots, odd = self.pivots, set()
         while b:
             r = b.bit_length() - 1
@@ -94,4 +91,4 @@ class Gf2System:
                 odd.symmetric_difference_update(reduced_by[start:end])
                 columns.append(j)
             end = start
-        return _bitset(columns, self.ncols)
+        return columns

@@ -13,7 +13,7 @@ from itertools import combinations, compress, repeat
 from typing import Iterable, Optional
 
 from .errors import HomologyError
-from .gf2 import Gf2System, _bitset
+from .gf2 import Gf2System
 from .simplicial import Simplex, SimplicialComplex, impure_simplex
 
 
@@ -48,7 +48,7 @@ def chain(dim: int, simplices: Iterable[Iterable[str]]) -> Mod2Chain:
 
 
 def _check_chain(k: SimplicialComplex, c: Mod2Chain) -> None:
-    level = k._level_set(c.dim)
+    level = k.level_set(c.dim)
     if not c.support <= level:
         s = min(c.support - level)
         raise HomologyError(f"chain simplex {list(s)} is not in the complex")
@@ -79,8 +79,8 @@ def _boundary_system(k: SimplicialComplex, d: int) -> tuple[Gf2System, dict[Simp
 
     The columns reach ``Gf2System`` as a generator, so each is freed once reduced.
     """
-    rows = {s: i for i, s in enumerate(k._level(d - 1))}
-    cols = list(k._level(d))
+    rows = {s: i for i, s in enumerate(k.level(d - 1))}
+    cols = list(k.level(d))
     # the facets of a simplex are distinct, so their bits sum without carries
     bit, row = (1).__lshift__, rows.__getitem__
     columns = (sum(map(bit, map(row, combinations(s, d)))) for s in cols)
@@ -102,7 +102,7 @@ def betti_mod2(k: SimplicialComplex) -> HomologySummary:
     for d in range(1, top + 1):
         ranks[d] = _boundary_system(k, d)[0].rank
     betti = tuple(
-        k.n_simplices(d) - ranks[d] - ranks[d + 1] for d in range(top + 1)
+        len(k.level_set(d)) - ranks[d] - ranks[d + 1] for d in range(top + 1)
     )
     return HomologySummary(tuple(ranks[: top + 1]), betti)
 
@@ -120,7 +120,7 @@ def _even_in_each_component(k: SimplicialComplex, c: Mod2Chain) -> bool:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for a, b in k._level_set(1):
+    for a, b in k.level_set(1):
         ra, rb = root(a), root(b)
         if ra != rb:
             parent[ra] = rb
@@ -138,22 +138,21 @@ def is_boundary(
     each connected component holds an even number of its vertices).  The
     witness is always the one ``Gf2System.solve`` gives on the boundary
     matrix with its columns in canonical order: the solution supported on
-    the columns that are not sums of earlier ones.
+    the columns that are not sums of earlier ones.  ``solve`` takes c's rows
+    and gives the witness's columns, as positions in levels i and i + 1.
     """
     _check_chain(k, c)
     if c.dim > 0 and facet_sum(c):
         raise HomologyError("is_boundary requires a cycle")
     if not c:
         return True, Mod2Chain(c.dim + 1, frozenset())
-    if not k.n_simplices(c.dim + 1) or (c.dim == 0 and not _even_in_each_component(k, c)):
+    if not k.level_set(c.dim + 1) or (c.dim == 0 and not _even_in_each_component(k, c)):
         return False, None
     system, rows, cols = _boundary_system(k, c.dim + 1)
-    combo = system.solve(_bitset(map(rows.__getitem__, c.support), len(rows)))
-    if combo is None:
+    columns = system.solve(map(rows.__getitem__, c.support))
+    if columns is None:
         return False, None
-    # character j of the reversed binary digits is bit j of combo, column j's coefficient
-    witness = frozenset(compress(cols, map("1".__eq__, bin(combo)[:1:-1])))
-    return True, Mod2Chain(c.dim + 1, witness)
+    return True, Mod2Chain(c.dim + 1, frozenset(map(cols.__getitem__, columns)))
 
 
 def homologous(k: SimplicialComplex, c1: Mod2Chain, c2: Mod2Chain) -> bool:
@@ -171,7 +170,7 @@ def fundamental_cycle(k: SimplicialComplex) -> Mod2Chain:
     s = impure_simplex(k)
     if s is not None:
         raise HomologyError(f"complex is not pure-dimensional: {list(s)} has no top coface")
-    c = Mod2Chain(d, frozenset(k.by_dim[d]))
+    c = Mod2Chain(d, k.level_set(d))
     if not is_cycle(k, c):
         raise HomologyError("top-dimensional chain is not a cycle mod 2")
     return c

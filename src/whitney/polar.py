@@ -216,7 +216,7 @@ def polar_census(f: AffineVertexMap, a: ConstructibleFunction) -> tuple[HalfLink
     DegenerateMapError at the first degenerate simplex in canonical order.
     """
     a2 = reduce_mod2(a)
-    return tuple(half_link_report(a2, s, f) for s in f.domain.by_dim.get(f.target_dim - 1, ()))
+    return tuple(half_link_report(a2, s, f) for s in f.domain.level(f.target_dim - 1))
 
 
 def polar_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
@@ -238,7 +238,7 @@ def polar_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
     values = a.values
     cofaces = k.cofaces
     support = []
-    for s in k.by_dim.get(i, ()):
+    for s in k.level(i):
         _normal, _level, upper = _side_test(f, s)
         upper.update(s)
         if sum(map(values.__getitem__, filter(upper.issuperset, cofaces[s]))) % 2:
@@ -350,7 +350,7 @@ def sample_generic_subspace(
     n = k.ambient_dim
     if not 1 <= rank <= n:
         raise PolarError(f"rank {rank} out of range for ambient dimension {n}")
-    conditions = 1 + len(k.by_dim.get(rank - 1, ())) + (rank + 1) * len(k.by_dim.get(rank, ()))
+    conditions = 1 + len(k.level_set(rank - 1)) + (rank + 1) * len(k.level_set(rank))
     bound = 128 * rank * conditions
     rng = random.Random(seed)
     last = None

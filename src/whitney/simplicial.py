@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, compress, repeat
 from typing import Collection, Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
@@ -46,10 +46,11 @@ def faces(s: Simplex) -> list[Simplex]:
 class SimplicialComplex:
     """Face closure of the simplices it is built from, over a finite vertex set.
 
-    Level d, the d-simplices in canonical order, is closed on first use from
-    the top dimension down: the listed d-simplices and the d-faces of level
-    d + 1.  Each level and its set are kept, so a reader of dimensions i and
-    i + 1 closes no level below i.  ``simplices`` merges the levels in
+    Level d, the d-simplices, is read in canonical order as ``level(d)`` and
+    as a set as ``level_set(d)``.  It is closed on first use from the top
+    dimension down: the listed d-simplices and the d-faces of level d + 1.
+    Each level and its set are kept, so a reader of dimensions i and i + 1
+    closes no level below i.  ``simplices`` merges the levels in
     canonical order.  Two complexes are equal when their vertices, simplices
     and coordinates are.  ``coordinates``, when present, assigns each vertex
     an exact rational point of a common ambient dimension, with every simplex
@@ -70,41 +71,36 @@ class SimplicialComplex:
         same = self.vertices == other.vertices and self.coordinates == other.coordinates
         return same and self.simplex_set == other.simplex_set
 
-    @cached_property
-    def _by_size(self) -> dict[int, list[Simplex]]:
-        return {n: list(ss) for n, ss in groupby(sorted(self._listed, key=len), key=len)}
-
-    def _level_set(self, d: int) -> frozenset[Simplex]:
+    def level_set(self, d: int) -> frozenset[Simplex]:
+        """The d-simplices as a frozenset, closed on first use; empty outside 0..dim."""
         if not 0 <= d <= self.dim:
             return frozenset()
         if d not in self._sets:
-            above = chain.from_iterable(map(combinations, self._level_set(d + 1), repeat(d + 1)))
+            above = chain.from_iterable(map(combinations, self.level_set(d + 1), repeat(d + 1)))
+            listed = compress(self._listed, map((d + 1).__eq__, map(len, self._listed)))
             # a set copied from a set gets a table sized for its entries, not its growth
-            self._sets[d] = frozenset(set(chain(self._by_size.get(d + 1, ()), above)))
+            self._sets[d] = frozenset(set(chain(listed, above)))
         return self._sets[d]
 
-    def _level(self, d: int) -> tuple[Simplex, ...]:
+    def level(self, d: int) -> tuple[Simplex, ...]:
+        """The d-simplices in canonical order; () outside 0..dim."""
         if d not in self._sorted:
-            self._sorted[d] = tuple(sorted(self._level_set(d)))
+            self._sorted[d] = tuple(sorted(self.level_set(d)))
         return self._sorted[d]
 
     @cached_property
     def simplices(self) -> tuple[Simplex, ...]:
         # timsort merges the sorted levels
-        return tuple(sorted(chain.from_iterable(map(self._level, range(self.dim + 1)))))
+        return tuple(sorted(chain.from_iterable(map(self.level, range(self.dim + 1)))))
 
     @cached_property
     def simplex_set(self) -> frozenset[Simplex]:
-        return frozenset().union(*map(self._level_set, range(self.dim + 1)))
+        return frozenset().union(*map(self.level_set, range(self.dim + 1)))
 
     @cached_property
     def dim(self) -> int:
         """Max simplex dimension; -1 for the empty complex."""
         return max(map(len, self._listed), default=0) - 1
-
-    @cached_property
-    def by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        return {d: self._level(d) for d in range(self.dim + 1)}
 
     @cached_property
     def cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
@@ -129,11 +125,8 @@ class SimplicialComplex:
             return None
         return len(next(iter(self.coordinates.values()))) if self.coordinates else 0
 
-    def n_simplices(self, d: int) -> int:
-        return len(self._level_set(d))
-
     def require(self, s: Simplex) -> Simplex:
-        if s not in self._level_set(len(s) - 1):
+        if s not in self.level_set(len(s) - 1):
             raise ComplexError(f"simplex {list(s)} is not in the complex")
         return s
 
@@ -155,6 +148,8 @@ def build_complex(
     With coordinates, only the listed simplices are tested for affine
     independence, on the complex's integer coordinates: every face of an
     independent simplex is independent, and a positive scale changes no rank.
+    The sum of 3^|s| over the listed simplices s, which bounds the coface
+    table, may not pass 3^15.
     """
     listed = list(vertex_ids)
     vertices = tuple(sorted(set(listed)))
@@ -182,6 +177,12 @@ def build_complex(
             given.append(make_simplex(raw))
     if not given:
         raise ComplexError("a complex needs at least one simplex")
+    # the closure of an n-vertex simplex holds 3^n - 2^n (face, coface) pairs
+    sizes = list(map(len, given))
+    weight = sum(3 ** n * sizes.count(n) for n in set(sizes))
+    if weight > 3 ** 15:
+        raise ComplexError(f"complex too large: the sum of 3^|s| over its listed simplices s "
+                           f"is {weight}, above the cap 3^15 = {3 ** 15}")
     unused = vertex_set.difference(*given)
     if unused:
         raise ComplexError(f"vertices {sorted(unused)} lie in no simplex")

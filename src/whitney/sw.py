@@ -87,7 +87,7 @@ def base_representative(k: SimplicialComplex, a: ConstructibleFunction, i: int) 
     values, cofaces = a2.values, k.cofaces
     n = i + 1
     support = []
-    for t in k.by_dim[i]:
+    for t in k.level(i):
         up = {u for c in cofaces[t] if len(c) == n + 1 for u in c
               if u not in t and (n - bisect(t, u)) % 2}
         up.update(t)
@@ -104,8 +104,9 @@ def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     so the image of the chain is the set of i-simplices carried by its
     support.  This is the subdivision chain map.
     """
-    if not c.support <= sub.base.simplex_set:
-        sub.base.require(min(c.support - sub.base.simplex_set))
+    level = sub.base.level_set(c.dim)
+    if not c.support <= level:
+        sub.base.require(min(c.support - level))
     return Mod2Chain(c.dim, frozenset(t for t, s in sub.flags(c.dim).items() if s in c.support))
 
 

@@ -62,8 +62,8 @@ class MaskGf2System:
 
 def boundary_columns(k: SimplicialComplex, d: int) -> tuple[list[int], dict, list]:
     """The columns of C_d -> C_{d-1}, a sum of facet bits per d-simplex, with rows and columns."""
-    rows = {s: i for i, s in enumerate(k.by_dim.get(d - 1, ()))}
-    cols = list(k.by_dim.get(d, ()))
+    rows = {s: i for i, s in enumerate(k.level(d - 1))}
+    cols = list(k.level(d))
     columns = []
     for s in cols:
         v = 0

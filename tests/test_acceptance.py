@@ -127,7 +127,7 @@ def test_criterion_07_half_link_parity(corpus, subdivisions):
         ones = cal.constant(sub.complex, 1)
         for i in range(e.complex.dim + 1):
             f = polar.moment_map(sub, i)
-            for s in sub.complex.by_dim.get(i, ()):
+            for s in sub.complex.level(i):
                 r = polar.half_link_report(ones, s, f)
                 ok = ok and r.chi_plus % 2 == r.chi_minus % 2
         if e.complex.coordinates is not None:

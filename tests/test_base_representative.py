@@ -5,7 +5,7 @@ K.  These tests check it against three oracles that share no code with
 it: pi# after the flag walk (``last_vertex_chain_map`` of
 ``sw_representative``), one level up and under relabelling; the polar
 chain of the vertex-rank moment curve on K; and known answers, among them
-the 4-sphere.  They also check that ``verify`` turns a representative
+the 4-sphere and four complex curves, two of them singular.  They also check that ``verify`` turns a representative
 that is not a cycle into a failed trial.
 """
 
@@ -123,6 +123,19 @@ def test_classes_of_the_four_sphere():
         rep = sw.base_representative(k, ones, i)
         assert hom.is_cycle(k, rep) and hom.is_boundary(k, rep)[0], i
     assert sw.base_representative(k, ones, 4) == hom.fundamental_cycle(k)
+
+
+@pytest.mark.parametrize("name, euler_characteristic", [
+    ("pinched_torus", 1), ("wedge_spheres", 3), ("torus_7", 0), ("boundary_delta3", 2)])
+def test_classes_of_complex_curves(corpus, name, euler_characteristic):
+    # on a complex variety w_2k is c_k mod 2 and the odd classes vanish (PAPER.md); the
+    # nodal cubic and two lines meeting in a point are singular curves
+    k = corpus[name].complex
+    assert cal.chi(cal.constant(k, 1, cal.RING_Z)) == euler_characteristic
+    ones = cal.constant(k, 1, cal.RING_Z2)
+    assert hom.is_boundary(k, sw.base_representative(k, ones, 1))[0]
+    point = hom.Mod2Chain(0, frozenset(k.level(0)[:euler_characteristic % 2]))
+    assert hom.homologous(k, sw.base_representative(k, ones, 0), point)
 
 
 def test_checks_in_the_order_of_sw_representative(corpus):

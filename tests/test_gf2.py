@@ -29,7 +29,9 @@ def test_solve_matches_mask_oracle(nrows, data):
     assert (system.ncols, system.rank) == (len(columns), oracle.rank)
     spanned = _product(columns, data.draw(st.integers(0, 2 ** len(columns) - 1)))
     for b in (spanned, data.draw(st.integers(0, 2 ** nrows - 1)), 0):
-        x = system.solve(b)
+        # solve takes b's set rows and gives x's set columns; a repeated column would carry
+        solution = system.solve(r for r in range(nrows) if b >> r & 1)
+        x = None if solution is None else sum(1 << j for j in solution)
         assert x == oracle.solve(b)
         if x is None:
             assert b != spanned

@@ -24,8 +24,8 @@ def sympy_betti(k):
     gf2 = GF(2)
     ranks = [0] * (k.dim + 2)  # ranks[d] = rank of boundary_d
     for d in range(1, k.dim + 1):
-        rows = k.by_dim.get(d - 1, [])
-        cols = k.by_dim.get(d, [])
+        rows = k.level(d - 1)
+        cols = k.level(d)
         if not rows or not cols:
             continue
         row_index = {s: i for i, s in enumerate(rows)}
@@ -38,7 +38,7 @@ def sympy_betti(k):
         ranks[d] = dm.rank()
     betti = []
     for d in range(k.dim + 1):
-        cycles = len(k.by_dim.get(d, [])) - ranks[d]
+        cycles = len(k.level(d)) - ranks[d]
         betti.append(cycles - ranks[d + 1])
     return tuple(betti)
 
@@ -76,7 +76,7 @@ def test_boundary_of_boundary_vanishes(corpus):
     for entry in corpus.values():
         k = entry.complex
         for d in range(2, k.dim + 1):
-            c = Mod2Chain(d, frozenset(k.by_dim[d]))
+            c = Mod2Chain(d, frozenset(k.level(d)))
             assert hom.boundary(k, hom.boundary(k, c)).support == frozenset()
 
 
@@ -172,7 +172,7 @@ def test_witness_bounds_random_boundaries(corpus, subdivisions, data):
     name = data.draw(st.sampled_from(sorted(n for n, e in corpus.items() if e.complex.dim >= 1)))
     kp = subdivisions[name].complex
     d = data.draw(st.integers(1, kp.dim))
-    x = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(kp.by_dim[d])))))
+    x = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(kp.level(d))))))
     c = hom.boundary(kp, x)
     bounds, witness = hom.is_boundary(kp, c)
     assert bounds
@@ -180,9 +180,9 @@ def test_witness_bounds_random_boundaries(corpus, subdivisions, data):
 
 
 def _cycle_space(k, i):
-    """Masks over k.by_dim[i] spanning the i-cycles: vertices at i = 0, else the oracle's kernel."""
+    """Masks over k.level(i) spanning the i-cycles: vertices at i = 0, else the oracle's kernel."""
     if i == 0:
-        return [1 << j for j in range(k.n_simplices(0))]
+        return [1 << j for j in range(len(k.level_set(0)))]
     return gf2_oracle.MaskGf2System(gf2_oracle.boundary_columns(k, i)[0]).kernel
 
 
@@ -207,7 +207,7 @@ def test_is_boundary_matches_mask_oracle(data):
         basis = _cycle_space(k, i)
         masks = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4)) if basis else []
         x = reduce(xor, masks, 0)
-        c = Mod2Chain(i, frozenset(s for j, s in enumerate(k.by_dim[i]) if x >> j & 1))
+        c = Mod2Chain(i, frozenset(s for j, s in enumerate(k.level(i)) if x >> j & 1))
         result = hom.is_boundary(k, c)
         assert result == gf2_oracle.is_boundary(k, c)
         _assert_witness(k, c, *result)

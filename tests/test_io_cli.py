@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from whitney import calculus as cal
 from whitney import cli, exactlin, fileio, polar, sw
 from whitney.corpus import load_corpus
-from whitney.errors import DegenerateMapError, HomologyError, InputError, PolarError
+from whitney.errors import ComplexError, DegenerateMapError, HomologyError, InputError, PolarError
 from whitney.homology import Mod2Chain, boundary, fundamental_cycle, is_boundary
 from whitney.simplicial import SimplicialComplex, Subdivision, build_complex, impure_simplex
 from whitney.verify import random_euler_function, random_function
@@ -296,16 +296,16 @@ def test_bounds_closes_only_the_levels_it_reads(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("bounds read the whole complex")
 
-    for name in ("simplices", "simplex_set", "by_dim", "cofaces"):
+    for name in ("simplices", "simplex_set", "cofaces"):
         monkeypatch.setattr(SimplicialComplex, name, property(refuse))
-    level_set, lowest = SimplicialComplex._level_set, {}
+    level_set, lowest = SimplicialComplex.level_set, {}
 
     def guarded(k, d):
         if d < lowest["i"]:
             raise AssertionError(f"level {d} closed for an {lowest['i']}-chain")
         return level_set(k, d)
 
-    monkeypatch.setattr(SimplicialComplex, "_level_set", guarded)
+    monkeypatch.setattr(SimplicialComplex, "level_set", guarded)
     for i in (2, 1):
         lowest["i"] = i
         k = fileio.load_complex(kp)
@@ -331,6 +331,34 @@ def test_unparseable_json_is_an_input_error_that_names_the_file(tmp_path, capsys
     code, out = run(["chi", "--complex", path], capsys)
     assert code == 2 and out.err.startswith(f"error: cannot parse {path}: ")
 
+
+
+def test_over_long_integer_names_the_file_and_the_digit_limit(tmp_path, capsys):
+    # Python's own message would tell a CLI user to call sys.set_int_max_str_digits
+    path = tmp_path / "k.json"
+    path.write_text('{"vertices": ["1"], "maximal_simplices": [["1"]], "n": ' + "9" * 5000 + "}")
+    code, out = run(["chi", "--complex", path], capsys)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: cannot parse {path}: an integer has more than {limit} digits\n"
+
+
+def test_complex_above_the_size_cap_is_refused_before_any_closure(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a level was closed")
+
+    monkeypatch.setattr(SimplicialComplex, "level_set", refuse)
+    ids = [f"v{j:02d}" for j in range(40)]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"vertices": ids, "maximal_simplices": [ids]}))
+    code, out = run(["euler-check", "--complex", path], capsys)
+    assert (code, out.out) == (3, "")
+    assert out.err == (f"error: complex too large: the sum of 3^|s| over its listed simplices s "
+                       f"is {3 ** 40}, above the cap 3^15 = 14348907\n")
+    # a 15-vertex simplex weighs the cap itself, and one more vertex passes it
+    assert build_complex(ids[:15], [ids[:15]]).dim == 14
+    with pytest.raises(ComplexError, match=f"is {3 ** 15 + 3}, above the cap"):
+        build_complex(ids[:16], [ids[:15], ids[15:16]])
 
 def test_over_long_rational_is_malformed(tmp_path, capsys):
     path = tmp_path / "map.json"
@@ -433,8 +461,8 @@ def test_parsed_complexes_and_chains_share_the_complexs_objects():
     k = fileio.complex_from_dict(json.loads((CORPUS / "torus_7.json").read_text()))
     vertex = dict(zip(k.vertices, k.vertices))
     assert all(v is vertex[v] for s in k.simplices for v in s)
-    edges = dict(zip(k.by_dim[1], k.by_dim[1]))
-    data = json.loads(json.dumps({"dim": 1, "simplices": [list(reversed(s)) for s in k.by_dim[1][::3]]}))
+    edges = dict(zip(k.level(1), k.level(1)))
+    data = json.loads(json.dumps({"dim": 1, "simplices": [list(reversed(s)) for s in k.level(1)[::3]]}))
     c = fileio.chain_from_dict(data, k)
     assert len(c.support) == len(data["simplices"])
     assert all(s is edges[s] for s in c.support)
@@ -810,7 +838,7 @@ def test_moment_chain_solves_no_hyperplane(tmp_path, monkeypatch, corpus, subdiv
                 out, report = tmp_path / "census.json", tmp_path / "hl.json"
                 assert run(argv + ["--out", out, "--report", report]) == 0
                 half_links = json.loads(report.read_text())["half_links"]
-                assert [tuple(r["simplex"]) for r in half_links] == list(sub.complex.by_dim[i])
+                assert [tuple(r["simplex"]) for r in half_links] == list(sub.complex.level(i))
                 chain = census_chain(polar.moment_map(sub, i), cal.subdivide_function(sub, b))
                 provenance = {"construction": "moment", "complex": f"{entry.name}.json", "i": i}
                 census_bytes = fileio.dump_json(fileio.chain_to_dict(chain, provenance), None)
@@ -1001,7 +1029,7 @@ def test_random_plane_reports_only_the_accepted_plane(tmp_path, monkeypatch):
     out, hl = tmp_path / "c.json", tmp_path / "hl.json"
     assert run(argv + ["--out", out, "--report", hl]) == 0
     assert len(candidates) > 1
-    assert reports == list(k.by_dim[0])
+    assert reports == list(k.level(0))
     assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
     assert hl.read_bytes() == reference.read_bytes()
     assert [tuple(r["simplex"]) for r in json.loads(hl.read_text())["half_links"]] == reports
@@ -1251,7 +1279,7 @@ def test_parse_serialize_round_trip_is_byte_stable(
     k = fileio.complex_from_dict(json.loads(text))
     assert _dump(fileio.complex_to_dict(k)) == text
     d = data.draw(st.integers(0, k.dim))
-    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(k.by_dim[d])))))
+    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(k.level(d))))))
     text = _dump(fileio.chain_to_dict(c))
     assert _dump(fileio.chain_to_dict(fileio.chain_from_dict(json.loads(text), k))) == text
     text = _dump(fileio.function_to_dict(random_function(random.Random(seed), k, ring)))

@@ -51,7 +51,7 @@ def test_face_closure_matches_all_faces_oracle(listed):
     k = build_complex(vertices, listed)
     closure = _naive_closure(listed)
     assert k.simplices == tuple(sorted(closure))
-    assert k.by_dim == {
+    assert {d: k.level(d) for d in range(k.dim + 1)} == {
         d: tuple(sorted(s for s in closure if len(s) == d + 1))
         for d in range(max(map(len, closure)))
     }
@@ -62,7 +62,7 @@ def test_face_closure_matches_all_faces_oracle(listed):
 def test_boundary_matches_per_facet_toggle(listed, data):
     k = build_complex(sorted({v for s in listed for v in s}), listed)
     d = data.draw(st.integers(0, k.dim))
-    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(k.by_dim[d])))))
+    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(k.level(d))))))
     expected = _naive_boundary(c.support)
     # a 0-simplex has the one empty facet (), so a 0-chain's boundary counts its vertices mod 2
     assert hom.boundary(k, c) == Mod2Chain(d - 1, frozenset(expected))
@@ -78,8 +78,8 @@ def test_boundary_columns_match_facet_rows(monkeypatch, subdivisions, name):
     monkeypatch.setattr(hom, "Gf2System", lambda columns: seen.append(list(columns)) or Gf2System(seen[-1]))
     for d in range(1, k.dim + 1):
         _system, rows, cols = hom._boundary_system(k, d)
-        assert cols == list(k.by_dim[d])
-        assert rows == {s: j for j, s in enumerate(k.by_dim[d - 1])}
+        assert cols == list(k.level(d))
+        assert rows == {s: j for j, s in enumerate(k.level(d - 1))}
         for s, column in zip(cols, seen[-1], strict=True):
             facet_rows = {rows[f] for f in _naive_facets(s)}
             assert all((column >> r & 1) == (r in facet_rows) for r in range(len(rows)))

@@ -57,7 +57,7 @@ def test_half_link_parity_even_spaces(corpus, subdivisions):
         ones = cal.constant(sub.complex, 1)
         for i in range(k.dim + 1):
             f = polar.moment_map(sub, i)
-            for s in sub.complex.by_dim[i]:
+            for s in sub.complex.level(i):
                 r = polar.half_link_report(ones, s, f)
                 assert r.chi_plus % 2 == r.chi_minus % 2
 
@@ -100,7 +100,7 @@ def test_half_link_integral_matches_cells_on_moment_maps(corpus, subdivisions):
         for a in functions:
             for i in range(entry.complex.dim + 1):
                 f = polar.moment_map(sub, i)
-                for s in sub.complex.by_dim[i]:
+                for s in sub.complex.level(i):
                     r = polar.half_link_report(a, s, f)
                     assert (r.chi_plus, r.chi_minus) == _cell_integral(r, a.ring), (name, i, s)
 
@@ -286,7 +286,7 @@ def test_sampler_chain_matches_chain_of_its_basis(corpus):
     for i in range(k.dim + 1):
         f, chain = polar.sample_generic_subspace(ones, i + 1, seed=3)
         assert chain == census_chain(f, ones)
-        assert [r.simplex for r in polar.polar_census(f, ones)] == list(k.by_dim[i])
+        assert [r.simplex for r in polar.polar_census(f, ones)] == list(k.level(i))
 
 
 def test_projection_chain_homologous_to_stiefel(corpus, subdivisions):
@@ -384,7 +384,7 @@ def test_polar_chain_and_census_agree_on_degenerate_maps(corpus, circle):
     for name in ("rp2_6_embedded", "wedge_spheres", "boundary_delta3"):
         k = corpus[name].complex
         maps += [polar.projection_map(k, _collapsing_basis(k, edge, rank))
-                 for edge in (k.by_dim[1][0], k.by_dim[1][-1]) for rank in (1, 2)]
+                 for edge in (k.level(1)[0], k.level(1)[-1]) for rank in (1, 2)]
     offenders = set()
     reasons = set()
     for f in maps:
@@ -430,13 +430,13 @@ def _check_against_fraction_oracle(f, a):
     Returns the number of nondegenerate simplices compared."""
     images = {v: tuple(Fraction(x, f.scale) for x in p) for v, p in f.images.items()}
     compared = 0
-    for s in f.domain.by_dim.get(f.target_dim - 1, ()):
+    for s in f.domain.level(f.target_dim - 1):
         plane = fraction_oracle.affine_hyperplane([images[v] for v in s])
         sides = None
         if plane is not None:
             normal, offset = plane
             sides = {}
-            for (w,) in link(f.domain, s).by_dim.get(0, ()):
+            for (w,) in link(f.domain, s).level(0):
                 h = fraction_oracle.dot(normal, images[w]) - offset
                 sides[w] = (h > 0) - (h < 0)
         if sides is None or 0 in sides.values():
@@ -458,7 +458,7 @@ def test_integer_census_matches_fraction_oracle_on_moment_maps(corpus, subdivisi
         for i in range(entry.complex.dim + 1):
             f = polar.moment_map(sub, i)
             assert f.scale == 1
-            assert _check_against_fraction_oracle(f, ones) == len(sub.complex.by_dim[i])
+            assert _check_against_fraction_oracle(f, ones) == len(sub.complex.level(i))
 
 
 def test_integer_census_matches_fraction_oracle_on_projections(corpus):
@@ -520,12 +520,12 @@ def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch
 def _check_against_link_oracle(f, a):
     """Every i-simplex's cells against simplicial.link: its simplices in order, weights a(S + U)."""
     k = f.domain
-    for s in k.by_dim.get(f.target_dim - 1, ()):
+    for s in k.level(f.target_dim - 1):
         lk = link(k, s).simplices
         r = polar.half_link_report(a, s, f)
         assert [c.link_simplex for c in r.cells] == list(lk)
         assert [c.weight for c in r.cells] == [a(tuple(sorted(s + u))) for u in lk]
-    return len(k.by_dim.get(f.target_dim - 1, ()))
+    return len(k.level(f.target_dim - 1))
 
 
 def test_coface_census_matches_link_oracle_on_moment_maps(corpus, subdivisions):
@@ -556,8 +556,8 @@ def test_degenerate_census_names_the_first_link_vertex(corpus):
         k = entry.complex
         a = random_function(rng, k)
         f = height_map(k, {v: rng.randint(0, 2) for v in k.vertices})
-        for s in k.by_dim[0]:
-            flat = [w for (w,) in link(k, s).by_dim.get(0, ()) if f.images[w] == f.images[s[0]]]
+        for s in k.level(0):
+            flat = [w for (w,) in link(k, s).level(0) if f.images[w] == f.images[s[0]]]
             if not flat:
                 continue
             with pytest.raises(DegenerateMapError) as e:

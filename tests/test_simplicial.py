@@ -32,10 +32,10 @@ def test_face_closure():
 def _assert_closes_as_eager(k, listed, what):
     """k agrees with the eager closure of its listed simplices; its levels are read bottom up first."""
     eager = EagerComplex(listed)
-    assert [k.n_simplices(d) for d in range(-1, eager.dim + 3)] == \
+    assert [len(k.level_set(d)) for d in range(-1, eager.dim + 3)] == \
         [eager.n_simplices(d) for d in range(-1, eager.dim + 3)], what
     assert k.dim == eager.dim, what
-    assert k.by_dim == eager.by_dim, what
+    assert {d: k.level(d) for d in range(k.dim + 1)} == eager.by_dim, what
     assert k.simplices == eager.simplices, what
     assert k.simplex_set == eager.simplex_set, what
     assert k.cofaces == eager.cofaces, what
@@ -79,8 +79,8 @@ def test_levels_match_the_eager_closure_on_impure_listings(listed):
     # read top down this time: the top level first, then one below it
     k = build_complex(vertices, listed)
     eager = EagerComplex(listed)
-    assert k.n_simplices(k.dim) == eager.n_simplices(eager.dim)
-    assert k.by_dim.get(k.dim - 1, ()) == eager.by_dim.get(eager.dim - 1, ())
+    assert len(k.level_set(k.dim)) == eager.n_simplices(eager.dim)
+    assert k.level(k.dim - 1) == eager.by_dim.get(eager.dim - 1, ())
     assert k.simplices == eager.simplices
 
 
@@ -127,7 +127,7 @@ def test_integer_coordinates_are_exact():
     points = {"0": (0, 0), "1": (a, b), "2": (a * 10**11, b * 10**11 + 1)}
     for coords in (points, {v: tuple(map(Fraction, p)) for v, p in points.items()}):
         k = build_complex(["0", "1", "2"], [["0", "1", "2"]], coords)
-        assert k.n_simplices(2) == 1
+        assert len(k.level_set(2)) == 1
 
 
 def test_float_coordinates_rejected():
@@ -192,8 +192,8 @@ def test_euler_characteristic(corpus):
 def test_subdivision_counts(circle):
     sub = barycentric_subdivision(circle)
     # 3 + 3 vertices, each edge split in two
-    assert len(sub.complex.by_dim[0]) == 6
-    assert len(sub.complex.by_dim[1]) == 6
+    assert len(sub.complex.level(0)) == 6
+    assert len(sub.complex.level(1)) == 6
     assert _chi(sub.complex) == _chi(circle)
 
 
@@ -233,7 +233,7 @@ def test_subdivision_matches_face_poset_oracle(corpus):
         sub = Subdivision(k)
         # one dimension at a time, before K' exists, and one past the top
         for i in range(k.dim + 2):
-            assert tuple(sorted(sub.flags(i))) == prime.by_dim.get(i, ()), (case, i)
+            assert tuple(sorted(sub.flags(i))) == prime.level(i), (case, i)
             # each flag's carrier is its largest vertex carrier
             assert all(c == max((carriers[v] for v in s), key=len)
                        for s, c in sub.flags(i).items()), (case, i)

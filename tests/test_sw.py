@@ -160,7 +160,7 @@ def test_subdivision_chain_map_matches_carrier_scan(corpus, subdivisions):
         sub1 = subdivisions[name]
         for sub in (sub1, barycentric_subdivision(sub1.complex)):
             for i in range(sub.base.dim + 1):
-                full = sub.base.by_dim[i]
+                full = sub.base.level(i)
                 supports = [full] + [
                     [s for s in full if rng.random() < 0.3] for _ in range(3)
                 ]
@@ -176,7 +176,7 @@ def test_one_dimension_of_k_prime_builds_no_subdivided_complex(tmp_path, monkeyp
     rng = random.Random(12)
     bases = [(name, k) for name, e in corpus.items()
              for k in (e.complex, subdivision_oracle.barycentric_subdivision(e.complex)[0])]
-    chains = [(k, hom.Mod2Chain(i, frozenset(s for s in k.by_dim[i] if rng.random() < p)))
+    chains = [(k, hom.Mod2Chain(i, frozenset(s for s in k.level(i) if rng.random() < p)))
               for _name, k in bases for i in range(k.dim + 1) for p in (1, 0.4)]
 
     def outputs(tag):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import os
 import shutil
@@ -22,6 +23,22 @@ def test_gen_corpus_reproduces_bundled_corpus(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == bundled
     for name in bundled:
         assert (out / name).read_bytes() == (CORPUS / name).read_bytes(), name
+
+
+def test_modules_read_each_other_only_through_public_names():
+    # a private name is read in its own module alone: imported by no other, and reached
+    # through self or cls only
+    found = []
+    for path in sorted((ROOT / "src" / "whitney").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [(path.name, node.lineno, f"import {alias.name}") for alias in node.names
+                          if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
 
 
 def test_perfbench_span_names_resolve():

@@ -33,6 +33,7 @@ from pathlib import Path
 
 _TRIANGLE = [["1", "2"], ["1", "3"], ["2", "3"]]
 _DELTA2 = {"vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]]}
+_SIMPLEX40 = [f"v{j:02d}" for j in range(40)]
 
 
 def _labelled(file: str) -> dict:
@@ -105,6 +106,8 @@ INPUTS = {
     # impure: its K' lists maximal simplices of two sizes
     "k_dangling_edge.json": {"vertices": ["1", "2", "3", "4"],
                              "maximal_simplices": [["1", "2", "3"], ["3", "4"]]},
+    # one simplex on 40 vertices: its closure would pass the size cap
+    "k_simplex40.json": {"vertices": _SIMPLEX40, "maximal_simplices": [_SIMPLEX40]},
 }
 # written as they stand: json.dumps cannot write a file nested past the recursion limit,
 # nor an integer with more digits than int() converts
@@ -286,6 +289,8 @@ def commands(corpus: Path) -> list[list[str]]:
                 ["bounds", "--complex", "out/sd1_dangling_edge.json",
                  "--chain", f"out/s{i}_dangling_edge.json",
                  "--witness", f"out/w{i}_dangling_edge.json"]]
+    # a complex above the size cap exits 3 before any dimension is closed
+    out.append(["euler-check", "--complex", "in/k_simplex40.json"])
     return out
 
 
