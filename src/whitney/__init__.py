@@ -70,14 +70,12 @@ from .simplicial import (
     validate_map,
 )
 from .sw import (
-    W0Report,
     base_representative,
     last_vertex_chain_map,
     stiefel_chain,
     subdivision_chain_map,
     sw_representative,
     verify_pushforward_axiom,
-    w0_degree,
 )
 
 __version__ = "0.1.0"

@@ -203,7 +203,7 @@ def cmd_bounds(args) -> int:
 def cmd_polar(args) -> int:
     k = fileio.load_complex(args.complex)
     i = args.dim
-    a = cal.reduce_mod2(_load_fn(args.fn, k))
+    a = _load_fn(args.fn, k)
     if args.moment:
         sub = barycentric_subdivision(k)
         c = polar.moment_chain(sub, a, i)

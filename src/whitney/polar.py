@@ -27,14 +27,15 @@ nonzero polynomial of degree <= i + 1 in the basis entries, as S * w is
 affinely independent; entries drawn from [-B, B], B = 128 (i + 1) N, make a
 candidate fail with probability below 1/256 (Schwartz-Zippel).
 ``sample_generic_subspace`` decides each candidate by
-``polar_chain``, which runs the census's side test (``_side_test``) and
-sums a(T) mod 2 over the upper cofaces without building a report; it is
-the chain of every given map too, and the sampler returns the map it
-accepted with its chain.  ``polar_census`` builds the half-link reports
-alone, which the CLI adds only under ``--report``; the tests read the
-census's chain, a(S) - chi_plus mod 2 at each report, as the oracle of
-``polar_chain`` and ``moment_chain``.  ``_side_test`` raises the one
-``DegenerateMapError``, naming the simplex and the reason.
+``polar_chain``, which hands the census's side test (``_side_test``) to
+``upper_star_chain``, the one sum of a(T) mod 2 over the upper cofaces,
+and builds no report; it is the chain of every given map too, and the
+sampler returns the map it accepted with its chain.  ``polar_census``
+builds the half-link reports alone, which the CLI adds only under
+``--report``; the tests read the census's chain, a(S) - chi_plus mod 2 at
+each report, as the oracle of ``polar_chain`` and ``moment_chain``.
+``_side_test`` raises the one ``DegenerateMapError``, naming the simplex
+and the reason.  Chain readers take a as given: only its parity counts.
 
 Geometry is integer from the complex on.  The census needs only the side
 of each link vertex relative to the hyperplane through f(S), and a
@@ -54,7 +55,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .calculus import RING_Z2, ConstructibleFunction, constant, is_euler_function, reduce_mod2
 from .errors import CalculusError, DegenerateMapError, NotEulerError, PolarError
@@ -219,31 +220,40 @@ def polar_census(f: AffineVertexMap, a: ConstructibleFunction) -> tuple[HalfLink
     return tuple(half_link_report(a2, s, f) for s in f.domain.level(f.target_dim - 1))
 
 
+def upper_star_chain(
+    a: ConstructibleFunction, i: int, upper: Callable[[Simplex], set[str]]
+) -> Mod2Chain:
+    """The i-simplices S where a sums to an odd number over the cofaces inside S + upper(S).
+
+    ``upper(S)`` returns a fresh set of S's upper link vertices, which this
+    extends by S.  Mod 2 that sum is a(S) - chi_plus_S(a), as the sign
+    (-1)^dim U drops out: ``polar_chain`` takes the upper side from a map's
+    side test, ``sw.base_representative`` from a rank-parity rule.  Only the
+    parity of a counts.  S runs over K_i in canonical order.
+    """
+    values, cofaces = a.values, a.base.cofaces
+    support = []
+    for s in a.base.level(i):
+        up = upper(s)
+        up.update(s)
+        if sum(map(values.__getitem__, filter(up.issuperset, cofaces[s]))) % 2:
+            support.append(s)
+    return Mod2Chain(i, frozenset(support))
+
+
 def polar_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:
     """Singularity chain Sigma(f) of a: a(S) - chi_plus_S(a) mod 2 at each i-simplex S.
 
-    Each i-simplex S gets the side test of its report (``_side_test``);
-    mod 2 the sign (-1)^dim U drops out, so the coefficient is the sum of
-    a(T) over the cofaces T of S (S included) whose new vertices are all
-    upper, i.e. T inside S and its upper link vertices.  No cell, report
-    or Fraction is built and nothing is sorted.  The chain is defined for
-    any function a; a being Euler is what makes it a cycle, and callers
-    that promise a class test that themselves.  Raises DegenerateMapError
-    at the first degenerate simplex in canonical order, as the census does.
+    ``upper_star_chain`` with the upper link vertices of the side test of
+    S's report (``_side_test``); no cell, report or Fraction is built.  The
+    chain is defined for any function a; a being Euler is what makes it a
+    cycle, and callers that promise a class test that themselves.  Raises
+    DegenerateMapError at the first degenerate simplex in canonical order,
+    as the census does.
     """
-    k = f.domain
-    if a.base != k:
+    if a.base != f.domain:
         raise PolarError("function is not based on the map's domain")
-    i = f.target_dim - 1
-    values = a.values
-    cofaces = k.cofaces
-    support = []
-    for s in k.level(i):
-        _normal, _level, upper = _side_test(f, s)
-        upper.update(s)
-        if sum(map(values.__getitem__, filter(upper.issuperset, cofaces[s]))) % 2:
-            support.append(s)
-    return Mod2Chain(i, frozenset(support))
+    return upper_star_chain(a, f.target_dim - 1, lambda s: _side_test(f, s)[2])
 
 
 def euler_singularity_chain(f: AffineVertexMap, a: ConstructibleFunction) -> Mod2Chain:

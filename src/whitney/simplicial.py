@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
+from math import comb
 from typing import Collection, Iterable, Mapping, Optional
 
 from .errors import ComplexError, MapError
@@ -309,8 +310,21 @@ class Subdivision:
 
     @cached_property
     def carriers(self) -> dict[str, Simplex]:
-        """Barycenter name -> the base simplex it stands for."""
-        return {barycenter_name(s): s for s in self.base.simplices}
+        """Barycenter name -> the base simplex it stands for.
+
+        Read first by every other member.  The flags ending at s are the
+        ordered partitions of s, so |K'| = sum_d |K_d| Fubini(d + 1); above
+        2^20 this raises ComplexError before any flag is walked.
+        """
+        k = self.base
+        fubini = [1]
+        for n in range(1, k.dim + 2):
+            fubini.append(sum(comb(n, j) * fubini[n - j] for j in range(1, n + 1)))
+        size = sum(len(k.level_set(d)) * fubini[d + 1] for d in range(k.dim + 1))
+        if size > 2 ** 20:
+            raise ComplexError(f"subdivision too large: it would have {size} simplices, "
+                               f"above the cap 2^20 = {2 ** 20}")
+        return {barycenter_name(s): s for s in k.simplices}
 
     def flags(self, i: int) -> dict[Simplex, Simplex]:
         """i-simplex of K' -> its carrier s_i, over the flags s_0 < ... < s_i in walk order."""

@@ -13,25 +13,20 @@ the canonical order; it is a simplicial approximation of the identity,
 so pi# is an isomorphism in homology, and pi# sd# = id on chains.  So a
 cycle c of K' bounds exactly when pi#(c) bounds in K.  Classes on K are
 read in closed form: ``base_representative`` is pi# of the representative,
-summed straight from the cofaces of K with no subdivision and no flag.
-``last_vertex_chain_map`` maps any chain of K' to K through the carriers.
+the upper-star sum of ``polar.upper_star_chain`` on the cofaces of K, with
+no subdivision and no flag.  ``last_vertex_chain_map`` maps any chain of K'
+to K through the carriers.  Every reader takes its function as given, with
+any integer values: only their parity counts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 
-from .calculus import (
-    ConstructibleFunction,
-    chi,
-    is_euler_function,
-    pushforward,
-    reduce_mod2,
-)
+from .calculus import ConstructibleFunction, is_euler_function, pushforward
 from .errors import CalculusError, HomologyError, NotEulerError
 from .homology import Mod2Chain, homologous
-from .polar import moment_chain
+from .polar import moment_chain, upper_star_chain
 from .simplicial import SimplicialComplex, SimplicialMap, Subdivision
 
 
@@ -53,12 +48,11 @@ def sw_representative(sub: Subdivision, a: ConstructibleFunction, i: int) -> Mod
     in the function, and equal to the Stiefel chain when the function is
     identically 1.
     """
-    a2 = reduce_mod2(a)
-    if not is_euler_function(a2):
+    if not is_euler_function(a):
         raise NotEulerError("Stiefel-Whitney representatives require an Euler function")
     if not 0 <= i <= sub.base.dim:
         raise HomologyError(f"i={i} out of range for a {sub.base.dim}-complex")
-    return moment_chain(sub, a2, i)
+    return moment_chain(sub, a, i)
 
 
 def base_representative(k: SimplicialComplex, a: ConstructibleFunction, i: int) -> Mod2Chain:
@@ -73,27 +67,21 @@ def base_representative(k: SimplicialComplex, a: ConstructibleFunction, i: int) 
     odd exactly when every u has an odd number of t's vertices above it.
     Call such a u up.  The coefficient of t is then the sum of a(sigma)
     mod 2 over the cofaces sigma of t (t included) whose new vertices
-    are all up: the form of ``polar.polar_chain`` (compare Goldstein and
-    Turner, Proc. AMS 58, 1976).  The checks and their order are
-    ``sw_representative``'s.
+    are all up: ``polar.upper_star_chain`` with this rank-parity rule as
+    its upper set (compare Goldstein and Turner, Proc. AMS 58, 1976).  The
+    checks and their order are ``sw_representative``'s.
     """
-    a2 = reduce_mod2(a)
-    if not is_euler_function(a2):
+    if not is_euler_function(a):
         raise NotEulerError("Stiefel-Whitney representatives require an Euler function")
     if not 0 <= i <= k.dim:
         raise HomologyError(f"i={i} out of range for a {k.dim}-complex")
-    if a2.base != k:
+    if a.base != k:
         raise CalculusError("function is not based on the complex")
-    values, cofaces = a2.values, k.cofaces
+    cofaces = k.cofaces
     n = i + 1
-    support = []
-    for t in k.level(i):
-        up = {u for c in cofaces[t] if len(c) == n + 1 for u in c
-              if u not in t and (n - bisect(t, u)) % 2}
-        up.update(t)
-        if sum(map(values.__getitem__, filter(up.issuperset, cofaces[t]))) % 2:
-            support.append(t)
-    return Mod2Chain(i, frozenset(support))
+    return upper_star_chain(a, i, lambda t: {
+        u for c in cofaces[t] if len(c) == n + 1 for u in c if u not in t and (n - bisect(t, u)) % 2
+    })
 
 
 def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
@@ -135,18 +123,6 @@ def last_vertex_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     return _push(c, {v: s[-1] for v, s in sub.carriers.items()})
 
 
-@dataclass(frozen=True)
-class W0Report:
-    degree: int      # sum of coefficients of the 0-dimensional representative, mod 2
-    chi_mod2: int    # Euler integral of the function, mod 2
-
-
-def w0_degree(sub: Subdivision, a: ConstructibleFunction) -> W0Report:
-    """Augmentation of the 0-th class, reported next to chi mod 2."""
-    rep = sw_representative(sub, a, 0)
-    return W0Report(len(rep.support) % 2, chi(reduce_mod2(a)) % 2)
-
-
 def verify_pushforward_axiom(f: SimplicialMap, a: ConstructibleFunction, i: int) -> bool:
     """Pushforward compatibility of class representatives, decided in the codomain up to boundaries.
 
@@ -160,9 +136,8 @@ def verify_pushforward_axiom(f: SimplicialMap, a: ConstructibleFunction, i: int)
     representative tests its own function for being Euler; a side that is
     not a cycle fails the axiom.
     """
-    a2 = reduce_mod2(a)
-    fa = pushforward(f, a2)
-    lhs = _push(base_representative(f.domain, a2, i), f.vertex_map)
+    fa = pushforward(f, a)
+    lhs = _push(base_representative(f.domain, a, i), f.vertex_map)
     if i <= f.codomain.dim:
         rhs = base_representative(f.codomain, fa, i)
     else:

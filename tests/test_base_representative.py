@@ -106,6 +106,38 @@ def test_equals_the_polar_chain_of_the_moment_curve(corpus, subdivisions):
     assert cases > 150
 
 
+def _signed_euler_function(rng, k):
+    """3 beta - D beta over Z for a random mod 2 beta: Euler, with values outside {0, 1}."""
+    beta = cal.from_values(k, cal.reduce_mod2(verify.random_function(rng, k)).values)
+    d = cal.dual(beta)
+    return cal.from_values(k, {s: 3 * beta(s) - d(s) for s in k.simplices})
+
+
+def test_class_readers_take_the_function_as_given(corpus, subdivisions, map_suite):
+    # only the parity of a counts: each reader gives on a what it gives on a mod 2
+    rng = random.Random(34)
+    values = set()
+    for name, entry in corpus.items():
+        k, sub = entry.complex, subdivisions[name]
+        a = _signed_euler_function(rng, k)
+        a2 = cal.reduce_mod2(a)
+        values.update(a.values.values())
+        a_prime, a2_prime = cal.subdivide_function(sub, a), cal.subdivide_function(sub, a2)
+        for i in range(k.dim + 1):
+            assert sw.sw_representative(sub, a, i) == sw.sw_representative(sub, a2, i), (name, i)
+            assert sw.base_representative(k, a, i) == sw.base_representative(k, a2, i), (name, i)
+            assert polar.moment_chain(sub, a, i) == polar.moment_chain(sub, a2, i), (name, i)
+            for f, b, b2 in ((_moment_curve(k, i), a, a2),
+                             (polar.moment_map(sub, i), a_prime, a2_prime)):
+                assert polar.polar_chain(f, b) == polar.polar_chain(f, b2), (name, i)
+    assert min(values) < 0 and max(values) > 1
+    for m in map_suite:
+        for a in [_signed_euler_function(rng, m.map.domain) for _ in range(3)]:
+            for i in range(m.map.domain.dim + 1):
+                assert sw.verify_pushforward_axiom(m.map, a, i), (m.name, i)
+                assert sw.verify_pushforward_axiom(m.map, cal.reduce_mod2(a), i), (m.name, i)
+
+
 def test_top_class_of_one_is_the_fundamental_cycle(corpus):
     # pi# sd# = id, and the top Stiefel chain is sd# of the fundamental cycle
     for name, entry in corpus.items():

@@ -360,6 +360,31 @@ def test_complex_above_the_size_cap_is_refused_before_any_closure(tmp_path, monk
     with pytest.raises(ComplexError, match=f"is {3 ** 15 + 3}, above the cap"):
         build_complex(ids[:16], [ids[:15], ids[15:16]])
 
+
+def test_subdivision_above_the_size_cap_is_refused_before_any_flag(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a flag was walked")
+
+    monkeypatch.setattr(SimplicialComplex, "cofaces", property(refuse))
+    ids = [f"v{j}" for j in range(10)]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"vertices": ids, "maximal_simplices": [ids]}))
+    # 2 Fubini(10) - 1 simplices: the ordered partitions of every face
+    message = ("error: subdivision too large: it would have 204495125 simplices, "
+               "above the cap 2^20 = 1048576\n")
+    for argv in (["subdivide", "--out", tmp_path / "sd.json"],
+                 ["stiefel", "--dim", 0, "--out", tmp_path / "s0.json"]):
+        code, out = run([argv[0], "--complex", path, *argv[1:]], capsys)
+        assert (code, out.out, out.err) == (3, "", message), argv[0]
+    assert not list(tmp_path.glob("s*.json"))
+    # a 7-vertex simplex passes with 94,585 simplices in K', and an 8-vertex one does not
+    path.write_text(json.dumps({"vertices": ids[:7], "maximal_simplices": [ids[:7]]}))
+    assert run(["stiefel", "--complex", path, "--dim", 0, "--out", tmp_path / "s0.json"]) == 0
+    assert len(json.loads((tmp_path / "s0.json").read_text())["simplices"]) == 2 ** 7 - 1
+    with pytest.raises(ComplexError, match="would have 1091669 simplices"):
+        Subdivision(build_complex(ids[:8], [ids[:8]])).flags(0)
+
+
 def test_over_long_rational_is_malformed(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"target_dim": 1, "images": {

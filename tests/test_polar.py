@@ -332,6 +332,22 @@ def _chain_functions(rng, k):
     return z2 + [_z_lift(rng, a) for a in z2]
 
 
+def test_upper_star_chain_with_no_link_vertex_and_every_link_vertex_upper(corpus):
+    # with none upper, S alone is summed: a(S); with all upper, every coface: dual(a)(S) mod 2
+    rng = random.Random(59)
+    for name, entry in corpus.items():
+        k = entry.complex
+        for a in _chain_functions(rng, k) + [random_function(rng, k)]:
+            d = cal.dual(a)
+            for i in range(k.dim + 1):
+                level = k.level(i)
+                none = polar.upper_star_chain(a, i, lambda s: set())
+                every = polar.upper_star_chain(
+                    a, i, lambda s: set().union(*k.cofaces[s]).difference(s))
+                assert none == hom.Mod2Chain(i, frozenset(s for s in level if a(s) % 2)), name
+                assert every == hom.Mod2Chain(i, frozenset(s for s in level if d(s) % 2)), name
+
+
 def test_polar_chain_matches_census_on_moment_maps(corpus, subdivisions):
     rng = random.Random(47)
     euler = set()

@@ -126,10 +126,11 @@ def test_w0_degree_matches_chi(corpus, subdivisions):
     for name, entry in corpus.items():
         if not entry.euler:
             continue
-        r = sw.w0_degree(subdivisions[name], cal.constant(entry.complex, 1, cal.RING_Z2))
-        assert r.degree == r.chi_mod2, name
+        ones = cal.constant(entry.complex, 1, cal.RING_Z2)
+        degree = len(sw.sw_representative(subdivisions[name], ones, 0).support) % 2
+        assert degree == cal.chi(ones) % 2, name
         if name in expected:
-            assert r.degree == expected[name], name
+            assert degree == expected[name], name
 
 
 def test_subdivision_chain_map_is_chain_map(corpus, subdivisions):

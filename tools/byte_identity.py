@@ -50,6 +50,9 @@ INPUTS = {
     # a vertex plus a loop through it: Euler, and not constant
     "fn_rp2_6.json": {"ring": "Z", "terms": [{"coeff": 1, "closed_support": [["1"]]},
                                              {"coeff": 3, "closed_support": _TRIANGLE}]},
+    # fn_rp2_6 with coefficients -1 and -3: the same function mod 2, so the same classes
+    "fn_rp2_6_neg.json": {"ring": "Z", "terms": [{"coeff": -1, "closed_support": [["1"]]},
+                                                 {"coeff": -3, "closed_support": _TRIANGLE}]},
     "fn_torus_7.json": {"ring": "Z2", "terms": [{"coeff": 1, "closed_support": [["0"]]}, {
         "coeff": 1, "closed_support": [["0", "1"], ["0", "3"], ["1", "3"]]}]},
     "fn_edge.json": {"ring": "Z2", "terms": [{"coeff": 1, "closed_support": [["1", "2"]]}]},
@@ -108,6 +111,8 @@ INPUTS = {
                              "maximal_simplices": [["1", "2", "3"], ["3", "4"]]},
     # one simplex on 40 vertices: its closure would pass the size cap
     "k_simplex40.json": {"vertices": _SIMPLEX40, "maximal_simplices": [_SIMPLEX40]},
+    # one simplex on 10 vertices: its closure passes the size cap, its subdivision does not
+    "k_simplex10.json": {"vertices": _SIMPLEX40[:10], "maximal_simplices": [_SIMPLEX40[:10]]},
 }
 # written as they stand: json.dumps cannot write a file nested past the recursion limit,
 # nor an integer with more digits than int() converts
@@ -291,6 +296,19 @@ def commands(corpus: Path) -> list[list[str]]:
                  "--witness", f"out/w{i}_dangling_edge.json"]]
     # a complex above the size cap exits 3 before any dimension is closed
     out.append(["euler-check", "--complex", "in/k_simplex40.json"])
+    # a function with negative values gives what its reduction mod 2 gives
+    rp2 = c("rp2_6")
+    out += [["stiefel", "--complex", rp2, "--dim", str(i), "--fn", "in/fn_rp2_6_neg.json",
+             "--out", f"out/fn_neg_s{i}_rp2_6.json"] for i in range(3)]
+    out += [["polar", "--complex", rp2, "--dim", str(i), "--moment", "--fn",
+             "in/fn_rp2_6_neg.json", "--out", f"out/fn_neg_moment{i}_rp2_6.json"]
+            for i in range(3)]
+    # a complex whose subdivision is above its size cap exits 3 before any flag is walked
+    out += [["subdivide", "--complex", "in/k_simplex10.json", "--out", "out/sd1_simplex10.json"],
+            ["stiefel", "--complex", "in/k_simplex10.json", "--dim", "0",
+             "--out", "out/s0_simplex10.json"],
+            ["polar", "--complex", "in/k_simplex10.json", "--dim", "0", "--moment",
+             "--out", "out/moment0_simplex10.json"]]
     return out
 
 
