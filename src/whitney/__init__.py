@@ -9,8 +9,8 @@ from .calculus import (
     RING_Z2,
     ConstructibleFunction,
     EulerSpaceReport,
+    add,
     chi,
-    combine,
     constant,
     dual,
     euler_offenders,

@@ -1,10 +1,10 @@
 """Combinatorial calculus of constructible functions.
 
 A constructible function assigns a value (integer, or 0/1 in mod 2 mode)
-to every open simplex of a fixed complex.  The Euler integral is the
-alternating open-cell sum; duality and pushforward are the closed-form
-coface/fiber sums, cross-checked elsewhere against the link formula and a
-fiber oracle.
+to every open simplex of a fixed complex.  The Euler integral, duality
+and pushforward are one signed sum of (-1)^dim s * a(s), written once over
+the integers and reduced mod 2 once, where the function is built.  They are
+cross-checked elsewhere against the link formula and a fiber oracle.
 """
 
 from __future__ import annotations
@@ -56,11 +56,7 @@ def from_values(k: SimplicialComplex, values: Mapping[Simplex, int], ring: str =
 
 def indicator(k: SimplicialComplex, closed_subcomplex: Iterable[Simplex], ring: str = RING_Z) -> ConstructibleFunction:
     """Value 1 on the simplices of a face-closed subset, 0 elsewhere."""
-    sub = {tuple(sorted(s)) for s in closed_subcomplex}
-    missing = is_face_closed(k, sub)
-    if missing is not None:
-        raise CalculusError(f"subcomplex is not face-closed: missing face {list(missing)}")
-    return ConstructibleFunction(k, ring, {s: 1 if s in sub else 0 for s in k.simplices})
+    return indicator_sum(k, [(1, closed_subcomplex)], ring)
 
 
 def indicator_sum(
@@ -70,30 +66,23 @@ def indicator_sum(
 ) -> ConstructibleFunction:
     """Per-simplex expansion of a sum of weighted closed indicators."""
     vals = {s: 0 for s in k.simplices}
-    for coeff, sub in terms:
-        ind = indicator(k, sub, RING_Z)
-        for s in k.simplices:
-            vals[s] += coeff * ind(s)
+    for coeff, closed_subcomplex in terms:
+        sub = {tuple(sorted(s)) for s in closed_subcomplex}
+        missing = is_face_closed(k, sub)
+        if missing is not None:
+            raise CalculusError(f"subcomplex is not face-closed: missing face {list(missing)}")
+        for s in sub:
+            vals[s] += coeff
     return _function(k, ring, vals)
 
 
-def _check_compatible(a: ConstructibleFunction, b: ConstructibleFunction) -> None:
+def add(a: ConstructibleFunction, b: ConstructibleFunction) -> ConstructibleFunction:
+    """Pointwise sum of two functions on the same complex and ring."""
     if a.base != b.base:
         raise CalculusError("functions live on different complexes")
     if a.ring != b.ring:
         raise CalculusError("functions have different ring tags")
-
-
-def combine(op: str, a: ConstructibleFunction, b: ConstructibleFunction) -> ConstructibleFunction:
-    """Pointwise ring operation (op in {'add', 'multiply'})."""
-    _check_compatible(a, b)
-    if op == "add":
-        vals = {s: a(s) + b(s) for s in a.base.simplices}
-    elif op == "multiply":
-        vals = {s: a(s) * b(s) for s in a.base.simplices}
-    else:
-        raise CalculusError(f"unknown operation {op!r}")
-    return _function(a.base, a.ring, vals)
+    return _function(a.base, a.ring, {s: a(s) + b(s) for s in a.base.simplices})
 
 
 def reduce_mod2(a: ConstructibleFunction) -> ConstructibleFunction:
@@ -102,35 +91,37 @@ def reduce_mod2(a: ConstructibleFunction) -> ConstructibleFunction:
     return _function(a.base, RING_Z2, a.values)
 
 
+def _signed(values: Mapping[Simplex, int]) -> dict[Simplex, int]:
+    """(-1)^dim s * v on each simplex s: the sign of every sum in the calculus."""
+    return {s: v if len(s) % 2 else -v for s, v in values.items()}
+
+
 def chi(a: ConstructibleFunction) -> int:
-    """Euler integral: alternating open-cell sum (plain sum mod 2 in Z2 mode)."""
-    if a.ring == RING_Z2:
-        return sum(a.values.values()) % 2
-    return sum((-1) ** (len(s) - 1) * v for s, v in a.values.items())
+    """Euler integral: the signed sum over all open simplices, reduced mod 2 in Z2 mode."""
+    total = sum(_signed(a.values).values())
+    return total % 2 if a.ring == RING_Z2 else total
 
 
 def dual(a: ConstructibleFunction) -> ConstructibleFunction:
-    """Duality operator: signed coface sum on each open simplex (mod 2 the signs drop out)."""
+    """Duality operator: the signed sum over the cofaces of each open simplex, reduced mod 2 in Z2 mode."""
     k = a.base
     cofaces = k.cofaces
-    if a.ring == RING_Z2:
-        value = a.values.__getitem__
-        return ConstructibleFunction(
-            k, RING_Z2, {s: sum(map(value, cofaces[s])) % 2 for s in k.simplices}
-        )
-    vals = {s: sum((-1) ** (len(t) - 1) * a(t) for t in cofaces[s]) for s in k.simplices}
-    return _function(k, a.ring, vals)
+    signed = _signed(a.values).__getitem__
+    return _function(k, a.ring, {s: sum(map(signed, cofaces[s])) for s in k.simplices})
 
 
 def pushforward(f: SimplicialMap, a: ConstructibleFunction) -> ConstructibleFunction:
-    """Fiberwise Euler integral over a generic point of each codomain simplex."""
+    """Fiberwise Euler integral over a generic point of each codomain simplex.
+
+    The sign of t over its image u, (-1)^(dim t - dim u), is (-1)^dim t * (-1)^dim u:
+    the signed values are summed per image and signed once more.
+    """
     if a.base != f.domain:
         raise CalculusError("function is not based on the map's domain")
     vals = {s: 0 for s in f.codomain.simplices}
-    for t in f.domain.simplices:
-        img = f.image(t)
-        vals[img] += (-1) ** (len(t) - len(img)) * a(t)
-    return _function(f.codomain, a.ring, vals)
+    for t, v in _signed(a.values).items():
+        vals[f.image(t)] += v
+    return _function(f.codomain, a.ring, _signed(vals))
 
 
 def pullback(f: SimplicialMap, b: ConstructibleFunction) -> ConstructibleFunction:
@@ -153,10 +144,9 @@ def fiber_chi_oracle(f: SimplicialMap, q: str) -> int:
 
 
 def euler_offenders(a: ConstructibleFunction) -> list[Simplex]:
-    """Simplices where the mod 2 duality fixed-point condition fails."""
-    a2 = reduce_mod2(a)
-    d = dual(a2)
-    return [s for s in a2.base.simplices if d(s) != a2(s)]
+    """Simplices where the duality fixed-point condition fails mod 2: dual(a) - a is odd."""
+    d = dual(a)
+    return [s for s in a.base.simplices if (d(s) - a(s)) % 2]
 
 
 def is_euler_function(a: ConstructibleFunction) -> bool:

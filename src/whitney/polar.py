@@ -192,7 +192,7 @@ def half_link_report(a: ConstructibleFunction, s: Simplex, f: AffineVertexMap) -
         if not pos:
             chi_minus += (-1) ** d * weight
         cells.append(HalfLinkCell(u, pos, neg, pos and neg, weight))
-    if a.ring == "Z2":
+    if a.ring == RING_Z2:
         chi_plus %= 2
         chi_minus %= 2
     return HalfLinkReport(s, normal, Fraction(level, f.scale), tuple(cells), chi_plus, chi_minus)

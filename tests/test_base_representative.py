@@ -194,7 +194,7 @@ def test_verify_fails_a_trial_when_a_representative_is_not_a_cycle(tmp_path, mon
 
     monkeypatch.setattr(sw, "base_representative", broken)
     monkeypatch.chdir(tmp_path)
-    for suite in ("axioms", "polar"):
+    for suite in ("axioms", "polar", "stiefel"):
         assert cli.main(["verify", "--suite", suite, "--seed", "1", "--trials", "4"]) == 1, suite
         written = json.loads((tmp_path / f"counterexample_{suite}_1.json").read_text())
         assert written["i"] == 1, suite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import NON_EULER_SPACES
 from relabelling import fresh_ids, relabel, relabel_function
 from whitney import calculus as cal
-from whitney.errors import CalculusError
+from whitney.errors import CalculusError, ComplexError
 from whitney.simplicial import SimplicialComplex, barycentric_subdivision, build_complex, faces
 from whitney.verify import random_closed_subcomplex, random_function
 
@@ -17,6 +17,10 @@ def closed(k, *simplices):
     for s in simplices:
         out.update(faces(tuple(sorted(s))))
     return cal.indicator(k, out)
+
+
+def product(a, b):
+    return cal.from_values(a.base, {s: a(s) * b(s) for s in a.base.simplices})
 
 
 def test_chi_matches_alternating_count(corpus):
@@ -30,7 +34,7 @@ def test_chi_matches_alternating_count(corpus):
 def test_chi_is_additive(rp2):
     a = closed(rp2, ("1", "2", "3"))
     b = closed(rp2, ("1", "3", "4"))
-    both = cal.combine("add", a, b)
+    both = cal.add(a, b)
     assert cal.chi(both) == cal.chi(a) + cal.chi(b)
 
 
@@ -98,8 +102,8 @@ def test_projection_formula_chi(map_suite):
     cover = next(m for m in map_suite if m.name == "double_cover").map
     a = closed(cover.domain, ("0", "1"), ("3",))
     b = closed(cover.codomain, ("1", "2"))
-    lhs = cal.chi(cal.combine("multiply", cal.pushforward(cover, a), b))
-    rhs = cal.chi(cal.combine("multiply", a, cal.pullback(cover, b)))
+    lhs = cal.chi(product(cal.pushforward(cover, a), b))
+    rhs = cal.chi(product(a, cal.pullback(cover, b)))
     assert lhs == rhs
 
 
@@ -158,7 +162,7 @@ def test_bowtie_offenders(corpus):
 def test_euler_function_generator(rp2):
     beta = closed(rp2, ("1", "2", "3"))
     beta2 = cal.reduce_mod2(beta)
-    alpha = cal.combine("add", beta2, cal.dual(beta2))
+    alpha = cal.add(beta2, cal.dual(beta2))
     assert cal.is_euler_function(alpha)
     assert not cal.is_euler_function(beta2)  # a closed triangle is not Euler
 
@@ -178,20 +182,60 @@ def test_function_must_cover_every_simplex_exactly(circle):
                 cal.ConstructibleFunction(circle, ring, values)
 
 
-def test_mod2_dual_is_the_reduced_signed_sum(corpus):
-    # the Z2 dual drops the coface signs; they vanish mod 2
+def test_mod2_dual_is_the_reduced_signed_sum(corpus, map_suite):
+    # one signed sum over Z: mod 2 the signs vanish, so reducing first or last agrees
     rng = random.Random(61)
+
+    def any_function(k):
+        return cal.from_values(k, {s: rng.randint(-3, 3) for s in k.simplices})
+
     for entry in corpus.values():
         for _ in range(3):
-            a = random_function(rng, entry.complex)
-            assert cal.dual(cal.reduce_mod2(a)) == cal.reduce_mod2(cal.dual(a)), entry.name
+            a = any_function(entry.complex)
+            a2 = cal.reduce_mod2(a)
+            assert cal.dual(a2) == cal.reduce_mod2(cal.dual(a)), entry.name
+            assert cal.chi(a2) == cal.chi(a) % 2, entry.name
+            assert cal.euler_offenders(a) == cal.euler_offenders(a2), entry.name
+    for m in map_suite:
+        for _ in range(3):
+            a = any_function(m.map.domain)
+            assert cal.pushforward(m.map, cal.reduce_mod2(a)) == cal.reduce_mod2(
+                cal.pushforward(m.map, a)
+            ), m.name
 
 
 def test_ring_mismatch_rejected(circle):
     a = cal.constant(circle, 1, cal.RING_Z)
     b = cal.constant(circle, 1, cal.RING_Z2)
-    with pytest.raises(CalculusError):
-        cal.combine("add", a, b)
+    with pytest.raises(CalculusError, match="different ring tags"):
+        cal.add(a, b)
+    with pytest.raises(CalculusError, match="different complexes"):
+        cal.add(a, cal.constant(barycentric_subdivision(circle).complex, 1))
+
+
+def test_indicator_sum_checks_each_term(corpus, rp2):
+    # the least missing face of the first bad term is named, whatever the input order
+    message = r"subcomplex is not face-closed: missing face \['1'\]"
+    with pytest.raises(CalculusError, match=message):
+        cal.indicator(rp2, [("3", "2"), ("2", "1")])
+    with pytest.raises(CalculusError, match=message):
+        cal.indicator_sum(rp2, [(2, [("2", "1"), ("2",)])], cal.RING_Z2)
+    with pytest.raises(ComplexError, match=r"simplex \['9'\] is not in the complex"):
+        cal.indicator(rp2, [("9",)])
+    bad_late = [("1", "2")]  # missing ['1'] and ['2']
+    bad_first = [("4", "5"), ("5",)]  # missing ['4'] only
+    with pytest.raises(CalculusError, match=r"missing face \['4'\]"):
+        cal.indicator_sum(rp2, [(1, faces(("1", "2", "3"))), (3, bad_first), (-1, bad_late)])
+    with pytest.raises(CalculusError, match=r"missing face \['4'\]"):
+        cal.indicator_sum(rp2, [(3, bad_first), (1, [("9",)])])
+    # a valid sum is the pointwise sum of its terms' indicators
+    rng = random.Random(29)
+    for entry in corpus.values():
+        k = entry.complex
+        terms = [(rng.randint(-3, 3), random_closed_subcomplex(rng, k)) for _ in range(3)]
+        expected = {s: sum(c for c, sub in terms if s in sub) for s in k.simplices}
+        for ring in (cal.RING_Z, cal.RING_Z2):
+            assert cal.indicator_sum(k, terms, ring) == cal.from_values(k, expected, ring), entry.name
 
 
 def test_mod2_values_normalized(circle):

@@ -100,7 +100,7 @@ def test_verdicts_agree_on_moment_chains(corpus, subdivisions):
         for _ in range(3):
             beta = verify.random_euler_function(rng, entry.complex)
             # beta alone has mostly bounding classes; beta + 1 carries the space's own
-            for a in (beta, cal.combine("add", beta, ones)):
+            for a in (beta, cal.add(beta, ones)):
                 for i in range(entry.complex.dim + 1):
                     c = polar.moment_chain(sub, a, i)
                     verdict = _bounds(sub.complex, c)

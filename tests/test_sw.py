@@ -85,9 +85,9 @@ def test_representative_linear_in_function(corpus, subdivisions):
     k = corpus["rp2_6"].complex
     sub = subdivisions["rp2_6"]
     beta = cal.reduce_mod2(cal.indicator(k, faces(("1", "2", "3")), cal.RING_Z2))
-    a = cal.combine("add", beta, cal.dual(beta))
+    a = cal.add(beta, cal.dual(beta))
     ones = cal.constant(k, 1, cal.RING_Z2)
-    both = cal.combine("add", a, ones)
+    both = cal.add(a, ones)
     for i in range(3):
         assert (
             sw.sw_representative(sub, both, i).support

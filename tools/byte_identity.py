@@ -309,6 +309,12 @@ def commands(corpus: Path) -> list[list[str]]:
              "--out", "out/s0_simplex10.json"],
             ["polar", "--complex", "in/k_simplex10.json", "--dim", "0", "--moment",
              "--out", "out/moment0_simplex10.json"]]
+    # Z2 functions through chi and dual, and Z functions with values 3 and -3 through the Euler test
+    for k, fn in ((s1, "fn_edge"), (c("torus_7"), "fn_torus_7")):
+        out += [["chi", "--complex", k, "--fn", f"in/{fn}.json"],
+                ["dual", "--complex", k, "--fn", f"in/{fn}.json", "--out", f"out/dual_{fn}.json"]]
+    out += [["euler-check", "--complex", s6, "--fn", "in/fn_s1_6.json", "--format", "json"],
+            ["euler-check", "--complex", rp2, "--fn", "in/fn_rp2_6_neg.json", "--format", "json"]]
     return out
 
 
