@@ -9,6 +9,7 @@ failed verification suite, 2 input/parse errors, 3 simplicial errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -243,20 +244,7 @@ def cmd_polar(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.seed, args.trials, args.complexes)
-    payload = {
-        "suite": report.suite,
-        "seed": report.seed,
-        "ok": report.ok,
-        "properties": [
-            {
-                "name": p.name,
-                "trials": p.trials,
-                "failures": p.failures,
-                "counterexample": p.counterexample,
-            }
-            for p in report.properties
-        ],
-    }
+    payload = {**dataclasses.asdict(report), "ok": report.ok}
     if args.format == "json":
         sys.stdout.write(fileio.dump_json(payload, None))
     else:

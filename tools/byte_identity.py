@@ -109,6 +109,11 @@ INPUTS = {
     # impure: its K' lists maximal simplices of two sizes
     "k_dangling_edge.json": {"vertices": ["1", "2", "3", "4"],
                              "maximal_simplices": [["1", "2", "3"], ["3", "4"]]},
+    # a filled triangle and a hollow one: no edge of the hollow circle lies in a triangle
+    "k_disk_and_circle.json": {"vertices": ["1", "2", "3", "4", "5", "6"],
+                               "maximal_simplices": [["1", "2", "3"], ["4", "5"], ["4", "6"],
+                                                     ["5", "6"]]},
+    "cycle_456.json": {"dim": 1, "simplices": [["4", "5"], ["4", "6"], ["5", "6"]]},
     # one simplex on 40 vertices: its closure would pass the size cap
     "k_simplex40.json": {"vertices": _SIMPLEX40, "maximal_simplices": [_SIMPLEX40]},
     # one simplex on 10 vertices: its closure passes the size cap, its subdivision does not
@@ -315,6 +320,12 @@ def commands(corpus: Path) -> list[list[str]]:
                 ["dual", "--complex", k, "--fn", f"in/{fn}.json", "--out", f"out/dual_{fn}.json"]]
     out += [["euler-check", "--complex", s6, "--fn", "in/fn_s1_6.json", "--format", "json"],
             ["euler-check", "--complex", rp2, "--fn", "in/fn_rp2_6_neg.json", "--format", "json"]]
+    # a cycle whose edges no column lists does not bound; the filled triangle's boundary does
+    disk = "in/k_disk_and_circle.json"
+    out += [["bounds", "--complex", disk, "--chain", "in/cycle_456.json"],
+            ["bounds", "--complex", disk, "--chain", "in/cycle_s1_3.json",
+             "--witness", "out/w_disk.json"],
+            ["homology", "--complex", disk, "--format", "json"]]
     return out
 
 
