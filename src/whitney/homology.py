@@ -74,6 +74,16 @@ def is_cycle(k: SimplicialComplex, c: Mod2Chain) -> bool:
     return c.dim == 0 or not facet_sum(c)
 
 
+def _boundary_system(k: SimplicialComplex, d: int) -> tuple[Gf2System, dict[Simplex, int]]:
+    """The boundary matrix C_d -> C_{d-1} in canonical order, with the row of each (d-1)-simplex.
+
+    Each column reaches ``Gf2System`` as its facets' rows, from a generator, so each is freed once reduced.
+    """
+    rows = {s: i for i, s in enumerate(k.level(d - 1))}
+    row = rows.__getitem__
+    return Gf2System(map(row, combinations(s, d)) for s in k.level(d)), rows
+
+
 @dataclass(frozen=True)
 class HomologySummary:
     """Per-dimension boundary ranks and mod 2 Betti numbers."""
@@ -87,7 +97,7 @@ def betti_mod2(k: SimplicialComplex) -> HomologySummary:
     top = k.dim
     ranks = [0] * (top + 2)
     for d in range(1, top + 1):
-        ranks[d] = Gf2System(map(combinations, k.level(d), repeat(d))).rank
+        ranks[d] = _boundary_system(k, d)[0].rank
     betti = tuple(
         len(k.level_set(d)) - ranks[d] - ranks[d + 1] for d in range(top + 1)
     )
@@ -120,27 +130,26 @@ def is_boundary(
 ) -> tuple[bool, Optional[Mod2Chain]]:
     """Decide whether the cycle c bounds; if so, the witness x with boundary x = c.
 
-    The verdict needs no elimination when i = 0 and some connected
-    component holds an odd number of c's vertices (a 0-chain bounds exactly
-    when each holds an even number).  The witness is always the one
-    ``Gf2System.solve`` gives on the boundary matrix whose columns are the
-    facets of level i + 1 in canonical order: the solution supported on the
-    columns that are not sums of earlier ones.  ``solve`` takes c's
-    simplices as row labels and gives the witness's columns, as positions in
-    level i + 1.  Only level i + 1 is sorted.
+    The verdict needs no elimination when k has no (i+1)-simplices (a
+    nonzero cycle never bounds) or when i = 0 (a 0-chain bounds exactly when
+    each connected component holds an even number of its vertices).  The
+    witness is always the one ``Gf2System.solve`` gives on the boundary
+    matrix with its columns in canonical order: the solution supported on
+    the columns that are not sums of earlier ones.  ``solve`` takes c's rows
+    and gives the witness's columns, as positions in levels i and i + 1.
     """
     _check_chain(k, c)
     if c.dim > 0 and facet_sum(c):
         raise HomologyError("is_boundary requires a cycle")
     if not c:
         return True, Mod2Chain(c.dim + 1, frozenset())
-    if c.dim == 0 and not _even_in_each_component(k, c):
+    if not k.level_set(c.dim + 1) or (c.dim == 0 and not _even_in_each_component(k, c)):
         return False, None
-    cols = k.level(c.dim + 1)
-    columns = Gf2System(map(combinations, cols, repeat(c.dim + 1))).solve(c.support)
+    system, rows = _boundary_system(k, c.dim + 1)
+    columns = system.solve(map(rows.__getitem__, c.support))
     if columns is None:
         return False, None
-    return True, Mod2Chain(c.dim + 1, frozenset(map(cols.__getitem__, columns)))
+    return True, Mod2Chain(c.dim + 1, frozenset(map(k.level(c.dim + 1).__getitem__, columns)))
 
 
 def homologous(k: SimplicialComplex, c1: Mod2Chain, c2: Mod2Chain) -> bool:
