@@ -1,5 +1,8 @@
 """Bitset-packed GF(2) elimination with a pivot history.
 
+It serves the boundary matrices of dimension d >= 2: ``homology`` solves
+C_1 -> C_0 on a spanning forest.
+
 Each column is an iterable of distinct row indices, consumed in the given
 (canonical) order; this module alone packs it into a Python int used as a
 bit vector.  A column is a pivot exactly when it is not in the span of the

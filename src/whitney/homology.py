@@ -1,7 +1,9 @@
 """Mod 2 chains and homology over a fixed complex.
 
 Boundary operators, cycle/boundary decision procedures with exact
-witnesses, GF(2) Betti numbers and fundamental cycles.
+witnesses, GF(2) Betti numbers and fundamental cycles.  In dimension 1 the
+boundary matrix is a graph's incidence matrix, solved on a spanning forest;
+``gf2`` eliminates the boundary matrices of dimension 2 and up.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import HomologyError
 from .gf2 import Gf2System
@@ -92,11 +94,40 @@ class HomologySummary:
     betti: tuple[int, ...]
 
 
+def _spanning_forest(k: SimplicialComplex) -> tuple[list[Simplex], Callable[[str], str]]:
+    """The pivot columns of the boundary matrix C_1 -> C_0, and the root of each vertex's tree.
+
+    An edge is a sum of earlier edges exactly when a path of them already
+    joins its ends, so the pivot columns are Kruskal's forest: the edges
+    that union-find over ``k.level(1)`` sees join two components.
+    """
+    parent = dict(zip(k.vertices, k.vertices))
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    forest = []
+    for e in k.level(1):
+        a, b = map(root, e)
+        if a != b:
+            parent[a] = b
+            forest.append(e)
+    return forest, root
+
+
 def betti_mod2(k: SimplicialComplex) -> HomologySummary:
-    """Exact mod 2 Betti numbers by GF(2) elimination."""
+    """Exact mod 2 Betti numbers.
+
+    The rank of C_1 -> C_0 is the size of the spanning forest, |V| minus the
+    number of components; the higher ranks come from GF(2) elimination.
+    """
     top = k.dim
     ranks = [0] * (top + 2)
-    for d in range(1, top + 1):
+    if top >= 1:
+        ranks[1] = len(_spanning_forest(k)[0])
+    for d in range(2, top + 1):
         ranks[d] = _boundary_system(k, d)[0].rank
     betti = tuple(
         len(k.level_set(d)) - ranks[d] - ranks[d + 1] for d in range(top + 1)
@@ -104,25 +135,41 @@ def betti_mod2(k: SimplicialComplex) -> HomologySummary:
     return HomologySummary(tuple(ranks[: top + 1]), betti)
 
 
-def _even_in_each_component(k: SimplicialComplex, c: Mod2Chain) -> bool:
-    """Whether every connected component of k holds an even number of c's vertices.
+def _forest_witness(k: SimplicialComplex, c: Mod2Chain) -> Optional[frozenset[Simplex]]:
+    """The edges x of the spanning forest with boundary x = c, a 0-chain; None if there are none.
 
-    A 0-chain bounds exactly then: a path inside a component joins its
-    vertices in pairs.  Components come from union-find over the edges.
+    A tree holding an odd number of c's vertices has none.  Otherwise x is
+    peeled from the leaves up: an edge is in x exactly when the subtree
+    below it holds an odd number of c's vertices.  The forest is the greedy
+    basis of C_1, so this is the one solution supported on it, the witness
+    ``Gf2System.solve`` gives.
     """
-    parent = {v: v for v in k.vertices}
-
-    def root(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for a, b in k.level_set(1):
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[ra] = rb
-    counts = Counter(map(root, itertools.chain.from_iterable(c.support)))
-    return not any(map((1).__and__, counts.values()))
+    forest, root = _spanning_forest(k)
+    vertices = list(itertools.chain.from_iterable(c.support))
+    counts = Counter(map(root, vertices))
+    if any(map((1).__and__, counts.values())):
+        return None
+    tree: dict[str, list[tuple[str, Simplex]]] = {}
+    for e in forest:
+        a, b = e
+        tree.setdefault(a, []).append((b, e))
+        tree.setdefault(b, []).append((a, e))
+    odd, witness = set(vertices), set()
+    # vertex -> (the vertex above it, the edge between them); None at each root
+    above: dict[str, Optional[tuple[str, Simplex]]] = dict.fromkeys(counts)
+    for top in counts:
+        order = [top]
+        for v in order:
+            for u, e in tree.get(v, ()):
+                if u not in above:
+                    above[u] = v, e
+                    order.append(u)
+        for v in reversed(order[1:]):
+            if v in odd:
+                u, e = above[v]
+                witness.add(e)
+                odd ^= {u}
+    return frozenset(witness)
 
 
 def is_boundary(
@@ -130,21 +177,24 @@ def is_boundary(
 ) -> tuple[bool, Optional[Mod2Chain]]:
     """Decide whether the cycle c bounds; if so, the witness x with boundary x = c.
 
-    The verdict needs no elimination when k has no (i+1)-simplices (a
-    nonzero cycle never bounds) or when i = 0 (a 0-chain bounds exactly when
-    each connected component holds an even number of its vertices).  The
-    witness is always the one ``Gf2System.solve`` gives on the boundary
-    matrix with its columns in canonical order: the solution supported on
-    the columns that are not sums of earlier ones.  ``solve`` takes c's rows
-    and gives the witness's columns, as positions in levels i and i + 1.
+    When k has no (i+1)-simplices a nonzero cycle never bounds.  The witness
+    is always the one ``Gf2System.solve`` would give on the boundary matrix
+    with its columns in canonical order: the solution supported on the
+    columns that are not sums of earlier ones.  At i = 0 those columns are
+    the spanning forest, and the witness is read off it from the leaves up.
+    Above, ``solve`` takes c's rows and gives the witness's columns, as
+    positions in levels i and i + 1.
     """
     _check_chain(k, c)
     if c.dim > 0 and facet_sum(c):
         raise HomologyError("is_boundary requires a cycle")
     if not c:
         return True, Mod2Chain(c.dim + 1, frozenset())
-    if not k.level_set(c.dim + 1) or (c.dim == 0 and not _even_in_each_component(k, c)):
+    if not k.level_set(c.dim + 1):
         return False, None
+    if c.dim == 0:
+        edges = _forest_witness(k, c)
+        return (False, None) if edges is None else (True, Mod2Chain(1, edges))
     system, rows = _boundary_system(k, c.dim + 1)
     columns = system.solve(map(rows.__getitem__, c.support))
     if columns is None:

@@ -9,7 +9,9 @@ touches floating point.
 
 A complex keeps the simplices it was built from and closes one dimension
 at a time, on first use, from the top down; so ``bounds`` on an i-chain
-reads dimensions i and i + 1 of K' and closes no dimension below i.
+reads dimensions i and i + 1 of K' and closes no dimension below i.  A
+barycentric subdivision reads its flags carrier by carrier, with no coface
+table.
 """
 
 from __future__ import annotations
@@ -295,6 +297,20 @@ def barycenter_name(s: Simplex) -> str:
     return "b(" + ",".join(s) + ")"
 
 
+def _flag_template(n: int, i: int) -> list[tuple[tuple[int, int], ...]]:
+    """The i-flags ending at an n-vertex simplex, each face as (size, rank among the faces of its size).
+
+    A flag s_0 < ... < s_i = range(n) is the ordered partition of range(n)
+    into the blocks s_j - s_(j-1), so there are Fubini(n) flags over all i.
+    Ranks follow ``combinations``, so they index any n-vertex simplex's faces.
+    """
+    rank = {f: (m, r) for m in range(1, n + 1) for r, f in enumerate(combinations(range(n), m))}
+    flags = [(tuple(range(n)),)] if i >= 0 else []
+    for _ in range(i):
+        flags = [(f,) + flag for flag in flags for f in faces(flag[0])[:-1]]
+    return [tuple(map(rank.__getitem__, flag)) for flag in flags]
+
+
 @dataclass(frozen=True)
 class Subdivision:
     """Barycentric subdivision K' of ``base``, derived from the base on first use.
@@ -302,7 +318,8 @@ class Subdivision:
     The barycenter b(s) of each base simplex s is a vertex of K'; a set of
     them spans a simplex iff their carriers form a strict flag in the base,
     whose maximal member carries the simplex.  One dimension of K' is read,
-    with the carrier of each of its simplices, without building the rest.
+    with the carrier of each of its simplices, without building the rest:
+    carrier by carrier, with no coface table.
     """
 
     base: SimplicialComplex
@@ -327,14 +344,24 @@ class Subdivision:
         return {barycenter_name(s): s for s in k.simplices}
 
     def flags(self, i: int) -> dict[Simplex, Simplex]:
-        """i-simplex of K' -> its carrier s_i, over the flags s_0 < ... < s_i in walk order."""
+        """i-simplex of K' -> its carrier s_i, over the flags s_0 < ... < s_i; {} outside 0..dim.
+
+        Read carrier by carrier, with no coface table: level by level over
+        the base, each face of each carrier is named once, and the i-flags
+        ending at it are read off ``_flag_template`` for its size.
+        """
         if i not in self._flags:
             name = {s: v for v, s in self.carriers.items()}.__getitem__
-            cofaces = self.base.cofaces if i > 0 else {}
-            chains = [(s,) for s in self.base.simplices] if i >= 0 else []
-            for _ in range(i):
-                chains = [c + (t,) for c in chains for t in cofaces[c[-1]] if len(t) > len(c[-1])]
-            self._flags[i] = {tuple(sorted(map(name, c))): c[-1] for c in chains}
+            out: dict[Simplex, Simplex] = {}
+            for d in range(i, self.base.dim + 1):
+                level, template = self.base.level(d), _flag_template(d + 1, i)
+                # size m -> the names of the m-faces of each carrier, carrier after carrier
+                names = {m: list(map(name, chain.from_iterable(map(combinations, level, repeat(m)))))
+                         for m in {m for flag in template for m, _ in flag}}
+                for flag in template:
+                    faces_at = (names[m][r::comb(d + 1, m)] for m, r in flag)
+                    out.update(zip(map(tuple, map(sorted, zip(*faces_at))), level))
+            self._flags[i] = out
         return self._flags[i]
 
     @cached_property

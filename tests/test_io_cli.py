@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from whitney import calculus as cal
-from whitney import cli, exactlin, fileio, polar, sw
+from whitney import cli, exactlin, fileio, polar, simplicial, sw
 from whitney.corpus import load_corpus
 from whitney.errors import ComplexError, DegenerateMapError, HomologyError, InputError, PolarError
 from whitney.homology import Mod2Chain, boundary, fundamental_cycle, is_boundary
@@ -365,7 +365,7 @@ def test_complex_above_the_size_cap_is_refused_before_any_closure(tmp_path, monk
 
 
 def test_subdivision_above_the_size_cap_is_refused_before_any_flag(tmp_path, monkeypatch, capsys):
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a flag was walked")
 
     monkeypatch.setattr(SimplicialComplex, "cofaces", property(refuse))
@@ -375,17 +375,40 @@ def test_subdivision_above_the_size_cap_is_refused_before_any_flag(tmp_path, mon
     # 2 Fubini(10) - 1 simplices: the ordered partitions of every face
     message = ("error: subdivision too large: it would have 204495125 simplices, "
                "above the cap 2^20 = 1048576\n")
-    for argv in (["subdivide", "--out", tmp_path / "sd.json"],
-                 ["stiefel", "--dim", 0, "--out", tmp_path / "s0.json"]):
-        code, out = run([argv[0], "--complex", path, *argv[1:]], capsys)
-        assert (code, out.out, out.err) == (3, "", message), argv[0]
+    with monkeypatch.context() as flagless:
+        flagless.setattr(simplicial, "_flag_template", refuse)
+        for argv in (["subdivide", "--out", tmp_path / "sd.json"],
+                     ["stiefel", "--dim", 0, "--out", tmp_path / "s0.json"]):
+            code, out = run([argv[0], "--complex", path, *argv[1:]], capsys)
+            assert (code, out.out, out.err) == (3, "", message), argv[0]
+        # an 8-vertex simplex does not pass either
+        with pytest.raises(ComplexError, match="would have 1091669 simplices"):
+            Subdivision(build_complex(ids[:8], [ids[:8]])).flags(0)
     assert not list(tmp_path.glob("s*.json"))
-    # a 7-vertex simplex passes with 94,585 simplices in K', and an 8-vertex one does not
+    # a 7-vertex simplex passes with 94,585 simplices in K'
     path.write_text(json.dumps({"vertices": ids[:7], "maximal_simplices": [ids[:7]]}))
     assert run(["stiefel", "--complex", path, "--dim", 0, "--out", tmp_path / "s0.json"]) == 0
     assert len(json.loads((tmp_path / "s0.json").read_text())["simplices"]) == 2 ** 7 - 1
-    with pytest.raises(ComplexError, match="would have 1091669 simplices"):
-        Subdivision(build_complex(ids[:8], [ids[:8]])).flags(0)
+
+
+def test_subdivide_and_stiefel_read_no_coface_table(tmp_path, monkeypatch):
+    # flags are read carrier by carrier: with cofaces refused, the same bytes come out
+    torus = CORPUS / "torus_7.json"
+    argvs = [["subdivide", "--complex", torus, "--out"]]
+    argvs += [["stiefel", "--complex", torus, "--dim", i, "--out"] for i in (1, 2)]
+
+    def outputs(tag):
+        paths = [tmp_path / f"{tag}{j}.json" for j in range(len(argvs))]
+        assert [run(argv + [path]) for argv, path in zip(argvs, paths)] == [0] * len(argvs)
+        return [path.read_bytes() for path in paths]
+
+    before = outputs("before")
+
+    def refuse(self):
+        raise AssertionError("a coface table was read")
+
+    monkeypatch.setattr(SimplicialComplex, "cofaces", property(refuse))
+    assert outputs("after") == before
 
 
 def test_over_long_rational_is_malformed(tmp_path, capsys):

@@ -11,11 +11,13 @@ freshly built from its file data, with the same inputs made before
 tracing at both sizes: a level, coface table or subdivision cached by an
 earlier call would make one size look cheaper (reusing sd^4's parent read
 15.6x for ``dual``).
-``is_boundary`` and ``betti_mod2`` have no guard here.  From sd^2 to sd^3
-they read 7.0x and 6.7x, but pivots stored at full width, which grow with
-the square of the rows, read 10.9x and 9.4x, also inside the bound: the
-square shows only from sd^3 to sd^4, which takes seconds.
-``test_gf2.py`` guards the pivot storage on a path instead.
+``is_boundary`` is guarded on a 0-chain that bounds, which is solved on a
+spanning forest with no GF(2) elimination.  Its GF(2) path and
+``betti_mod2`` have no guard here.  From sd^2 to sd^3 they read 7.0x and
+6.7x, but pivots stored at full width, which grow with the square of the
+rows, read 10.9x and 9.4x, also inside the bound: the square shows only
+from sd^3 to sd^4, which takes seconds.  ``test_gf2.py`` guards the pivot
+storage on a path instead.
 """
 
 import gc
@@ -25,6 +27,7 @@ import pytest
 
 from whitney import calculus as cal
 from whitney import fileio, polar, sw
+from whitney.homology import Mod2Chain, is_boundary
 from whitney.simplicial import barycentric_subdivision, build_complex
 
 
@@ -41,14 +44,19 @@ def _peak(call) -> int:
 def _calls(data):
     """Layer name -> a call on fresh complexes built from ``data``, its inputs made beforehand."""
     fresh = fileio.complex_from_dict
-    closed, unread, written = fresh(data), fresh(data), fresh(data)
+    closed, unread, written, flagged, bounded = (fresh(data) for _ in range(5))
     closed.simplices
     z2 = cal.constant(fresh(data), 1, cal.RING_Z2)
     ones = cal.constant(fresh(data), 1)
+    # an even number of vertices of a connected complex bounds
+    vertices = data["vertices"][:len(data["vertices"]) // 2 * 2]
+    points = Mod2Chain(0, frozenset((v,) for v in vertices))
     return {
         "build_complex": lambda: build_complex(data["vertices"], data["maximal_simplices"]).simplices,
         "cofaces": lambda: closed.cofaces,
         "barycentric_subdivision": lambda: barycentric_subdivision(unread).complex,
+        "flags": lambda: barycentric_subdivision(flagged).flags(flagged.dim),
+        "is_boundary": lambda: is_boundary(bounded, points)[0] or pytest.fail("no boundary"),
         "dual": lambda: cal.dual(z2),
         "base_representative": lambda: sw.base_representative(ones.base, ones, 1),
         "complex_to_dict": lambda: fileio.dump_json(fileio.complex_to_dict(written), None),
@@ -86,8 +94,9 @@ def peaks(corpus):
     return out
 
 
-@pytest.mark.parametrize("layer", ["build_complex", "cofaces", "barycentric_subdivision", "dual",
-                                   "base_representative", "complex_to_dict", "polar_chain"])
+@pytest.mark.parametrize("layer", ["build_complex", "cofaces", "barycentric_subdivision", "flags",
+                                   "dual", "base_representative", "is_boundary", "complex_to_dict",
+                                   "polar_chain"])
 def test_peak_grows_at_most_twice_as_fast_as_the_input(peaks, layer):
     grew, size = peaks[layer]
     assert size > 5

@@ -244,6 +244,21 @@ def test_subdivision_matches_face_poset_oracle(corpus):
         assert barycentric_subdivision(k).complex == prime, case
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_flags_match_the_oracle_on_carriers_of_four_to_six_vertices(n):
+    # ids whose barycenter names sort unlike their tuples: ("1", "2") < ("1!",), but "b(1!)" < "b(1,2)"
+    ids = ["1", "1!", "10", "2", "a b", "\u00e9"][:n]
+    # an n-vertex simplex, with a triangle on two of its vertices and a new one beside it
+    k = build_complex(ids + ["z"], [ids, [ids[0], ids[-1], "z"]])
+    prime, carriers = subdivision_oracle.barycentric_subdivision(k)
+    sub = Subdivision(k)
+    for i in range(-1, n + 1):
+        flags = sub.flags(i)
+        assert tuple(sorted(flags)) == prime.level(i), (n, i)
+        assert all(c == max((carriers[v] for v in s), key=len) for s, c in flags.items()), (n, i)
+    assert sub.flags(-1) == {} == sub.flags(k.dim + 1)
+
+
 def test_subdivision_is_a_function_of_its_base(circle):
     assert barycentric_subdivision(circle) == Subdivision(circle)
     assert Subdivision(circle).flags(-1) == {}

@@ -114,6 +114,17 @@ INPUTS = {
                                "maximal_simplices": [["1", "2", "3"], ["4", "5"], ["4", "6"],
                                                      ["5", "6"]]},
     "cycle_456.json": {"dim": 1, "simplices": [["4", "5"], ["4", "6"], ["5", "6"]]},
+    # even in both components of k_disk_and_circle, then odd in the filled triangle
+    "c0_disk_even.json": {"dim": 0, "simplices": [["1"], ["2"], ["5"], ["6"]]},
+    "c0_disk_odd.json": {"dim": 0, "simplices": [["1"], ["4"], ["5"], ["6"]]},
+    # a triangle with a path hanging from it, and an isolated vertex z
+    "k_isolated_vertex.json": {"vertices": ["1", "2", "3", "4", "5", "z"],
+                               "maximal_simplices": [["1", "2", "3"], ["3", "4"], ["4", "5"],
+                                                     ["z"]]},
+    "c0_lone_even.json": {"dim": 0, "simplices": [["1"], ["5"]]},
+    "c0_lone_odd.json": {"dim": 0, "simplices": [["1"], ["z"]]},
+    # one simplex on 5 vertices: every flag of K' ends at one of its faces
+    "k_simplex5.json": {"vertices": _SIMPLEX40[:5], "maximal_simplices": [_SIMPLEX40[:5]]},
     # one simplex on 40 vertices: its closure would pass the size cap
     "k_simplex40.json": {"vertices": _SIMPLEX40, "maximal_simplices": [_SIMPLEX40]},
     # one simplex on 10 vertices: its closure passes the size cap, its subdivision does not
@@ -326,6 +337,16 @@ def commands(corpus: Path) -> list[list[str]]:
             ["bounds", "--complex", disk, "--chain", "in/cycle_s1_3.json",
              "--witness", "out/w_disk.json"],
             ["homology", "--complex", disk, "--format", "json"]]
+    # 0-chains bound when each component holds an even number of their vertices; an
+    # isolated vertex is a component of its own
+    lone = "in/k_isolated_vertex.json"
+    for k, tag in ((disk, "disk"), (lone, "lone")):
+        out += [["bounds", "--complex", k, "--chain", f"in/c0_{tag}_{parity}.json",
+                 "--witness", f"out/w0_{tag}_{parity}.json"] for parity in ("even", "odd")]
+    out.append(["homology", "--complex", lone, "--format", "json"])
+    out += [["subdivide", "--complex", "in/k_simplex5.json", "--out", "out/sd1_simplex5.json"],
+            ["stiefel", "--complex", "in/k_simplex5.json", "--dim", "2",
+             "--out", "out/s2_simplex5.json"]]
     return out
 
 
