@@ -12,7 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, combinations, filterfalse
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Optional
 
@@ -77,7 +77,7 @@ def _require(data: dict, key: str, context: str, kind: type = object) -> Any:
 
 def _ids(value: Any, what: str) -> list:
     """A list of vertex ids, which are strings."""
-    if not all(isinstance(v, str) for v in _check(value, list, what)):
+    if not all(map(isinstance, _check(value, list, what), repeat(str))):
         bad = next(v for v in value if not isinstance(v, str))
         raise InputError(f"{what}: vertex id must be a string, got {bad!r}")
     return value
@@ -85,11 +85,11 @@ def _ids(value: Any, what: str) -> list:
 
 def _lists(value: Any, what: str, ids: bool = False) -> list:
     """A list of lists; with ids, lists of vertex ids.  One pass per check, for long files."""
-    if not all(isinstance(inner, list) for inner in _check(value, list, what)):
+    if not all(map(isinstance, _check(value, list, what), repeat(list))):
         bad = next(inner for inner in value if not isinstance(inner, list))
         raise InputError(f"{what} entry must be a list, got {bad!r}")
     if ids:
-        _ids([v for inner in value for v in inner], what)
+        _ids(list(chain.from_iterable(value)), what)
     return value
 
 
@@ -126,15 +126,27 @@ def _to_json(x: Any, pad: str) -> str:
     """x as ``json.dumps(x, indent=2, sort_keys=True)`` writes it, nested at indent ``pad``.
 
     The library's encoder runs in pure Python whenever it indents; this one
-    joins a list of strings, such as a simplex, in one ``str.join``.
+    joins a list of strings, such as a simplex, in one ``str.join``, and a
+    list of nonempty lists of strings, such as a chain's or a complex's
+    simplices, in one more ``str.join`` over its rows.
     """
     if isinstance(x, (list, tuple)) and x:
         inner = pad + "  "
         sep = ",\n" + inner
         try:
-            body = sep.join(map(_quote, x))
+            return f"[\n{inner}{sep.join(map(_quote, x))}\n{pad}]"
         except TypeError:  # not all strings
-            body = sep.join([_to_json(v, inner) for v in x])
+            pass
+        if all(map(isinstance, x, repeat((list, tuple)))) and all(x):
+            # each row between "[" and "]", the rows joined by what closes one and opens the next
+            start, end = f"[\n{inner}  ", f"\n{inner}]"
+            try:
+                body = (end + sep + start).join(
+                    map((",\n  " + inner).join, map(map, repeat(_quote), x)))
+                return f"[\n{inner}{start}{body}{end}\n{pad}]"
+            except TypeError:  # not all strings
+                pass
+        body = sep.join([_to_json(v, inner) for v in x])
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(x, str):
         return _quote(x)
@@ -186,12 +198,14 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
 
 
 def complex_to_dict(k: SimplicialComplex) -> dict:
-    # a simplex is maximal when it is no simplex's facet; k.simplices is in canonical order
-    sizes = map(len, k.simplices)
-    covered = set(chain.from_iterable(map(combinations, k.simplices, map((-1).__add__, sizes))))
+    """k's file data: its vertices, its maximal simplices in canonical order and its coordinates.
+
+    The maximal simplices come from ``k.maximal()``, so a complex listed by
+    them, such as a subdivision, is written without closing a level.
+    """
     out: dict[str, Any] = {
         "vertices": list(k.vertices),
-        "maximal_simplices": list(map(list, filterfalse(covered.__contains__, k.simplices))),
+        "maximal_simplices": list(map(list, k.maximal())),
     }
     if k.coordinates is not None:
         out["coordinates"] = {

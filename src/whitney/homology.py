@@ -138,12 +138,15 @@ def betti_mod2(k: SimplicialComplex) -> HomologySummary:
 def _forest_witness(k: SimplicialComplex, c: Mod2Chain) -> Optional[frozenset[Simplex]]:
     """The edges x of the spanning forest with boundary x = c, a 0-chain; None if there are none.
 
-    A tree holding an odd number of c's vertices has none.  Otherwise x is
-    peeled from the leaves up: an edge is in x exactly when the subtree
-    below it holds an odd number of c's vertices.  The forest is the greedy
-    basis of C_1, so this is the one solution supported on it, the witness
-    ``Gf2System.solve`` gives.
+    A tree holding an odd number of c's vertices has none, so an odd number
+    of them in all has none, and that is decided before level 1 is sorted.
+    Otherwise x is peeled from the leaves up: an edge is in x exactly when
+    the subtree below it holds an odd number of c's vertices.  The forest
+    is the greedy basis of C_1, so this is the one solution supported on
+    it, the witness ``Gf2System.solve`` gives.
     """
+    if len(c.support) & 1:
+        return None
     forest, root = _spanning_forest(k)
     vertices = list(itertools.chain.from_iterable(c.support))
     counts = Counter(map(root, vertices))

@@ -9,9 +9,11 @@ touches floating point.
 
 A complex keeps the simplices it was built from and closes one dimension
 at a time, on first use, from the top down; so ``bounds`` on an i-chain
-reads dimensions i and i + 1 of K' and closes no dimension below i.  A
-barycentric subdivision reads its flags carrier by carrier, with no coface
-table.
+reads dimensions i and i + 1 of K' and closes no dimension below i.  The
+maximal simplices are read off the listed ones, closing only the level
+above each listed size.  A barycentric subdivision reads its flags carrier
+by carrier, with no coface table, and lists only the full flags of the
+base's maximal simplices.
 """
 
 from __future__ import annotations
@@ -95,6 +97,19 @@ class SimplicialComplex:
     def simplices(self) -> tuple[Simplex, ...]:
         # timsort merges the sorted levels
         return tuple(sorted(chain.from_iterable(map(self.level, range(self.dim + 1)))))
+
+    def maximal(self) -> list[Simplex]:
+        """The maximal simplices in canonical order.
+
+        Each is listed, and a listed n-vertex simplex is maximal unless it is
+        a facet of level n; so only the level above each listed size is
+        closed, and a pure complex listed at its top closes nothing.
+        """
+        listed = set(self._listed)
+        for n in set(map(len, listed)):
+            listed.difference_update(chain.from_iterable(
+                map(combinations, self.level_set(n), repeat(n))))
+        return sorted(listed)
 
     @cached_property
     def simplex_set(self) -> frozenset[Simplex]:
@@ -366,7 +381,13 @@ class Subdivision:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        """K' in canonical order, each barycenter at the mean of its carrier's integer coordinates."""
+        """K', each barycenter at the mean of its carrier's integer coordinates.
+
+        K' is listed by its maximal simplices, the full flags of the maximal
+        simplices of K: the entries of ``flags(d)`` whose carrier is a
+        maximal d-simplex.  It closes its lower levels on first use, like any
+        complex loaded from a file.
+        """
         k = self.base
         coords = None
         if k.integer_coordinates is not None:
@@ -375,9 +396,10 @@ class Subdivision:
                 v: tuple(Fraction(sum(col), scale * len(s)) for col in zip(*(ints[w] for w in s)))
                 for v, s in self.carriers.items()
             }
-        vertices = sorted(v for (v,) in self.flags(0))
-        simplices = [f for i in range(k.dim + 1) for f in self.flags(i)]
-        return SimplicialComplex(tuple(vertices), simplices, coords)
+        top = set(k.maximal())
+        listed = [f for n in set(map(len, top))
+                  for f, s in self.flags(n - 1).items() if len(s) == n and s in top]
+        return SimplicialComplex(tuple(sorted(self.carriers)), listed, coords)
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:

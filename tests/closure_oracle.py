@@ -2,7 +2,8 @@
 
 The library's former eager closure, kept in the tests as an oracle: it
 closes every dimension at once, from the top down, sorts every simplex,
-and sorts them again by size for ``by_dim``.  It shares no code with
+and sorts them again by size for ``by_dim``; its maximal simplices are
+read off its coface table.  It shares no code with
 ``whitney.simplicial``.
 """
 
@@ -37,6 +38,8 @@ class EagerComplex:
                 for f in combinations(t, n):
                     cofaces[f].append(t)
         self.cofaces = {s: tuple(ts) for s, ts in cofaces.items()}
+        # the simplices with no coface but themselves, in canonical order
+        self.maximal = [s for s in self.simplices if self.cofaces[s] == (s,)]
 
     def n_simplices(self, d: int) -> int:
         return len(self.by_dim.get(d, ()))

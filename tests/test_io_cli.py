@@ -1302,6 +1302,13 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=_JSON_VALUES)
 @example(data={"ints": [0, 1, -1, 2 ** 64], "flags": (True, False, None), "empty": [[], {}, ""]})
+# rows of strings are written in one join: beside them, rows that are not all nonempty
+# lists of strings, and rows of ids that need escaping
+@example(data={"simplices": [["a"], []], "last": [["a", "b"], [], ["c"]]})
+@example(data=[["a", "b"], "c", ["d"]])
+@example(data=(("a", "b"), ("c",)))
+@example(data={"normal": [3, -1, 2], "rows": [[1, 2], [-3]], "mixed": [["a", 1]]})
+@example(data=[["a\"b", "x\\y", "a,b"], ["\u00e9", "\U0001f600"], [","]])
 def test_dump_json_writes_the_library_encoders_bytes(data):
     assert _dump(data) == _library_dump(data)
 

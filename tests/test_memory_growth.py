@@ -11,6 +11,10 @@ freshly built from its file data, with the same inputs made before
 tracing at both sizes: a level, coface table or subdivision cached by an
 earlier call would make one size look cheaper (reusing sd^4's parent read
 15.6x for ``dual``).
+``subdivide`` is guarded end to end: K' built, listed by its maximal
+simplices and written.  ``chain_to_dict`` writes s_0, one row per simplex
+of the complex; barycenter names grow longer at each step, so the written
+files grow a little faster than the simplex counts (8.8x and 8.1x).
 ``is_boundary`` is guarded on a 0-chain that bounds, which is solved on a
 spanning forest with no GF(2) elimination.  Its GF(2) path and
 ``betti_mod2`` have no guard here.  From sd^2 to sd^3 they read 7.0x and
@@ -44,13 +48,14 @@ def _peak(call) -> int:
 def _calls(data):
     """Layer name -> a call on fresh complexes built from ``data``, its inputs made beforehand."""
     fresh = fileio.complex_from_dict
-    closed, unread, written, flagged, bounded = (fresh(data) for _ in range(5))
+    closed, unread, written, flagged, bounded, subdivided = (fresh(data) for _ in range(6))
     closed.simplices
     z2 = cal.constant(fresh(data), 1, cal.RING_Z2)
     ones = cal.constant(fresh(data), 1)
     # an even number of vertices of a connected complex bounds
     vertices = data["vertices"][:len(data["vertices"]) // 2 * 2]
     points = Mod2Chain(0, frozenset((v,) for v in vertices))
+    s0 = sw.stiefel_chain(barycentric_subdivision(fresh(data)), 0)
     return {
         "build_complex": lambda: build_complex(data["vertices"], data["maximal_simplices"]).simplices,
         "cofaces": lambda: closed.cofaces,
@@ -60,6 +65,9 @@ def _calls(data):
         "dual": lambda: cal.dual(z2),
         "base_representative": lambda: sw.base_representative(ones.base, ones, 1),
         "complex_to_dict": lambda: fileio.dump_json(fileio.complex_to_dict(written), None),
+        "subdivide": lambda: fileio.dump_json(
+            fileio.complex_to_dict(barycentric_subdivision(subdivided).complex), None),
+        "chain_to_dict": lambda: fileio.dump_json(fileio.chain_to_dict(s0), None),
     }
 
 
@@ -96,7 +104,7 @@ def peaks(corpus):
 
 @pytest.mark.parametrize("layer", ["build_complex", "cofaces", "barycentric_subdivision", "flags",
                                    "dual", "base_representative", "is_boundary", "complex_to_dict",
-                                   "polar_chain"])
+                                   "subdivide", "chain_to_dict", "polar_chain"])
 def test_peak_grows_at_most_twice_as_fast_as_the_input(peaks, layer):
     grew, size = peaks[layer]
     assert size > 5

@@ -2,12 +2,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import subdivision_oracle
 from closure_oracle import EagerComplex
 from relabelling import relabel
 from whitney import calculus as cal
-from whitney import fileio, simplicial
+from whitney import cli, fileio, simplicial
 from whitney.errors import ComplexError, InputError, MapError
 from whitney.simplicial import (
     SimplicialComplex,
@@ -82,6 +84,50 @@ def test_levels_match_the_eager_closure_on_impure_listings(listed):
     assert len(k.level_set(k.dim)) == eager.n_simplices(eager.dim)
     assert k.level(k.dim - 1) == eager.by_dim.get(eager.dim - 1, ())
     assert k.simplices == eager.simplices
+
+
+def test_maximal_matches_the_eager_closure_on_the_corpus(corpus):
+    for name, entry in corpus.items():
+        data = fileio.load_json(Path(simplicial.__file__).parent / "corpus" / f"{name}.json")
+        # read on a fresh complex, before any level is closed, and on a closed one
+        fresh, closed = fileio.complex_from_dict(data), entry.complex
+        closed.simplices
+        eager = EagerComplex(data["maximal_simplices"])
+        assert fresh.maximal() == closed.maximal() == eager.maximal, name
+        prime = Subdivision(fileio.complex_from_dict(data)).complex
+        assert prime.maximal() == EagerComplex(subdivision_oracle.barycentric_subdivision(
+            entry.complex)[0].simplices).maximal, name
+
+
+# ids whose barycenter names sort unlike their tuples; none holds a comma, which a
+# barycenter name would not tell apart from the one between two ids
+IDS = ["a", "b", "c", "1", "1!", "10", "a b", "\u00e9", "z"]
+
+
+@st.composite
+def _listings(draw):
+    """Simplices on up to four vertices, in any order, with faces of listed ones and repeats."""
+    listed = draw(st.lists(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True),
+                           min_size=1, max_size=6))
+    # a subset of a listed simplex, in any order: a face of it, or the simplex again
+    again = st.sampled_from(listed).flatmap(
+        lambda s: st.lists(st.sampled_from(s), min_size=1, max_size=len(s), unique=True))
+    return draw(st.permutations(listed + draw(st.lists(again, max_size=4))))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(listed=_listings())
+@example(listed=[["a", "b", "c"], ["c", "b", "a"], ["a", "b"], ["b"], ["z"]])
+@example(listed=[["a", "b"], ["b", "c"], ["a", "b"], ["a", "b", "c"]])
+def test_maximal_and_the_subdivision_listing_match_the_oracles_on_impure_listings(listed):
+    k = build_complex(sorted({v for s in listed for v in s}), listed)
+    assert k.maximal() == EagerComplex(listed).maximal
+    # K' lists exactly the full flags of K's maximal simplices, which are its maximal simplices
+    prime = subdivision_oracle.barycentric_subdivision(k)[0]
+    sub = Subdivision(k)
+    top = EagerComplex(prime.simplices).maximal
+    assert sorted(sub.complex._listed) == top == sub.complex.maximal()
+    assert sub.complex == prime and sub.complex.simplices == prime.simplices
 
 
 def test_duplicate_vertex_rejected():
@@ -238,10 +284,35 @@ def test_subdivision_matches_face_poset_oracle(corpus):
             assert all(c == max((carriers[v] for v in s), key=len)
                        for s, c in sub.flags(i).items()), (case, i)
         assert sub.carriers == carriers, case
+        # K' lists the full flags of K's maximal simplices, and no other simplex
+        top = set(EagerComplex(k.simplices).maximal)
+        carrier = {f: max((carriers[v] for v in f), key=len) for f in prime.simplices}
+        full = [f for f, s in carrier.items() if len(f) == len(s) and s in top]
+        assert sorted(sub.complex._listed) == full, case
         assert sub.complex == prime, case
         assert sub.complex.simplices == prime.simplices, case
         assert list(sub.complex.coordinates or ()) == list(prime.coordinates or ()), case
         assert barycentric_subdivision(k).complex == prime, case
+
+
+def test_subdivide_reads_no_closed_level_of_k_prime(tmp_path, monkeypatch):
+    # K' of a complex listed at its top is listed at its top: writing it merges no level
+    argv = ["subdivide", "--complex", Path(simplicial.__file__).parent / "corpus" / "torus_7.json"]
+    assert cli.main([str(a) for a in argv + ["--out", tmp_path / "before.json"]]) == 0
+
+    def refuse(name):
+        read = getattr(SimplicialComplex, name)
+
+        def get(k):
+            if k.vertices[0].startswith("b("):
+                raise AssertionError(f"{name} read on K'")
+            return read.__get__(k, SimplicialComplex)
+        return property(get)
+
+    for name in ("simplices", "simplex_set"):
+        monkeypatch.setattr(SimplicialComplex, name, refuse(name))
+    assert cli.main([str(a) for a in argv + ["--out", tmp_path / "after.json"]]) == 0
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

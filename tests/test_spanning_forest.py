@@ -5,7 +5,9 @@ are then the pivot columns of the boundary matrix, and the witness is the
 one the elimination gives.  The cases are every corpus space, K' of the
 sd^1 rungs of the benchmark ladder, and a complex of four components, one
 of them an isolated vertex.  Each gets 0-chains that are even in every
-component (they bound) and odd in one (they do not).
+component (they bound) and odd in one (they do not).  Those odd in one
+hold an odd number of vertices in all, and are refused before level 1 is
+sorted.
 """
 
 import random
@@ -106,3 +108,18 @@ def test_no_elimination_in_dimension_one(expected, monkeypatch):
     monkeypatch.setattr(hom, "Gf2System", refuse)
     assert _mismatches(expected, ranks_up_to=1) == []
     assert sum(k.dim == 1 for _case, k, _chains, _ranks in expected) >= 5
+
+
+def test_an_odd_number_of_vertices_is_refused_before_level_one_is_sorted(expected, monkeypatch):
+    level = SimplicialComplex.level
+
+    def unsorted(k, d):
+        if d == 1:
+            raise AssertionError("level 1 sorted")
+        return level(k, d)
+
+    monkeypatch.setattr(SimplicialComplex, "level", unsorted)
+    odd = [(k, c) for _case, k, chains, _ranks in expected for c, _want in chains
+           if len(c.support) % 2]
+    assert len(odd) == 2 * len(expected)
+    assert all(hom.is_boundary(k, c) == (False, None) for k, c in odd)

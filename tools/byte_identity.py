@@ -129,6 +129,10 @@ INPUTS = {
     "k_simplex40.json": {"vertices": _SIMPLEX40, "maximal_simplices": [_SIMPLEX40]},
     # one simplex on 10 vertices: its closure passes the size cap, its subdivision does not
     "k_simplex10.json": {"vertices": _SIMPLEX40[:10], "maximal_simplices": [_SIMPLEX40[:10]]},
+    # a triangle with an edge hanging from it, listed with faces of listed simplices and repeats
+    "k_listed_faces.json": {"vertices": ["1", "2", "3", "4"],
+                            "maximal_simplices": [["2", "1"], ["1", "2", "3"], ["4", "3"],
+                                                  ["3", "2", "1"], ["3"], ["3", "4"]]},
 }
 # written as they stand: json.dumps cannot write a file nested past the recursion limit,
 # nor an integer with more digits than int() converts
@@ -347,6 +351,11 @@ def commands(corpus: Path) -> list[list[str]]:
     out += [["subdivide", "--complex", "in/k_simplex5.json", "--out", "out/sd1_simplex5.json"],
             ["stiefel", "--complex", "in/k_simplex5.json", "--dim", "2",
              "--out", "out/s2_simplex5.json"]]
+    # maximal simplices written from a listing that holds faces and repeats, and from its K'
+    out += [["subdivide", "--complex", "in/k_listed_faces.json", "--out",
+             "out/sd1_listed_faces.json", "--manifest", "out/sd1_listed_faces.carriers.json"],
+            ["subdivide", "--complex", "out/sd1_listed_faces.json",
+             "--out", "out/sd2_listed_faces.json"]]
     return out
 
 
