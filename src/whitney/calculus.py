@@ -144,9 +144,14 @@ def fiber_chi_oracle(f: SimplicialMap, q: str) -> int:
 
 
 def euler_offenders(a: ConstructibleFunction) -> list[Simplex]:
-    """Simplices where the duality fixed-point condition fails mod 2: dual(a) - a is odd."""
-    d = dual(a)
-    return [s for s in a.base.simplices if (d(s) - a(s)) % 2]
+    """Simplices where the duality fixed-point condition fails mod 2: dual(a) - a is odd.
+
+    Mod 2 the signs of ``dual`` drop out, and the cofaces of s hold s itself;
+    so s offends exactly when a sums to an odd number over its other cofaces.
+    ``dual`` is this closed form's oracle.
+    """
+    k, value = a.base, a.values.__getitem__
+    return [s for s in k.simplices if (sum(map(value, k.cofaces[s])) - value(s)) % 2]
 
 
 def is_euler_function(a: ConstructibleFunction) -> bool:

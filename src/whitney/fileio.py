@@ -4,6 +4,9 @@ Rationals travel as "p/q" strings with q > 0, vertex ids as strings, and
 integer fields as JSON integers.  Each field's JSON type is checked once,
 on parse, so a malformed file is an InputError.  Serialization sorts every
 enumeration canonically, so parse-serialize round-trips are byte-stable.
+Function values are keyed by ``simplicial.simplex_key`` and read back
+through ``SimplicialComplex.names``; so a complex in which two simplices
+share a key takes no ``values`` file, and loading one is an InputError.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .simplicial import (
     build_complex,
     faces,
     make_simplex,
+    simplex_key,
 )
 
 # ASCII digits only, and nothing after them: "1/2\n" and Unicode digits are malformed
@@ -271,10 +275,6 @@ def chain_to_dict(c: Mod2Chain, provenance: Optional[dict] = None) -> dict:
 
 # -- constructible functions --------------------------------------------------
 
-def _simplex_key(s: Simplex) -> str:
-    return ",".join(s)
-
-
 def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunction:
     ring = _require(data, "ring", "function file")
     if ring not in (RING_Z, RING_Z2):
@@ -297,14 +297,10 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
         except WhitneyError as e:
             raise InputError(f"function file: {e}") from e
     if "values" in data:
-        # keys are comma-joined sorted vertex ids; vertex names may contain
-        # commas themselves, so match whole keys against the complex
-        lookup: dict[str, Simplex] = {}
-        for s in k.simplices:
-            key = _simplex_key(s)
-            if key in lookup:
-                raise InputError(f"ambiguous simplex key {key!r} in this complex")
-            lookup[key] = s
+        try:
+            lookup = k.names()
+        except ComplexError as e:
+            raise InputError(str(e)) from e
         values: dict[Simplex, int] = {}
         for key, v in _check(data["values"], dict, "function file: 'values'").items():
             if key not in lookup:
@@ -323,7 +319,7 @@ def function_to_dict(a: ConstructibleFunction) -> dict:
     return {
         "ring": a.ring,
         "values": {
-            _simplex_key(s): a(s) for s in a.base.simplices if a(s) != 0
+            simplex_key(s): a(s) for s in a.base.simplices if a(s) != 0
         },
     }
 

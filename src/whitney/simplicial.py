@@ -14,6 +14,12 @@ maximal simplices are read off the listed ones, closing only the level
 above each listed size.  A barycentric subdivision reads its flags carrier
 by carrier, with no coface table, and lists only the full flags of the
 base's maximal simplices.
+
+Simplices are named here alone: ``simplex_key`` joins a simplex's vertex
+ids with commas, function files key their values by it, and the barycenter
+of s in K' is the vertex ``b(key)``.  Ids may hold commas, so two simplices
+such as ("a", "b") and ("a,b",) can share a key; such a complex cannot be
+named, and ``names`` and ``Subdivision.carriers`` refuse it.
 """
 
 from __future__ import annotations
@@ -42,6 +48,22 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
+def simplex_key(s: Simplex) -> str:
+    """s's name in files: its vertex ids joined by commas."""
+    return ",".join(s)
+
+
+def _distinct(named: dict[str, Simplex], simplices: Collection[Simplex]) -> dict[str, Simplex]:
+    """named, one name per simplex; if it is shorter, ComplexError names the first shared key."""
+    if len(named) < len(simplices):
+        seen: set[str] = set()
+        for key in map(simplex_key, simplices):
+            if key in seen:
+                raise ComplexError(f"ambiguous simplex key {key!r} in this complex")
+            seen.add(key)
+    return named
+
+
 def faces(s: Simplex) -> list[Simplex]:
     """All nonempty faces of s, including s itself."""
     return [f for k in range(1, len(s) + 1) for f in combinations(s, k)]
@@ -57,16 +79,16 @@ class SimplicialComplex:
     Each level and its set are kept, so a reader of dimensions i and i + 1
     closes no level below i.  ``simplices`` merges the levels in
     canonical order.  Two complexes are equal when their vertices, simplices
-    and coordinates are.  ``coordinates``, when present, assigns each vertex
-    an exact rational point of a common ambient dimension, with every simplex
-    affinely independent.
+    and coordinates are, and hash by their vertices.  ``coordinates``, when
+    present, assigns each vertex an exact rational point of a common ambient
+    dimension, with every simplex affinely independent.
     """
 
     vertices: tuple[str, ...]
-    _listed: Collection[Simplex] = field(compare=False, repr=False)
-    coordinates: Optional[Mapping[str, Point]] = field(default=None, compare=True)
-    _sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sorted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _listed: Collection[Simplex] = field(repr=False)
+    coordinates: Optional[Mapping[str, Point]] = None
+    _sets: dict = field(default_factory=dict, init=False, repr=False)
+    _sorted: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -75,6 +97,10 @@ class SimplicialComplex:
             return True
         same = self.vertices == other.vertices and self.coordinates == other.coordinates
         return same and self.simplex_set == other.simplex_set
+
+    def __hash__(self) -> int:
+        # equal complexes have equal vertices
+        return hash(self.vertices)
 
     def level_set(self, d: int) -> frozenset[Simplex]:
         """The d-simplices as a frozenset, closed on first use; empty outside 0..dim."""
@@ -110,6 +136,14 @@ class SimplicialComplex:
             listed.difference_update(chain.from_iterable(
                 map(combinations, self.level_set(n), repeat(n))))
         return sorted(listed)
+
+    def names(self) -> dict[str, Simplex]:
+        """simplex_key(s) -> s, over the simplices in canonical order.
+
+        Raises ComplexError naming the first key that two simplices share.
+        """
+        return _distinct(dict(zip(map(simplex_key, self.simplices), self.simplices)),
+                         self.simplices)
 
     @cached_property
     def simplex_set(self) -> frozenset[Simplex]:
@@ -308,10 +342,6 @@ def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(f.domain, g.codomain, vm)
 
 
-def barycenter_name(s: Simplex) -> str:
-    return "b(" + ",".join(s) + ")"
-
-
 def _flag_template(n: int, i: int) -> list[tuple[tuple[int, int], ...]]:
     """The i-flags ending at an n-vertex simplex, each face as (size, rank among the faces of its size).
 
@@ -342,11 +372,12 @@ class Subdivision:
 
     @cached_property
     def carriers(self) -> dict[str, Simplex]:
-        """Barycenter name -> the base simplex it stands for.
+        """Barycenter name b(simplex_key(s)) -> the base simplex s it stands for.
 
         Read first by every other member.  The flags ending at s are the
         ordered partitions of s, so |K'| = sum_d |K_d| Fubini(d + 1); above
-        2^20 this raises ComplexError before any flag is walked.
+        2^20 this raises ComplexError before any flag is walked.  So does a
+        base in which two simplices share a key, as ``names`` does.
         """
         k = self.base
         fubini = [1]
@@ -356,7 +387,7 @@ class Subdivision:
         if size > 2 ** 20:
             raise ComplexError(f"subdivision too large: it would have {size} simplices, "
                                f"above the cap 2^20 = {2 ** 20}")
-        return {barycenter_name(s): s for s in k.simplices}
+        return _distinct({f"b({simplex_key(s)})": s for s in k.simplices}, k.simplices)
 
     def flags(self, i: int) -> dict[Simplex, Simplex]:
         """i-simplex of K' -> its carrier s_i, over the flags s_0 < ... < s_i; {} outside 0..dim.

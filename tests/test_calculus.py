@@ -131,6 +131,39 @@ def test_euler_space_matches_general_path(corpus, subdivisions):
     assert {cal.is_euler_space(k).is_euler for k in spaces} == {True, False}
 
 
+def _offenders_by_dual(a):
+    d = cal.dual(a)
+    return [s for s in a.base.simplices if (d(s) - a(s)) % 2]
+
+
+def test_euler_offenders_match_the_dual(corpus, subdivisions):
+    """The coface-sum closed form against dual(a) - a odd, its definition."""
+    rng = random.Random(34)
+    spaces = [e.complex for e in corpus.values()] + [s.complex for s in subdivisions.values()]
+    found = set()
+    for k in spaces:
+        for ring in (cal.RING_Z, cal.RING_Z2):
+            for value in (1, 2, 3):
+                a = cal.constant(k, value, ring)
+                assert cal.euler_offenders(a) == _offenders_by_dual(a)
+            for _ in range(3):
+                a = cal.from_values(k, {s: rng.randint(-3, 3) for s in k.simplices}, ring)
+                offenders = cal.euler_offenders(a)
+                assert offenders == _offenders_by_dual(a)
+                found.add(bool(offenders))
+    assert found == {True, False}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([cal.RING_Z, cal.RING_Z2]))
+def test_euler_offenders_match_the_dual_on_any_function(corpus, data, ring):
+    k = corpus[data.draw(st.sampled_from(sorted(corpus)))].complex
+    values = data.draw(st.lists(st.integers(-4, 4), min_size=len(k.simplices),
+                                max_size=len(k.simplices)))
+    a = cal.from_values(k, dict(zip(k.simplices, values)), ring)
+    assert cal.euler_offenders(a) == _offenders_by_dual(a)
+
+
 def test_euler_space_builds_no_function(corpus, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("is_euler_space built a constructible function")

@@ -952,16 +952,17 @@ def test_stiefel_fn_exit_codes(tmp_path, capsys, dim, fn, code, message):
     pytest.param(["stiefel", "--fn"], id="stiefel-fn"),
 ])
 def test_euler_test_runs_once_on_the_given_complex(tmp_path, monkeypatch, corpus, argv):
-    # duality commutes with subdivision, so K decides the function on K' too; one dual at every i
+    # duality commutes with subdivision, so K decides the function on K' too; one Euler
+    # test at every i
     k = corpus["rp2_6"].complex
     fn = tmp_path / "fn.json"
     fileio.dump_json(fileio.function_to_dict(random_euler_function(random.Random(4), k)), fn)
     bases = []
-    dual = cal.dual
-    # a module that imported dual by name would call it past cal.dual
+    offenders = cal.euler_offenders
+    # a module that imported euler_offenders by name would call it past cal.euler_offenders
     for module in (cal, polar, sw):
-        monkeypatch.setattr(module, "dual", lambda a: bases.append(a.base) or dual(a),
-                            raising=False)
+        monkeypatch.setattr(module, "euler_offenders",
+                            lambda a: bases.append(a.base) or offenders(a), raising=False)
     if argv[-1] == "--fn":
         argv = argv + [fn]
     for i in range(k.dim + 1):
@@ -1181,6 +1182,49 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, data):
     assert streams.err.startswith("error: ") and streams.err.count("\n") == 1
     if command == "map":
         assert streams.err.startswith("error: map file: ")
+
+
+# ids may hold commas: the simplices ("a", "b") and ("a,b",) share the key "a,b", so
+# neither a values file nor a barycenter can name them apart
+SHARED_KEY = {"vertices": ["a", "b", "a,b"], "maximal_simplices": [["a", "b", "a,b"]]}
+SHARED_KEY_CIRCLE = {"vertices": ["a", "b", "a,b"],
+                     "maximal_simplices": [["a", "b"], ["a", "a,b"], ["b", "a,b"]]}
+AMBIGUOUS = "error: ambiguous simplex key 'a,b' in this complex\n"
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("subdivide", 3), ("stiefel", 3), ("moment", 3), ("moment-report", 3), ("dual", 2),
+])
+def test_a_complex_whose_keys_collide_is_refused(tmp_path, capsys, command, expected):
+    # every command that reads K' exits 3 before it writes; a values file exits 2
+    path, fn, out = tmp_path / "k.json", tmp_path / "fn.json", tmp_path / "out"
+    path.write_text(json.dumps(SHARED_KEY))
+    fn.write_text(json.dumps({"ring": "Z", "values": {"a": 1}}))
+    out.mkdir()
+    moment = ["polar", "--complex", path, "--dim", 0, "--moment", "--out", out / "c.json"]
+    argv = {
+        "subdivide": ["subdivide", "--complex", path, "--out", out / "sd1.json",
+                      "--manifest", out / "carriers.json"],
+        "stiefel": ["stiefel", "--complex", path, "--dim", 0, "--out", out / "s0.json"],
+        "moment": moment,
+        "moment-report": moment + ["--report", out / "report.json"],
+        "dual": ["dual", "--complex", path, "--fn", fn, "--out", out / "dual.json"],
+    }[command]
+    code, streams = run(argv, capsys)
+    assert (code, streams.err) == (expected, AMBIGUOUS)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("suite", ["stiefel", "polar", "axioms", "calculus"])
+def test_verify_refuses_an_euler_space_whose_keys_collide(tmp_path, capsys, suite):
+    (tmp_path / "circle.json").write_text(json.dumps(SHARED_KEY_CIRCLE))
+    circle = fileio.complex_from_dict(SHARED_KEY_CIRCLE)
+    assert cal.is_euler_space(circle).is_euler
+    code, streams = run(["verify", "--suite", suite, "--complexes", tmp_path], capsys)
+    if suite == "calculus":  # it reads no K'
+        assert code == 0
+    else:
+        assert (code, streams.err) == (3, AMBIGUOUS)
 
 
 @pytest.mark.parametrize("name, parse", [

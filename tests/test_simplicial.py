@@ -43,8 +43,7 @@ def _assert_closes_as_eager(k, listed, what):
     assert k.cofaces == eager.cofaces, what
     whole = SimplicialComplex(k.vertices, eager.simplices, k.coordinates)
     assert k == whole and whole == k, what
-    if k.coordinates is None:
-        assert hash(k) == hash(whole), what
+    assert hash(k) == hash(whole), what
     top = eager.by_dim[eager.dim][-1]
     assert k != SimplicialComplex(k.vertices, [s for s in eager.simplices if s != top],
                                   k.coordinates), what
@@ -99,9 +98,9 @@ def test_maximal_matches_the_eager_closure_on_the_corpus(corpus):
             entry.complex)[0].simplices).maximal, name
 
 
-# ids whose barycenter names sort unlike their tuples; none holds a comma, which a
-# barycenter name would not tell apart from the one between two ids
-IDS = ["a", "b", "c", "1", "1!", "10", "a b", "\u00e9", "z"]
+# ids whose barycenter names sort unlike their tuples, and ids with commas, whose
+# keys may equal those of other simplices: ("a", "b") and ("a,b",) are both "a,b"
+IDS = ["a", "b", "c", "1", "1!", "10", "a b", "\u00e9", "z", "a,b", ",", "b,"]
 
 
 @st.composite
@@ -119,15 +118,47 @@ def _listings(draw):
 @given(listed=_listings())
 @example(listed=[["a", "b", "c"], ["c", "b", "a"], ["a", "b"], ["b"], ["z"]])
 @example(listed=[["a", "b"], ["b", "c"], ["a", "b"], ["a", "b", "c"]])
+@example(listed=[["a", "b", "a,b"]])
 def test_maximal_and_the_subdivision_listing_match_the_oracles_on_impure_listings(listed):
     k = build_complex(sorted({v for s in listed for v in s}), listed)
     assert k.maximal() == EagerComplex(listed).maximal
+    simplices = EagerComplex(listed).simplices
+    if len({",".join(s) for s in simplices}) < len(simplices):
+        # two simplices share a key, so two barycenters would share a name
+        with pytest.raises(ComplexError, match="ambiguous simplex key"):
+            Subdivision(k).carriers
+        return
     # K' lists exactly the full flags of K's maximal simplices, which are its maximal simplices
     prime = subdivision_oracle.barycentric_subdivision(k)[0]
     sub = Subdivision(k)
     top = EagerComplex(prime.simplices).maximal
     assert sorted(sub.complex._listed) == top == sub.complex.maximal()
     assert sub.complex == prime and sub.complex.simplices == prime.simplices
+
+
+def test_names_key_each_simplex_in_canonical_order(corpus, subdivisions):
+    for name, entry in corpus.items():
+        for k in (entry.complex, subdivisions[name].complex):
+            names = k.names()
+            assert list(names.values()) == list(k.simplices), name
+            assert list(names) == [",".join(s) for s in k.simplices], name
+        assert subdivisions[name].carriers == {f"b({key})": s
+                                               for key, s in entry.complex.names().items()}
+
+
+def test_a_complex_whose_keys_collide_cannot_be_named():
+    message = "ambiguous simplex key 'a,b' in this complex"
+    k = build_complex(["a", "b", "a,b"], [["a", "b", "a,b"]])
+    with pytest.raises(ComplexError) as e:
+        k.names()
+    assert str(e.value) == message
+    with pytest.raises(ComplexError) as e:
+        Subdivision(k).carriers
+    assert str(e.value) == message
+    # the size cap is read first
+    big = ["a", "b", "a,b"] + [f"v{j}" for j in range(7)]
+    with pytest.raises(ComplexError, match="subdivision too large"):
+        Subdivision(build_complex(big, [big])).carriers
 
 
 def test_duplicate_vertex_rejected():

@@ -62,16 +62,16 @@ def test_representative_rejects_non_euler(corpus, subdivisions):
 
 
 def test_representative_takes_one_dual_at_every_i(monkeypatch, corpus, subdivisions):
-    # the Euler test is the only dual; the chain itself is read off the carriers
-    calls, real = [], cal.dual
+    # one Euler test, the coface sum behind dual; the chain itself is read off the carriers
+    calls, real = [], cal.euler_offenders
 
     def counted(a):
         calls.append(a)
         return real(a)
 
     for module in [m for n, m in sys.modules.items() if n.startswith("whitney")]:
-        if getattr(module, "dual", None) is real:
-            monkeypatch.setattr(module, "dual", counted)
+        if getattr(module, "euler_offenders", None) is real:
+            monkeypatch.setattr(module, "euler_offenders", counted)
     for name in ("rp2_6", "torus_7", "wedge_spheres"):
         sub = subdivisions[name]
         ones = cal.constant(corpus[name].complex, 1, cal.RING_Z2)

@@ -41,6 +41,20 @@ def test_modules_read_each_other_only_through_public_names():
     assert found == []
 
 
+def test_simplices_are_named_in_simplicial_alone():
+    # a comma join is a simplex key: simplicial.simplex_key, for function files and barycenters
+    found = []
+    for path in sorted((ROOT / "src" / "whitney").glob("*.py")):
+        if path.name == "simplicial.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+                    and node.func.value.value == ","):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
+
+
 def test_perfbench_span_names_resolve():
     # perfbench/run.py --trace 1 wraps these attributes by name
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")

@@ -133,6 +133,9 @@ INPUTS = {
     "k_listed_faces.json": {"vertices": ["1", "2", "3", "4"],
                             "maximal_simplices": [["2", "1"], ["1", "2", "3"], ["4", "3"],
                                                   ["3", "2", "1"], ["3"], ["3", "4"]]},
+    # ids with commas: the simplices ("a", "b") and ("a,b",) share the key "a,b"
+    "k_comma_ids.json": {"vertices": ["a", "b", "a,b"], "maximal_simplices": [["a", "b", "a,b"]]},
+    "fn_comma_ids.json": {"ring": "Z", "values": {"a": 1}},
 }
 # written as they stand: json.dumps cannot write a file nested past the recursion limit,
 # nor an integer with more digits than int() converts
@@ -356,6 +359,14 @@ def commands(corpus: Path) -> list[list[str]]:
              "out/sd1_listed_faces.json", "--manifest", "out/sd1_listed_faces.carriers.json"],
             ["subdivide", "--complex", "out/sd1_listed_faces.json",
              "--out", "out/sd2_listed_faces.json"]]
+    # a complex whose simplices share a key: K' exits 3, a values file exits 2
+    comma = "in/k_comma_ids.json"
+    out += [["subdivide", "--complex", comma, "--out", "out/sd1_comma_ids.json"],
+            ["stiefel", "--complex", comma, "--dim", "0", "--out", "out/s0_comma_ids.json"],
+            ["polar", "--complex", comma, "--dim", "0", "--moment",
+             "--out", "out/moment0_comma_ids.json"],
+            ["dual", "--complex", comma, "--fn", "in/fn_comma_ids.json",
+             "--out", "out/dual_comma_ids.json"]]
     return out
 
 
