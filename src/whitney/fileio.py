@@ -267,9 +267,14 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
 
 
 def chain_to_dict(c: Mod2Chain, provenance: Optional[dict] = None) -> dict:
+    """c's file data: provenance, then its dimension and its simplices in canonical order.
+
+    The simplices stay the sorted tuples of ``sorted_support``, with no list
+    per simplex; ``dump_json`` writes a tuple row as it writes a list.
+    """
     out: dict[str, Any] = dict(provenance or {})
     out["dim"] = c.dim
-    out["simplices"] = [list(s) for s in c.sorted_support()]
+    out["simplices"] = c.sorted_support()
     return out
 
 

@@ -139,7 +139,7 @@ def _forest_witness(k: SimplicialComplex, c: Mod2Chain) -> Optional[frozenset[Si
     """The edges x of the spanning forest with boundary x = c, a 0-chain; None if there are none.
 
     A tree holding an odd number of c's vertices has none, so an odd number
-    of them in all has none, and that is decided before level 1 is sorted.
+    of them in all has none, and that is decided before level 1 is closed.
     Otherwise x is peeled from the leaves up: an edge is in x exactly when
     the subtree below it holds an odd number of c's vertices.  The forest
     is the greedy basis of C_1, so this is the one solution supported on
@@ -180,7 +180,8 @@ def is_boundary(
 ) -> tuple[bool, Optional[Mod2Chain]]:
     """Decide whether the cycle c bounds; if so, the witness x with boundary x = c.
 
-    When k has no (i+1)-simplices a nonzero cycle never bounds.  The witness
+    When k has no (i+1)-simplices, i = dim k, a nonzero cycle never bounds;
+    that is read off ``k.dim``, so no level above i is closed.  The witness
     is always the one ``Gf2System.solve`` would give on the boundary matrix
     with its columns in canonical order: the solution supported on the
     columns that are not sums of earlier ones.  At i = 0 those columns are
@@ -193,7 +194,7 @@ def is_boundary(
         raise HomologyError("is_boundary requires a cycle")
     if not c:
         return True, Mod2Chain(c.dim + 1, frozenset())
-    if not k.level_set(c.dim + 1):
+    if c.dim == k.dim:
         return False, None
     if c.dim == 0:
         edges = _forest_witness(k, c)

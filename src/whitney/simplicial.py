@@ -9,11 +9,15 @@ touches floating point.
 
 A complex keeps the simplices it was built from and closes one dimension
 at a time, on first use, from the top down; so ``bounds`` on an i-chain
-reads dimensions i and i + 1 of K' and closes no dimension below i.  The
-maximal simplices are read off the listed ones, closing only the level
-above each listed size.  A barycentric subdivision reads its flags carrier
-by carrier, with no coface table, and lists only the full flags of the
-base's maximal simplices.
+reads dimensions i and i + 1 of K' and closes no dimension below i.
+Level 0 is the exception: it is the vertices of the listed simplices, read
+in one pass with no level above it closed, so ``bounds`` on a 0-chain
+closes level 1 only when the chain is even.  A level whose simplices were
+all listed, each once, is sorted from its listing, which a file written
+here already holds in canonical order.  The maximal simplices are read off
+the listed ones, closing only the level above each listed size.  A
+barycentric subdivision reads its flags carrier by carrier, with no coface
+table, and lists only the full flags of the base's maximal simplices.
 
 Simplices are named here alone: ``simplex_key`` joins a simplex's vertex
 ids with commas, function files key their values by it, and the barycenter
@@ -76,12 +80,17 @@ class SimplicialComplex:
     Level d, the d-simplices, is read in canonical order as ``level(d)`` and
     as a set as ``level_set(d)``.  It is closed on first use from the top
     dimension down: the listed d-simplices and the d-faces of level d + 1.
-    Each level and its set are kept, so a reader of dimensions i and i + 1
-    closes no level below i.  ``simplices`` merges the levels in
-    canonical order.  Two complexes are equal when their vertices, simplices
-    and coordinates are, and hash by their vertices.  ``coordinates``, when
-    present, assigns each vertex an exact rational point of a common ambient
-    dimension, with every simplex affinely independent.
+    Level 0 is instead the vertices of the listed simplices, which closes
+    no level above it; ``vertices`` may hold more, as in a link, which
+    keeps the ambient vertex set.  Each level and its set are kept, so a
+    reader of dimensions i and i + 1 closes no level below i.  A level
+    whose simplices were all listed, each once, is sorted from its listing
+    rather than from its set, so a listing already in canonical order
+    costs one pass.  ``simplices`` merges the levels in canonical order.
+    Two complexes are equal when their vertices, simplices and coordinates
+    are, and hash by their vertices.  ``coordinates``, when present, assigns
+    each vertex an exact rational point of a common ambient dimension, with
+    every simplex affinely independent.
     """
 
     vertices: tuple[str, ...]
@@ -89,6 +98,7 @@ class SimplicialComplex:
     coordinates: Optional[Mapping[str, Point]] = None
     _sets: dict = field(default_factory=dict, init=False, repr=False)
     _sorted: dict = field(default_factory=dict, init=False, repr=False)
+    _whole: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -107,16 +117,26 @@ class SimplicialComplex:
         if not 0 <= d <= self.dim:
             return frozenset()
         if d not in self._sets:
-            above = chain.from_iterable(map(combinations, self.level_set(d + 1), repeat(d + 1)))
-            listed = compress(self._listed, map((d + 1).__eq__, map(len, self._listed)))
+            listed = list(compress(self._listed, map((d + 1).__eq__, map(len, self._listed))))
+            level = set(listed)
+            once = len(level) == len(listed)
+            if d == 0:
+                level.update(zip(set(chain.from_iterable(self._listed))))
+            elif d < self.dim:
+                level.update(chain.from_iterable(
+                    map(combinations, self.level_set(d + 1), repeat(d + 1))))
+            if once and len(level) == len(listed):
+                # every d-simplex listed, each once: level(d) sorts the listing
+                self._whole[d] = listed
             # a set copied from a set gets a table sized for its entries, not its growth
-            self._sets[d] = frozenset(set(chain(listed, above)))
+            self._sets[d] = frozenset(level)
         return self._sets[d]
 
     def level(self, d: int) -> tuple[Simplex, ...]:
         """The d-simplices in canonical order; () outside 0..dim."""
         if d not in self._sorted:
-            self._sorted[d] = tuple(sorted(self.level_set(d)))
+            level = self.level_set(d)  # which keeps the listing of a whole level
+            self._sorted[d] = tuple(sorted(self._whole.pop(d, level)))
         return self._sorted[d]
 
     @cached_property

@@ -13,7 +13,7 @@ from whitney import homology as hom
 from whitney import sw
 from whitney.errors import HomologyError
 from whitney.homology import Mod2Chain, chain
-from whitney.simplicial import barycentric_subdivision, build_complex
+from whitney.simplicial import SimplicialComplex, barycentric_subdivision, build_complex
 
 
 def sympy_betti(k):
@@ -100,6 +100,29 @@ def test_is_boundary_with_witness(circle, sphere):
 def test_is_boundary_rejects_non_cycle(circle):
     with pytest.raises(HomologyError):
         hom.is_boundary(circle, chain(1, [["1", "2"]]))
+
+
+def test_a_top_dimension_cycle_is_refused_from_the_dimension_alone(corpus, subdivisions,
+                                                                   monkeypatch):
+    """A nonzero cycle of the top dimension does not bound, and no level but the top is read."""
+    cases = []
+    for name, entry in corpus.items():
+        for k in (entry.complex, subdivisions[name].complex):
+            c = Mod2Chain(k.dim, k.level_set(k.dim))
+            if k.dim > 0 and hom.is_cycle(k, c):
+                # the same complex with no level closed
+                cases.append((SimplicialComplex(k.vertices, k.maximal(), k.coordinates), c, name))
+    assert len(cases) >= 10
+    level_set = SimplicialComplex.level_set
+
+    def top_only(k, d):
+        if d != k.dim:
+            raise AssertionError(f"level {d} closed below or above the top, {k.dim}")
+        return level_set(k, d)
+
+    monkeypatch.setattr(SimplicialComplex, "level_set", top_only)
+    for k, c, name in cases:
+        assert hom.is_boundary(k, c) == (False, None), name
 
 
 def test_homologous(sphere):

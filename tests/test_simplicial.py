@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from whitney.simplicial import (
     link,
     validate_map,
 )
+from whitney.verify import random_closed_subcomplex
 
 
 def test_face_closure():
@@ -85,6 +87,35 @@ def test_levels_match_the_eager_closure_on_impure_listings(listed):
     assert k.simplices == eager.simplices
 
 
+def test_level_zero_holds_the_vertices_of_the_listed_simplices_alone(corpus, subdivisions):
+    """Level 0 is read off the listed simplices, not off ``vertices``, which may hold more.
+
+    Links and the polar suite's restricted complexes of K' keep the ambient
+    vertex set, and a hand-built complex may carry a vertex in no simplex.
+    """
+    rng = random.Random(3)
+    cases = [(SimplicialComplex(("a", "b", "c"), [("a", "b")]), [("a", "b")], "unused c")]
+    for name, entry in corpus.items():
+        k, kp = entry.complex, subdivisions[name].complex
+        cofaces = EagerComplex(k.maximal()).cofaces
+        cases += [(link(k, (v,)), [tuple(w for w in t if w != v)
+                                   for t in cofaces[(v,)] if t != (v,)], (name, "link", v))
+                  for (v,) in k.level(0)]
+        # as the polar suite draws them: links of two vertices, then closed subcomplexes
+        subs = [set(link(kp, (v,)).simplices)
+                for v in rng.sample(kp.vertices, min(2, len(kp.vertices)))]
+        subs += [random_closed_subcomplex(rng, kp) for _ in range(3)]
+        cases += [(SimplicialComplex(kp.vertices, sub), sub, (name, "restricted"))
+                  for sub in subs if sub]
+    assert sum(len(k.vertices) > len(k.level(0)) for k, _listed, _what in cases) > len(cases) / 2
+    for k, listed, what in cases:
+        eager = EagerComplex(listed)
+        fresh = SimplicialComplex(k.vertices, listed, k.coordinates)
+        assert fresh.level(0) == eager.by_dim.get(0, ()), what
+        assert [k.level(d) for d in range(-1, k.dim + 2)] == \
+            [eager.by_dim.get(d, ()) for d in range(-1, eager.dim + 2)], what
+
+
 def test_maximal_matches_the_eager_closure_on_the_corpus(corpus):
     for name, entry in corpus.items():
         data = fileio.load_json(Path(simplicial.__file__).parent / "corpus" / f"{name}.json")
@@ -117,12 +148,23 @@ def _listings(draw):
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(listed=_listings())
 @example(listed=[["a", "b", "c"], ["c", "b", "a"], ["a", "b"], ["b"], ["z"]])
+# three listed edges, one a repeat, against three in level 1: the count alone would take the listing
 @example(listed=[["a", "b"], ["b", "c"], ["a", "b"], ["a", "b", "c"]])
+# the whole of levels 1 and 0 listed, with repeats, so more often than they have simplices
+@example(listed=[["b", "a"], ["a", "b"], ["a"], ["b"], ["b"]])
 @example(listed=[["a", "b", "a,b"]])
 def test_maximal_and_the_subdivision_listing_match_the_oracles_on_impure_listings(listed):
-    k = build_complex(sorted({v for s in listed for v in s}), listed)
-    assert k.maximal() == EagerComplex(listed).maximal
-    simplices = EagerComplex(listed).simplices
+    vertices, eager = sorted({v for s in listed for v in s}), EagerComplex(listed)
+    dims = range(-1, eager.dim + 2)
+    # each level read first, on a fresh complex, then again after ``simplices`` merged them
+    assert [build_complex(vertices, listed).level(d) for d in dims] == \
+        [eager.by_dim.get(d, ()) for d in dims]
+    k = build_complex(vertices, listed)
+    assert k.simplices == eager.simplices
+    assert [k.level(d) for d in dims] == [eager.by_dim.get(d, ()) for d in dims]
+    k = build_complex(vertices, listed)
+    assert k.maximal() == eager.maximal
+    simplices = eager.simplices
     if len({",".join(s) for s in simplices}) < len(simplices):
         # two simplices share a key, so two barycenters would share a name
         with pytest.raises(ComplexError, match="ambiguous simplex key"):

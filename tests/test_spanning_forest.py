@@ -7,7 +7,7 @@ sd^1 rungs of the benchmark ladder, and a complex of four components, one
 of them an isolated vertex.  Each gets 0-chains that are even in every
 component (they bound) and odd in one (they do not).  Those odd in one
 hold an odd number of vertices in all, and are refused before level 1 is
-sorted.
+sorted or closed.
 """
 
 import random
@@ -111,15 +111,26 @@ def test_no_elimination_in_dimension_one(expected, monkeypatch):
 
 
 def test_an_odd_number_of_vertices_is_refused_before_level_one_is_sorted(expected, monkeypatch):
-    level = SimplicialComplex.level
+    level, level_set = SimplicialComplex.level, SimplicialComplex.level_set
 
     def unsorted(k, d):
         if d == 1:
             raise AssertionError("level 1 sorted")
         return level(k, d)
 
-    monkeypatch.setattr(SimplicialComplex, "level", unsorted)
+    def unclosed(k, d):
+        if d >= 1:
+            raise AssertionError(f"level {d} closed")
+        return level_set(k, d)
+
     odd = [(k, c) for _case, k, chains, _ranks in expected for c, _want in chains
            if len(c.support) % 2]
+    # the same complexes again, with no level closed
+    fresh = [(SimplicialComplex(k.vertices, k.maximal(), k.coordinates), c) for k, c in odd]
+    monkeypatch.setattr(SimplicialComplex, "level", unsorted)
     assert len(odd) == 2 * len(expected)
     assert all(hom.is_boundary(k, c) == (False, None) for k, c in odd)
+    # nor is level 1 closed: the complex has one, by its dimension, and level 0 is
+    # read off the listed simplices
+    monkeypatch.setattr(SimplicialComplex, "level_set", unclosed)
+    assert all(hom.is_boundary(k, c) == (False, None) for k, c in odd + fresh)

@@ -136,6 +136,8 @@ INPUTS = {
     # ids with commas: the simplices ("a", "b") and ("a,b",) share the key "a,b"
     "k_comma_ids.json": {"vertices": ["a", "b", "a,b"], "maximal_simplices": [["a", "b", "a,b"]]},
     "fn_comma_ids.json": {"ring": "Z", "values": {"a": 1}},
+    # vertices 1 and 4 of k_listed_faces, joined by the path 1, 3, 4: they bound
+    "c0_listed_faces.json": {"dim": 0, "simplices": [["4"], ["1"]]},
 }
 # written as they stand: json.dumps cannot write a file nested past the recursion limit,
 # nor an integer with more digits than int() converts
@@ -367,6 +369,13 @@ def commands(corpus: Path) -> list[list[str]]:
              "--out", "out/moment0_comma_ids.json"],
             ["dual", "--complex", comma, "--fn", "in/fn_comma_ids.json",
              "--out", "out/dual_comma_ids.json"]]
+    # levels read off a listing that holds faces and repeats: 0- and 1-chains bound, with witnesses
+    listed = "in/k_listed_faces.json"
+    out += [["bounds", "--complex", listed, "--chain", "in/c0_listed_faces.json",
+             "--witness", "out/w0_listed_faces.json"],
+            ["bounds", "--complex", listed, "--chain", "in/cycle_s1_3.json",
+             "--witness", "out/w1_listed_faces.json"],
+            ["homology", "--complex", listed, "--format", "json"]]
     return out
 
 
