@@ -235,10 +235,10 @@ def cmd_polar(args) -> int:
     if args.report:
         if args.moment:
             f, a = polar.moment_map(sub, i), cal.subdivide_function(sub, a)
-        half_links = [fileio.half_link_report_to_dict(r) for r in polar.polar_census(f, a)]
+        census = polar.polar_census(f, a)
     fileio.dump_json(fileio.chain_to_dict(c, provenance), args.out)
     if args.report:
-        fileio.dump_json({"half_links": half_links}, args.report)
+        fileio.dump_half_links(census, args.report)
     return 0
 
 

@@ -4,11 +4,15 @@ Only what the geometric predicates need: ranks and the normal covector of
 an affine hyperplane.  Rational input (ints or Fractions) is cleared to
 integers once, by ``clear_denominators``, with one positive scale, which
 changes no rank, no primitive normal and no side of a hyperplane.  One
-fraction-free (Bareiss) elimination, ``_bareiss``, gives both the rank and
-the signed minors of the normal: each step divides exactly by the previous
-pivot, so every entry stays an integer minor of the input.  No float and
-no Fraction arithmetic enters a predicate; matrices are tiny (at most
-ambient-dimension sized).
+fraction-free (Bareiss) elimination, ``_bareiss``, gives the rank: each
+step divides exactly by the previous pivot, so every entry stays an
+integer minor of the input.  The normal is the vector of signed maximal
+minors of the edge matrix.  In target dimension m <= 3, which covers every
+polar chain of the bundled spaces, ``integer_normal`` writes these minors
+out (a constant, a rotated edge, a cross product); above that each is a
+``_bareiss`` determinant.  The minors are the same integers either way,
+so the primitive normal is too.  No float and no Fraction arithmetic
+enters a predicate; matrices are tiny (at most ambient-dimension sized).
 """
 
 from __future__ import annotations
@@ -86,20 +90,35 @@ def integer_normal(points: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]
     """Primitive normal of the affine span of m integer points in Z^m.
 
     Component c is (-1)^c times the minor of the (m-1) x m edge matrix
-    (rows p - p_0) without column c.  The minors all vanish exactly when
-    the points span no hyperplane, and then the result is None.  The normal
-    is divided by its gcd and signed so that its first nonzero entry is
-    positive.
+    (rows p - p_0) without column c.  For m <= 3 these signed minors are
+    written out: (1,) for a point on the line, (q_1 - p_1, p_0 - q_0) for
+    two points in the plane, and the cross product of the two edges in
+    space.  Above that each minor is a ``_bareiss`` determinant.  Both give
+    the same integers, so the same primitive normal.  The minors all
+    vanish exactly when the points span no hyperplane, and then the result
+    is None.  The normal is divided by its gcd and signed so that its first
+    nonzero entry is positive.
     """
     m = len(points[0])
     if len(points) != m:
         raise ValueError("need exactly target-dimension many points")
+    if m == 1:
+        return (1,)
     p0 = points[0]
-    edges = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    minors = []
-    for c in range(m):
-        rank, det = _bareiss([row[:c] + row[c + 1:] for row in edges])
-        minors.append((-1) ** c * det if rank == m - 1 else 0)
+    if m == 2:
+        (x0, y0), (x1, y1) = p0, points[1]
+        minors = [y1 - y0, x0 - x1]
+    elif m == 3:
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = p0, points[1], points[2]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+        minors = [uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx]
+    else:
+        edges = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+        minors = []
+        for c in range(m):
+            rank, det = _bareiss([row[:c] + row[c + 1:] for row in edges])
+            minors.append((-1) ** c * det if rank == m - 1 else 0)
     if not any(minors):
         return None
     return _primitive(minors)

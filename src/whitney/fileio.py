@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .calculus import (
     RING_Z,
@@ -29,7 +29,7 @@ from .calculus import (
 from .errors import ComplexError, InputError, WhitneyError
 from .exactlin import clear_denominators
 from .homology import Mod2Chain
-from .polar import AffineVertexMap
+from .polar import AffineVertexMap, HalfLinkReport
 from .simplicial import (
     Simplex,
     SimplicialComplex,
@@ -88,9 +88,13 @@ def _ids(value: Any, what: str) -> list:
 
 
 def _lists(value: Any, what: str, ids: bool = False) -> list:
-    """A list of lists; with ids, lists of vertex ids.  One pass per check, for long files."""
-    if not all(map(isinstance, _check(value, list, what), repeat(list))):
-        bad = next(inner for inner in value if not isinstance(inner, list))
+    """A list of lists; with ids, lists of vertex ids.  One pass per check, for long files.
+
+    A row may also be a tuple, as the ``*_to_dict`` functions write them, so
+    their data reads back without a pass through JSON text.
+    """
+    if not all(map(isinstance, _check(value, list, what), repeat((list, tuple)))):
+        bad = next(inner for inner in value if not isinstance(inner, (list, tuple)))
         raise InputError(f"{what} entry must be a list, got {bad!r}")
     if ids:
         _ids(list(chain.from_iterable(value)), what)
@@ -175,7 +179,11 @@ def _to_json(x: Any, pad: str) -> str:
 
 def dump_json(data: dict, path: Optional[str | Path]) -> str:
     """Write data as ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline; return the text."""
-    text = _to_json(data, "") + "\n"
+    return _write(_to_json(data, "") + "\n", path)
+
+
+def _write(text: str, path: Optional[str | Path]) -> str:
+    """Write text to path, unless path is None; return the text."""
     if path is not None:
         try:
             Path(path).write_text(text)
@@ -204,12 +212,14 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
 def complex_to_dict(k: SimplicialComplex) -> dict:
     """k's file data: its vertices, its maximal simplices in canonical order and its coordinates.
 
-    The maximal simplices come from ``k.maximal()``, so a complex listed by
-    them, such as a subdivision, is written without closing a level.
+    The maximal simplices are the sorted tuples of ``k.maximal()``, so a
+    complex listed by them, such as a subdivision, is written without
+    closing a level, and with no list per simplex; ``dump_json`` writes a
+    tuple row as it writes a list.
     """
     out: dict[str, Any] = {
         "vertices": list(k.vertices),
-        "maximal_simplices": list(map(list, k.maximal())),
+        "maximal_simplices": k.maximal(),
     }
     if k.coordinates is not None:
         out["coordinates"] = {
@@ -406,3 +416,49 @@ def half_link_report_to_dict(report) -> dict:
             for cell in report.cells
         ],
     }
+
+
+_BOOL = ("false", "true")
+
+
+def dump_half_links(reports: Iterable[HalfLinkReport], path: Optional[str | Path]) -> str:
+    """Write reports as ``dump_json`` writes ``{"half_links": [half_link_report_to_dict(r) ...]}``.
+
+    Returns the text.  Each cell is one f-string and each list one join,
+    with no dict per cell and no encoder call per value; the keys are
+    written in sorted order, at the indents their nesting gives.
+    """
+    return _write(_half_links_text(reports), path)
+
+
+def _half_links_text(reports: Iterable[HalfLinkReport]) -> str:
+    """The text of ``dump_half_links``, built apart so the report texts are freed before the write.
+
+    Each report's text holds what comes before it, so the text is one join.
+    """
+    join_items = ",\n        ".join    # a report's cells, normal and simplex
+    join_ids = ",\n            ".join    # a cell's link simplex
+    lead = '{\n  "half_links": [\n    '
+    texts = []
+    for r in reports:
+        cells = join_items([
+            f'{{\n          "link_simplex": [\n            {join_ids(map(_quote, c.link_simplex))}'
+            f'\n          ],\n          "negative_cell": {_BOOL[c.negative_cell]},'
+            f'\n          "positive_cell": {_BOOL[c.positive_cell]},'
+            f'\n          "weight": {c.weight},'
+            f'\n          "zero_cell": {_BOOL[c.zero_cell]}\n        }}'
+            for c in r.cells
+        ])
+        cells = f"[\n        {cells}\n      ]" if cells else "[]"
+        texts.append(
+            f'{lead}{{\n      "cells": {cells},'
+            f'\n      "chi_minus": {r.chi_minus},\n      "chi_plus": {r.chi_plus},'
+            f'\n      "normal": [\n        {join_items(map(str, r.normal))}\n      ],'
+            f'\n      "offset": "{format_rational(r.offset)}",'
+            f'\n      "simplex": [\n        {join_items(map(_quote, r.simplex))}\n      ]\n    }}'
+        )
+        lead = ",\n    "
+    if not texts:
+        return '{\n  "half_links": []\n}\n'
+    texts.append("\n  ]\n}\n")
+    return "".join(texts)

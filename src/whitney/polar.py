@@ -32,8 +32,9 @@ candidate fail with probability below 1/256 (Schwartz-Zippel).
 and builds no report; it is the chain of every given map too, and the
 sampler returns the map it accepted with its chain.  ``polar_census``
 builds the half-link reports alone, which the CLI adds only under
-``--report``; the tests read the census's chain, a(S) - chi_plus mod 2 at
-each report, as the oracle of ``polar_chain`` and ``moment_chain``.
+``--report`` and writes in one pass by ``fileio.dump_half_links``, with no
+dict per report; the tests read the census's chain, a(S) - chi_plus mod 2
+at each report, as the oracle of ``polar_chain`` and ``moment_chain``.
 ``_side_test`` raises the one ``DegenerateMapError``, naming the simplex
 and the reason.  Chain readers take a as given: only its parity counts.
 

@@ -19,6 +19,20 @@ def test_integer_normal_needs_one_point_per_coordinate():
         exactlin.integer_normal([(0, 0), (1, 0), (0, 1)])
 
 
+def test_integer_normal_below_four_points_runs_no_elimination(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("Bareiss elimination for a closed-form normal")
+
+    monkeypatch.setattr(exactlin, "_bareiss", refuse)
+    assert exactlin.integer_normal([(7,)]) == (1,)
+    assert exactlin.integer_normal([(1, 2), (4, -4)]) == (2, 1)
+    assert exactlin.integer_normal([(1, 2), (1, 2)]) is None
+    assert exactlin.integer_normal([(0, 0, 0), (2, 0, 0), (0, 0, 3)]) == (0, 1, 0)
+    assert exactlin.integer_normal([(0, 0, 0), (1, 2, 3), (2, 4, 6)]) is None
+    assert exactlin.affine_hyperplane([(0, 0, 1), (Fraction(1, 2), 0, 1), (0, 1, 1)]) == (
+        (0, 0, 1), Fraction(1))
+
+
 def test_integer_normal_needs_row_swaps():
     # the first edge is zero in column 0, so Bareiss must pivot on the second
     assert exactlin.integer_normal([(0, 0, 0), (0, 1, 0), (1, 0, 0)]) == (0, 0, 1)

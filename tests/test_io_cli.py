@@ -1388,6 +1388,49 @@ def test_parse_serialize_round_trip_is_byte_stable(
     assert _dump(fileio.function_to_dict(fileio.function_from_dict(json.loads(text), k))) == text
 
 
+def _library_half_links(reports):
+    return _library_dump({"half_links": [fileio.half_link_report_to_dict(r) for r in reports]})
+
+
+def test_dump_half_links_writes_the_library_encoders_bytes(tmp_path, corpus, subdivisions):
+    censuses = [()]
+    # every embedded corpus space at every i, under a seeded random plane
+    for k in (entry.complex for entry in corpus.values()):
+        if k.coordinates is None:
+            continue
+        ambient = len(next(iter(k.coordinates.values())))
+        for i in range(min(k.dim, ambient - 1) + 1):
+            f, _ = polar.sample_generic_subspace(cal.constant(k, 1), i + 1, 7)
+            censuses.append(polar.polar_census(f, cal.constant(k, 1)))
+    # and a map with rational images, whose offsets are not all integers, on ids that JSON escapes
+    ids = ['a"b', "x\\y", "\u00e9"]
+    k = build_complex(ids, [ids[:2], ids[1:], ids[::2]])
+    images = dict(zip(ids, (["0"], ["1/2"], ["2"])))
+    f = fileio.affine_map_from_dict({"target_dim": 1, "images": images}, k)
+    censuses.append(polar.polar_census(f, cal.constant(k, 1)))
+    for census in censuses:
+        assert fileio.dump_half_links(census, None) == _library_half_links(census)
+    reports = [r for census in censuses for r in census]
+    assert any(x < 0 for r in reports for x in r.normal)
+    assert any(r.offset.denominator > 1 for r in reports)
+    # a top-dimensional census: no report has a cell
+    assert any(census and not any(r.cells for r in census) for census in censuses)
+    # --moment on K' of rp2_6, with an Euler function that is not constant
+    k, sub = corpus["rp2_6"].complex, subdivisions["rp2_6"]
+    a = random_euler_function(random.Random(11), k)
+    assert len({a(s) for s in k.simplices}) > 1
+    fn, out, report = tmp_path / "fn.json", tmp_path / "c.json", tmp_path / "hl.json"
+    fileio.dump_json(fileio.function_to_dict(a), fn)
+    weights = set()
+    for i in range(k.dim + 1):
+        argv = ["polar", "--complex", CORPUS / "rp2_6.json", "--dim", i, "--moment", "--fn", fn]
+        assert run(argv + ["--out", out, "--report", report]) == 0
+        census = polar.polar_census(polar.moment_map(sub, i), cal.subdivide_function(sub, a))
+        weights.update(c.weight for r in census for c in r.cells)
+        assert report.read_text() == _library_half_links(census), i
+    assert weights == {0, 1}
+
+
 # one valid file of each kind, and the command that reads it ({f} is the file, {d} its directory)
 _FUZZ_SEEDS = [
     (fileio.load_json(CORPUS / "rp2_6_embedded.json"),
