@@ -34,9 +34,11 @@ def _check_targets(*paths: Optional[str]) -> None:
     """Fail before the first write, so that a command writes all of its files or none.
 
     Each target must not be a directory and its parent directory must
-    exist; the error reads as the failed write itself would.
+    exist; the error reads as the failed write itself would.  No two
+    targets may resolve to one file, which the second write would replace.
     """
-    for path in filter(None, paths):
+    targets = list(filter(None, paths))
+    for path in targets:
         if Path(path).is_dir():
             code = errno.EISDIR
         elif not Path(path).parent.is_dir():
@@ -44,6 +46,11 @@ def _check_targets(*paths: Optional[str]) -> None:
         else:
             continue
         raise InputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+    if len(targets) > 1:  # realpath reads each component of a path, so a lone target skips it
+        real = list(map(os.path.realpath, targets))
+        for j, path in enumerate(targets):
+            if real[j] in real[:j]:
+                raise InputError(f"cannot write {path}: another output of this command names it")
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -391,9 +391,8 @@ def corpus_index_from_dict(data: dict) -> list[dict]:
 # -- subdivision manifest -------------------------------------------------------
 
 def subdivision_manifest(sub: Subdivision) -> dict:
-    return {
-        "carriers": {v: list(s) for v, s in sorted(sub.carriers.items())},
-    }
+    """The carriers as they are: ``dump_json`` sorts the barycenter names and joins each tuple."""
+    return {"carriers": sub.carriers}
 
 
 # -- half-link reports ----------------------------------------------------------

@@ -7,17 +7,16 @@ rationals (ints or ``fractions.Fraction``s), which the predicates read
 cleared to integers (``integer_coordinates``); no predicate in the package
 touches floating point.
 
-A complex keeps the simplices it was built from and closes one dimension
-at a time, on first use, from the top down; so ``bounds`` on an i-chain
-reads dimensions i and i + 1 of K' and closes no dimension below i.
-Level 0 is the exception: it is the vertices of the listed simplices, read
-in one pass with no level above it closed, so ``bounds`` on a 0-chain
-closes level 1 only when the chain is even.  A level whose simplices were
-all listed, each once, is sorted from its listing, which a file written
-here already holds in canonical order.  The maximal simplices are read off
-the listed ones, closing only the level above each listed size.  A
-barycentric subdivision reads its flags carrier by carrier, with no coface
-table, and lists only the full flags of the base's maximal simplices.
+A complex is read from the simplices it was built from and nothing else.
+Level d is the listed d-simplices and the d-faces of the larger listed
+ones, read on first use with no other level closed, so ``bounds`` on an
+i-chain reads dimensions i and i + 1 of K' alone; level 0 is read from the
+vertices, sorted as strings.  A level whose simplices were all listed,
+each once, is sorted from its listing, which a file written here already
+holds in canonical order.  The maximal simplices are the listed ones that
+lie in no larger listed one.  A barycentric subdivision reads its flags
+carrier by carrier, with no coface table, and lists only the full flags of
+the base's maximal simplices.
 
 Simplices are named here alone: ``simplex_key`` joins a simplex's vertex
 ids with commas, function files key their values by it, and the barycenter
@@ -75,26 +74,23 @@ def faces(s: Simplex) -> list[Simplex]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face closure of the simplices it is built from, over a finite vertex set.
+    """Face closure of the simplices it is built from.
 
     Level d, the d-simplices, is read in canonical order as ``level(d)`` and
-    as a set as ``level_set(d)``.  It is closed on first use from the top
-    dimension down: the listed d-simplices and the d-faces of level d + 1.
-    Level 0 is instead the vertices of the listed simplices, which closes
-    no level above it; ``vertices`` may hold more, as in a link, which
-    keeps the ambient vertex set.  Each level and its set are kept, so a
-    reader of dimensions i and i + 1 closes no level below i.  A level
-    whose simplices were all listed, each once, is sorted from its listing
-    rather than from its set, so a listing already in canonical order
-    costs one pass.  ``simplices`` merges the levels in canonical order.
-    Two complexes are equal when their vertices, simplices and coordinates
-    are, and hash by their vertices.  ``coordinates``, when present, assigns
-    each vertex an exact rational point of a common ambient dimension, with
-    every simplex affinely independent.
+    as a set as ``level_set(d)``.  Each is read on first use off the listing
+    alone, as the listed d-simplices and the d-faces of the larger listed
+    ones, and kept.  A level whose simplices were all listed, each once, is
+    sorted from its listing rather than from its set, so a listing already
+    in canonical order costs one pass.  ``vertices``, the vertices of the
+    listed simplices in canonical order, are read first and give level 0,
+    and ``simplices`` merges the levels in canonical order.  Two complexes
+    are equal when their simplices and coordinates are, and hash by their
+    vertices.  ``coordinates``, when present, assigns each vertex an exact
+    rational point of a common ambient dimension, with every simplex
+    affinely independent.
     """
 
-    vertices: tuple[str, ...]
-    _listed: Collection[Simplex] = field(repr=False)
+    _listed: Collection[Simplex]
     coordinates: Optional[Mapping[str, Point]] = None
     _sets: dict = field(default_factory=dict, init=False, repr=False)
     _sorted: dict = field(default_factory=dict, init=False, repr=False)
@@ -105,26 +101,28 @@ class SimplicialComplex:
             return NotImplemented
         if self is other:
             return True
-        same = self.vertices == other.vertices and self.coordinates == other.coordinates
-        return same and self.simplex_set == other.simplex_set
+        return self.coordinates == other.coordinates and self.simplex_set == other.simplex_set
 
     def __hash__(self) -> int:
-        # equal complexes have equal vertices
+        # equal complexes have equal simplices, so equal vertices
         return hash(self.vertices)
 
+    def _faces_of_larger(self, n: int) -> Iterable[Simplex]:
+        """The n-vertex faces of the listed simplices of more than n vertices, with repeats."""
+        larger = compress(self._listed, map(n.__lt__, map(len, self._listed)))
+        return chain.from_iterable(map(combinations, larger, repeat(n)))
+
     def level_set(self, d: int) -> frozenset[Simplex]:
-        """The d-simplices as a frozenset, closed on first use; empty outside 0..dim."""
+        """The d-simplices as a frozenset, read on first use; empty outside 0..dim."""
         if not 0 <= d <= self.dim:
             return frozenset()
         if d not in self._sets:
             listed = list(compress(self._listed, map((d + 1).__eq__, map(len, self._listed))))
             level = set(listed)
             once = len(level) == len(listed)
-            if d == 0:
-                level.update(zip(set(chain.from_iterable(self._listed))))
-            elif d < self.dim:
-                level.update(chain.from_iterable(
-                    map(combinations, self.level_set(d + 1), repeat(d + 1))))
+            if d < self.dim:  # every simplex of the top level is listed
+                # level 0 is the vertices, one 1-tuple each, not one per listed simplex
+                level.update(zip(self.vertices) if d == 0 else self._faces_of_larger(d + 1))
             if once and len(level) == len(listed):
                 # every d-simplex listed, each once: level(d) sorts the listing
                 self._whole[d] = listed
@@ -135,9 +133,15 @@ class SimplicialComplex:
     def level(self, d: int) -> tuple[Simplex, ...]:
         """The d-simplices in canonical order; () outside 0..dim."""
         if d not in self._sorted:
-            level = self.level_set(d)  # which keeps the listing of a whole level
-            self._sorted[d] = tuple(sorted(self._whole.pop(d, level)))
+            # level_set keeps the listing of a whole level; level 0 is the sorted vertices
+            whole = self._whole.pop(d, self.level_set(d))
+            self._sorted[d] = tuple(zip(self.vertices) if d == 0 else sorted(whole))
         return self._sorted[d]
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        """The vertices of the listed simplices in canonical order; level 0 is read from them."""
+        return tuple(sorted(set(chain.from_iterable(self._listed))))
 
     @cached_property
     def simplices(self) -> tuple[Simplex, ...]:
@@ -145,17 +149,13 @@ class SimplicialComplex:
         return tuple(sorted(chain.from_iterable(map(self.level, range(self.dim + 1)))))
 
     def maximal(self) -> list[Simplex]:
-        """The maximal simplices in canonical order.
+        """The listed simplices that lie in no larger listed one, in canonical order.
 
-        Each is listed, and a listed n-vertex simplex is maximal unless it is
-        a facet of level n; so only the level above each listed size is
-        closed, and a pure complex listed at its top closes nothing.
+        Read off the listing, closing no level: a complex listed at one size
+        reads nothing but the sizes.
         """
-        listed = set(self._listed)
-        for n in set(map(len, listed)):
-            listed.difference_update(chain.from_iterable(
-                map(combinations, self.level_set(n), repeat(n))))
-        return sorted(listed)
+        sizes = set(map(len, self._listed))
+        return sorted(set(self._listed).difference(*map(self._faces_of_larger, sizes)))
 
     def names(self) -> dict[str, Simplex]:
         """simplex_key(s) -> s, over the simplices in canonical order.
@@ -215,8 +215,9 @@ def build_complex(
 ) -> SimplicialComplex:
     """The complex of the given simplices, checked; its closure waits for first use.
 
-    The vertex list is the vertex set: the complex needs a simplex, every
-    listed vertex must lie in one, and coordinates name listed vertices only.
+    The complex is its simplices; the vertex list is checked against them:
+    the complex needs a simplex, every listed vertex must lie in one, and
+    coordinates name listed vertices only.
     With coordinates, only the listed simplices are tested for affine
     independence, on the complex's integer coordinates: every face of an
     independent simplex is independent, and a positive scale changes no rank.
@@ -224,14 +225,13 @@ def build_complex(
     table, may not pass 3^15.
     """
     listed = list(vertex_ids)
-    vertices = tuple(sorted(set(listed)))
-    if len(vertices) != len(listed):
+    vertex_set = set(listed)
+    if len(vertex_set) != len(listed):
         raise ComplexError("duplicate vertex ids in vertex list")
-    vertex_set = set(vertices)
-    # every occurrence of a vertex becomes the one string in the vertex tuple;
+    # every occurrence of a vertex becomes the one string in the vertex list;
     # a foreign or unhashable id fails the lookup, and an empty or repeating
     # simplex fails the size checks, after which the loop names the first bad one
-    same = dict(zip(vertices, vertices)).__getitem__
+    same = dict(zip(vertex_set, vertex_set)).__getitem__
     maximal = list(maximal_simplices)
     try:
         given = list(map(tuple, map(sorted, map(map, repeat(same), maximal))))
@@ -260,8 +260,8 @@ def build_complex(
         raise ComplexError(f"vertices {sorted(unused)} lie in no simplex")
     coords = None
     if coordinates is not None:
-        coords = {v: tuple(coordinates[v]) for v in vertices if v in coordinates}
-        missing = [v for v in vertices if v not in coords]
+        coords = {v: tuple(coordinates[v]) for v in sorted(vertex_set) if v in coordinates}
+        missing = sorted(vertex_set.difference(coords))
         if missing:
             raise ComplexError(f"missing coordinates for vertices {missing}")
         unknown = [v for v in coordinates if v not in vertex_set]
@@ -275,7 +275,7 @@ def build_complex(
         dims = {len(p) for p in coords.values()}
         if len(dims) > 1:
             raise ComplexError("vertex coordinates have mixed ambient dimensions")
-    k = SimplicialComplex(vertices, given, coords)
+    k = SimplicialComplex(given, coords)
     if coords is not None:
         ints = k.integer_coordinates[1]
         for s in sorted(given):
@@ -306,7 +306,7 @@ def is_face_closed(k: SimplicialComplex, simplices: Iterable[Simplex]) -> Option
 
 
 def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
-    """Lk(s, k) = {t : t disjoint from s and t+s in k}, on the ambient vertex set.
+    """Lk(s, k) = {t : t disjoint from s and t+s in k}, with the coordinates of its own vertices.
 
     Read off ``k.cofaces[s]``: each link simplex is T - s for exactly one
     coface T != s, so no other simplex of k is visited.  The simplices come
@@ -314,7 +314,10 @@ def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
     """
     k.require(s)
     out = [tuple(v for v in t if v not in s) for t in k.cofaces[s] if t != s]
-    return SimplicialComplex(k.vertices, out, k.coordinates)
+    coords = k.coordinates
+    if coords is not None:
+        coords = {v: coords[v] for v in sorted(set(chain.from_iterable(out)))}
+    return SimplicialComplex(out, coords)
 
 
 @dataclass(frozen=True)
@@ -436,7 +439,7 @@ class Subdivision:
 
         K' is listed by its maximal simplices, the full flags of the maximal
         simplices of K: the entries of ``flags(d)`` whose carrier is a
-        maximal d-simplex.  It closes its lower levels on first use, like any
+        maximal d-simplex.  It reads its levels on first use, like any
         complex loaded from a file.
         """
         k = self.base
@@ -450,7 +453,7 @@ class Subdivision:
         top = set(k.maximal())
         listed = [f for n in set(map(len, top))
                   for f, s in self.flags(n - 1).items() if len(s) == n and s in top]
-        return SimplicialComplex(tuple(sorted(self.carriers)), listed, coords)
+        return SimplicialComplex(listed, coords)
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:

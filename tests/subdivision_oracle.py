@@ -56,9 +56,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> tuple[SimplicialComplex, di
             coords[names[s]] = tuple(
                 sum(col, Fraction(0)) / len(pts) for col in zip(*pts)
             )
-    prime = SimplicialComplex(
-        tuple(sorted(names.values())), tuple(sorted(simplices)), coords
-    )
+    prime = SimplicialComplex(tuple(sorted(simplices)), coords)
     carriers = {names[s]: s for s in k.simplices}
     return prime, carriers
 

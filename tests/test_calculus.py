@@ -123,7 +123,7 @@ def test_euler_space_matches_general_path(corpus, subdivisions):
     for kp in [s.complex for s in subdivisions.values()] * 25:
         sub = random_closed_subcomplex(rng, kp)
         if sub:
-            spaces.append(SimplicialComplex(kp.vertices, tuple(sorted(sub))))
+            spaces.append(SimplicialComplex(tuple(sorted(sub))))
     assert len(spaces) >= 2 * len(corpus) + 300
     for k in spaces:
         oracle = tuple(cal.euler_offenders(cal.constant(k, 1, cal.RING_Z2)))

@@ -784,6 +784,17 @@ def test_a_command_writes_all_of_its_files_or_none(tmp_path, capsys, flag, targe
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if target == "missing-dir" else ["a-dir"])
 
 
+@pytest.mark.parametrize("flag", ["--report", "--manifest"])
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_two_outputs_that_name_one_file_are_refused(tmp_path, capsys, flag, spelling):
+    """--out and the second target resolve to one file: exit 2, and nothing is written."""
+    target = tmp_path / "out.json" if spelling == "same" else f"{tmp_path}/./out.json"
+    code, out = run(_output_argv(flag, target, tmp_path), capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: cannot write {target}: another output of this command names it\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stiefel_suite_on_indexless_impure_directory(tmp_path, capsys):
     k = S2_WEDGE_S1
     fileio.dump_json(fileio.complex_to_dict(k), tmp_path / "s2_wedge_s1.json")

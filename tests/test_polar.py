@@ -511,7 +511,7 @@ def test_census_runs_without_fraction_geometry(corpus, subdivisions, monkeypatch
 
     def censuses():
         # fresh complexes, so their integer coordinates and K' barycenters are built on every call
-        k0 = simplicial.SimplicialComplex(k.vertices, k.simplices, k.coordinates)
+        k0 = simplicial.SimplicialComplex(k.simplices, k.coordinates)
         k1 = barycentric_subdivision(k0).complex
         return (
             polar.polar_census(polar.moment_map(sub, 1), cal.constant(sub.complex, 1, cal.RING_Z2)),

@@ -43,13 +43,11 @@ def _assert_closes_as_eager(k, listed, what):
     assert k.simplices == eager.simplices, what
     assert k.simplex_set == eager.simplex_set, what
     assert k.cofaces == eager.cofaces, what
-    whole = SimplicialComplex(k.vertices, eager.simplices, k.coordinates)
+    whole = SimplicialComplex(eager.simplices, k.coordinates)
     assert k == whole and whole == k, what
     assert hash(k) == hash(whole), what
     top = eager.by_dim[eager.dim][-1]
-    assert k != SimplicialComplex(k.vertices, [s for s in eager.simplices if s != top],
-                                  k.coordinates), what
-    assert k != SimplicialComplex(k.vertices + ("~",), eager.simplices, k.coordinates), what
+    assert k != SimplicialComplex([s for s in eager.simplices if s != top], k.coordinates), what
 
 
 def test_levels_match_the_eager_closure_on_the_corpus(corpus):
@@ -87,33 +85,48 @@ def test_levels_match_the_eager_closure_on_impure_listings(listed):
     assert k.simplices == eager.simplices
 
 
-def test_level_zero_holds_the_vertices_of_the_listed_simplices_alone(corpus, subdivisions):
-    """Level 0 is read off the listed simplices, not off ``vertices``, which may hold more.
+def _read_off_listings(corpus, subdivisions):
+    """(complex, its listing, what): corpus spaces, their K', vertex links, and restricted K'.
 
-    Links and the polar suite's restricted complexes of K' keep the ambient
-    vertex set, and a hand-built complex may carry a vertex in no simplex.
+    The restricted complexes are drawn as the polar suite draws them: links of
+    two vertices of K', then closed subcomplexes of K'; each lists every simplex.
     """
     rng = random.Random(3)
-    cases = [(SimplicialComplex(("a", "b", "c"), [("a", "b")]), [("a", "b")], "unused c")]
     for name, entry in corpus.items():
         k, kp = entry.complex, subdivisions[name].complex
+        yield k, k.maximal(), name
+        yield kp, kp.maximal(), (name, "sd1")
         cofaces = EagerComplex(k.maximal()).cofaces
-        cases += [(link(k, (v,)), [tuple(w for w in t if w != v)
-                                   for t in cofaces[(v,)] if t != (v,)], (name, "link", v))
-                  for (v,) in k.level(0)]
-        # as the polar suite draws them: links of two vertices, then closed subcomplexes
+        for (v,) in k.level(0):
+            yield link(k, (v,)), [tuple(w for w in t if w != v)
+                                  for t in cofaces[(v,)] if t != (v,)], (name, "link", v)
         subs = [set(link(kp, (v,)).simplices)
                 for v in rng.sample(kp.vertices, min(2, len(kp.vertices)))]
         subs += [random_closed_subcomplex(rng, kp) for _ in range(3)]
-        cases += [(SimplicialComplex(kp.vertices, sub), sub, (name, "restricted"))
-                  for sub in subs if sub]
-    assert sum(len(k.vertices) > len(k.level(0)) for k, _listed, _what in cases) > len(cases) / 2
-    for k, listed, what in cases:
+        for sub in filter(None, subs):
+            yield SimplicialComplex(sub), sub, (name, "restricted")
+
+
+def test_vertices_are_level_zero_of_the_listing(corpus, subdivisions):
+    """A complex's vertices are those of its listed simplices, in canonical order, and no more."""
+    for k, listed, what in _read_off_listings(corpus, subdivisions):
         eager = EagerComplex(listed)
-        fresh = SimplicialComplex(k.vertices, listed, k.coordinates)
-        assert fresh.level(0) == eager.by_dim.get(0, ()), what
+        fresh = SimplicialComplex(listed, k.coordinates)
+        # read before any level, and after
+        assert fresh.vertices == tuple(v for (v,) in fresh.level(0)), what
+        assert k.vertices == tuple(v for (v,) in k.level(0)) == fresh.vertices, what
+        assert fresh.vertices == tuple(sorted({v for s in listed for v in s})), what
         assert [k.level(d) for d in range(-1, k.dim + 2)] == \
             [eager.by_dim.get(d, ()) for d in range(-1, eager.dim + 2)], what
+
+
+def test_a_level_is_read_without_another(corpus, subdivisions):
+    """On a fresh complex, level d is read off the listing: no other level is closed."""
+    for k, listed, what in _read_off_listings(corpus, subdivisions):
+        for d in range(-1, k.dim + 2):
+            fresh = SimplicialComplex(listed, k.coordinates)
+            assert fresh.level(d) == k.level(d), (what, d)
+            assert list(fresh._sets) == ([d] if 0 <= d <= k.dim else []), (what, d)
 
 
 def test_maximal_matches_the_eager_closure_on_the_corpus(corpus):
@@ -164,6 +177,8 @@ def test_maximal_and_the_subdivision_listing_match_the_oracles_on_impure_listing
     assert [k.level(d) for d in dims] == [eager.by_dim.get(d, ()) for d in dims]
     k = build_complex(vertices, listed)
     assert k.maximal() == eager.maximal
+    assert k._sets == {}, "maximal() closed a level"
+    assert k.vertices == tuple(v for (v,) in k.level(0)) == tuple(vertices)
     simplices = eager.simplices
     if len({",".join(s) for s in simplices}) < len(simplices):
         # two simplices share a key, so two barycenters would share a name
@@ -298,7 +313,11 @@ def test_link(sphere, corpus, subdivisions):
                 )
                 lk = link(k, s)
                 assert lk.simplices == scan, (name, s)
-                assert (lk.vertices, lk.coordinates) == (k.vertices, k.coordinates)
+                # the link's own vertices, each with its point in k
+                vertices = tuple(t[0] for t in scan if len(t) == 1)
+                assert lk.vertices == vertices, (name, s)
+                assert lk.coordinates == (None if k.coordinates is None else
+                                          {v: k.coordinates[v] for v in vertices}), (name, s)
 
 
 def test_euler_characteristic(corpus):

@@ -126,7 +126,7 @@ def test_an_odd_number_of_vertices_is_refused_before_level_one_is_sorted(expecte
     odd = [(k, c) for _case, k, chains, _ranks in expected for c, _want in chains
            if len(c.support) % 2]
     # the same complexes again, with no level closed
-    fresh = [(SimplicialComplex(k.vertices, k.maximal(), k.coordinates), c) for k, c in odd]
+    fresh = [(SimplicialComplex(k.maximal(), k.coordinates), c) for k, c in odd]
     monkeypatch.setattr(SimplicialComplex, "level", unsorted)
     assert len(odd) == 2 * len(expected)
     assert all(hom.is_boundary(k, c) == (False, None) for k, c in odd)

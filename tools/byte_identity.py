@@ -376,6 +376,11 @@ def commands(corpus: Path) -> list[list[str]]:
             ["bounds", "--complex", listed, "--chain", "in/cycle_s1_3.json",
              "--witness", "out/w1_listed_faces.json"],
             ["homology", "--complex", listed, "--format", "json"]]
+    # two outputs that name one file exit 2 before either is written
+    out += [["polar", "--complex", s1, "--dim", "0", "--moment",
+             "--out", "out/same.json", "--report", "out/./same.json"],
+            ["subdivide", "--complex", s1, "--out", "out/same.json",
+             "--manifest", "out/same.json"]]
     return out
 
 
