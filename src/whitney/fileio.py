@@ -267,7 +267,7 @@ def chain_from_dict(data: dict, k: Optional[SimplicialComplex] = None) -> Mod2Ch
             seen.add(s)
     if k is not None:
         # k's own simplex tuples, which hold k's vertex strings; only level dim is closed
-        level = k.level_set(dim)
+        level = k.level(dim)
         own = frozenset(filter(support.__contains__, level))
         if len(own) < len(support):
             s = next(s for s in listed if s not in level)
@@ -323,10 +323,7 @@ def function_from_dict(data: dict, k: SimplicialComplex) -> ConstructibleFunctio
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InputError(f"function file: value of {key!r} must be an integer, got {v!r}")
             values[lookup[key]] = v
-        try:
-            return from_values(k, values, ring)
-        except WhitneyError as e:
-            raise InputError(f"function file: {e}") from e
+        return from_values(k, values, ring)
     raise InputError("function file: needs either 'terms' or 'values'")
 
 

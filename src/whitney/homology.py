@@ -50,9 +50,9 @@ def chain(dim: int, simplices: Iterable[Iterable[str]]) -> Mod2Chain:
 
 
 def _check_chain(k: SimplicialComplex, c: Mod2Chain) -> None:
-    level = k.level_set(c.dim)
+    level = k.level(c.dim)
     if not c.support <= level:
-        s = min(c.support - level)
+        s = min(c.support.difference(level))
         raise HomologyError(f"chain simplex {list(s)} is not in the complex")
 
 
@@ -130,7 +130,7 @@ def betti_mod2(k: SimplicialComplex) -> HomologySummary:
     for d in range(2, top + 1):
         ranks[d] = _boundary_system(k, d)[0].rank
     betti = tuple(
-        len(k.level_set(d)) - ranks[d] - ranks[d + 1] for d in range(top + 1)
+        len(k.level(d)) - ranks[d] - ranks[d + 1] for d in range(top + 1)
     )
     return HomologySummary(tuple(ranks[: top + 1]), betti)
 
@@ -203,7 +203,7 @@ def is_boundary(
     columns = system.solve(map(rows.__getitem__, c.support))
     if columns is None:
         return False, None
-    return True, Mod2Chain(c.dim + 1, frozenset(map(k.level(c.dim + 1).__getitem__, columns)))
+    return True, Mod2Chain(c.dim + 1, frozenset(map(tuple(k.level(c.dim + 1)).__getitem__, columns)))
 
 
 def homologous(k: SimplicialComplex, c1: Mod2Chain, c2: Mod2Chain) -> bool:
@@ -221,7 +221,7 @@ def fundamental_cycle(k: SimplicialComplex) -> Mod2Chain:
     s = impure_simplex(k)
     if s is not None:
         raise HomologyError(f"complex is not pure-dimensional: {list(s)} has no top coface")
-    c = Mod2Chain(d, k.level_set(d))
+    c = Mod2Chain(d, frozenset(k.level(d)))
     if not is_cycle(k, c):
         raise HomologyError("top-dimensional chain is not a cycle mod 2")
     return c

@@ -361,7 +361,7 @@ def sample_generic_subspace(
     n = k.ambient_dim
     if not 1 <= rank <= n:
         raise PolarError(f"rank {rank} out of range for ambient dimension {n}")
-    conditions = 1 + len(k.level_set(rank - 1)) + (rank + 1) * len(k.level_set(rank))
+    conditions = 1 + len(k.level(rank - 1)) + (rank + 1) * len(k.level(rank))
     bound = 128 * rank * conditions
     rng = random.Random(seed)
     last = None

@@ -10,11 +10,13 @@ touches floating point.
 A complex is read from the simplices it was built from and nothing else.
 Level d is the listed d-simplices and the d-faces of the larger listed
 ones, read on first use with no other level closed, so ``bounds`` on an
-i-chain reads dimensions i and i + 1 of K' alone; level 0 is read from the
-vertices, sorted as strings.  A level whose simplices were all listed,
-each once, is sorted from its listing, which a file written here already
-holds in canonical order.  The maximal simplices are the listed ones that
-lie in no larger listed one.  A barycentric subdivision reads its flags
+i-chain reads dimensions i and i + 1 of K' alone.  One table per level
+serves both order and membership: ``level(d)`` iterates in canonical order
+and answers ``in`` and ``len``.  Level 0 is read from the vertices, sorted
+as strings; only the top level, all of whose simplices are listed, is
+sorted from its listing, which a file written here already holds in
+canonical order.  The maximal simplices are the listed ones that lie in no
+larger listed one.  A barycentric subdivision reads its flags
 carrier by carrier, with no coface table, and lists only the full flags of
 the base's maximal simplices.
 
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
 from math import comb
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, KeysView, Mapping, Optional
 
 from .errors import ComplexError, MapError
 from .exactlin import clear_denominators, integer_rank, is_rational_point
@@ -76,14 +78,14 @@ def faces(s: Simplex) -> list[Simplex]:
 class SimplicialComplex:
     """Face closure of the simplices it is built from.
 
-    Level d, the d-simplices, is read in canonical order as ``level(d)`` and
-    as a set as ``level_set(d)``.  Each is read on first use off the listing
-    alone, as the listed d-simplices and the d-faces of the larger listed
-    ones, and kept.  A level whose simplices were all listed, each once, is
-    sorted from its listing rather than from its set, so a listing already
-    in canonical order costs one pass.  ``vertices``, the vertices of the
-    listed simplices in canonical order, are read first and give level 0,
-    and ``simplices`` merges the levels in canonical order.  Two complexes
+    Level d, the d-simplices, is read as ``level(d)``: one table, kept per
+    level, that iterates in canonical order and answers ``in`` and ``len``.
+    It is read on first use off the listing alone, as the listed d-simplices
+    and the d-faces of the larger listed ones.  The top level is all listed,
+    so it is sorted from its listing, and a listing already in canonical
+    order costs one pass.  ``vertices``, the vertices of the listed
+    simplices in canonical order, are read first and give level 0, and
+    ``simplices`` merges the levels in canonical order.  Two complexes
     are equal when their simplices and coordinates are, and hash by their
     vertices.  ``coordinates``, when present, assigns each vertex an exact
     rational point of a common ambient dimension, with every simplex
@@ -92,9 +94,7 @@ class SimplicialComplex:
 
     _listed: Collection[Simplex]
     coordinates: Optional[Mapping[str, Point]] = None
-    _sets: dict = field(default_factory=dict, init=False, repr=False)
-    _sorted: dict = field(default_factory=dict, init=False, repr=False)
-    _whole: dict = field(default_factory=dict, init=False, repr=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -112,31 +112,21 @@ class SimplicialComplex:
         larger = compress(self._listed, map(n.__lt__, map(len, self._listed)))
         return chain.from_iterable(map(combinations, larger, repeat(n)))
 
-    def level_set(self, d: int) -> frozenset[Simplex]:
-        """The d-simplices as a frozenset, read on first use; empty outside 0..dim."""
-        if not 0 <= d <= self.dim:
-            return frozenset()
-        if d not in self._sets:
-            listed = list(compress(self._listed, map((d + 1).__eq__, map(len, self._listed))))
-            level = set(listed)
-            once = len(level) == len(listed)
-            if d < self.dim:  # every simplex of the top level is listed
-                # level 0 is the vertices, one 1-tuple each, not one per listed simplex
-                level.update(zip(self.vertices) if d == 0 else self._faces_of_larger(d + 1))
-            if once and len(level) == len(listed):
-                # every d-simplex listed, each once: level(d) sorts the listing
-                self._whole[d] = listed
-            # a set copied from a set gets a table sized for its entries, not its growth
-            self._sets[d] = frozenset(level)
-        return self._sets[d]
-
-    def level(self, d: int) -> tuple[Simplex, ...]:
-        """The d-simplices in canonical order; () outside 0..dim."""
-        if d not in self._sorted:
-            # level_set keeps the listing of a whole level; level 0 is the sorted vertices
-            whole = self._whole.pop(d, self.level_set(d))
-            self._sorted[d] = tuple(zip(self.vertices) if d == 0 else sorted(whole))
-        return self._sorted[d]
+    def level(self, d: int) -> KeysView[Simplex]:
+        """The d-simplices in canonical order, as a keys view that answers ``in``; empty outside 0..dim."""
+        if d not in self._levels:
+            if not 0 <= d <= self.dim:
+                return {}.keys()
+            listed = compress(self._listed, map((d + 1).__eq__, map(len, self._listed)))
+            if d == 0:
+                level = zip(self.vertices)
+            elif d == self.dim:  # every simplex of the top level is listed
+                level = sorted(listed)
+            else:
+                level = sorted({*listed, *self._faces_of_larger(d + 1)})
+            # fromkeys drops a simplex listed twice
+            self._levels[d] = dict.fromkeys(level).keys()
+        return self._levels[d]
 
     @cached_property
     def vertices(self) -> tuple[str, ...]:
@@ -167,7 +157,7 @@ class SimplicialComplex:
 
     @cached_property
     def simplex_set(self) -> frozenset[Simplex]:
-        return frozenset().union(*map(self.level_set, range(self.dim + 1)))
+        return frozenset().union(*map(self.level, range(self.dim + 1)))
 
     @cached_property
     def dim(self) -> int:
@@ -198,7 +188,7 @@ class SimplicialComplex:
         return len(next(iter(self.coordinates.values()))) if self.coordinates else 0
 
     def require(self, s: Simplex) -> Simplex:
-        if s not in self.level_set(len(s) - 1):
+        if s not in self.level(len(s) - 1):
             raise ComplexError(f"simplex {list(s)} is not in the complex")
         return s
 
@@ -309,8 +299,9 @@ def link(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
     """Lk(s, k) = {t : t disjoint from s and t+s in k}, with the coordinates of its own vertices.
 
     Read off ``k.cofaces[s]``: each link simplex is T - s for exactly one
-    coface T != s, so no other simplex of k is visited.  The simplices come
-    out in canonical order.
+    coface T != s, so no other simplex of k is visited.  The listing is in
+    coface order, not canonical order; the link's levels are sorted like any
+    complex's.
     """
     k.require(s)
     out = [tuple(v for v in t if v not in s) for t in k.cofaces[s] if t != s]
@@ -406,7 +397,7 @@ class Subdivision:
         fubini = [1]
         for n in range(1, k.dim + 2):
             fubini.append(sum(comb(n, j) * fubini[n - j] for j in range(1, n + 1)))
-        size = sum(len(k.level_set(d)) * fubini[d + 1] for d in range(k.dim + 1))
+        size = sum(len(k.level(d)) * fubini[d + 1] for d in range(k.dim + 1))
         if size > 2 ** 20:
             raise ComplexError(f"subdivision too large: it would have {size} simplices, "
                                f"above the cap 2^20 = {2 ** 20}")

@@ -92,9 +92,9 @@ def subdivision_chain_map(sub: Subdivision, c: Mod2Chain) -> Mod2Chain:
     so the image of the chain is the set of i-simplices carried by its
     support.  This is the subdivision chain map.
     """
-    level = sub.base.level_set(c.dim)
+    level = sub.base.level(c.dim)
     if not c.support <= level:
-        sub.base.require(min(c.support - level))
+        sub.base.require(min(c.support.difference(level)))
     return Mod2Chain(c.dim, frozenset(t for t, s in sub.flags(c.dim).items() if s in c.support))
 
 

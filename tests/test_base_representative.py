@@ -166,7 +166,7 @@ def test_classes_of_complex_curves(corpus, name, euler_characteristic):
     assert cal.chi(cal.constant(k, 1, cal.RING_Z)) == euler_characteristic
     ones = cal.constant(k, 1, cal.RING_Z2)
     assert hom.is_boundary(k, sw.base_representative(k, ones, 1))[0]
-    point = hom.Mod2Chain(0, frozenset(k.level(0)[:euler_characteristic % 2]))
+    point = hom.Mod2Chain(0, frozenset(tuple(k.level(0))[:euler_characteristic % 2]))
     assert hom.homologous(k, sw.base_representative(k, ones, 0), point)
 
 

@@ -89,6 +89,23 @@ def test_pushforward_matches_fiber_oracle(map_suite):
             assert fa((q,)) == cal.fiber_chi_oracle(m.map, q)
 
 
+def test_the_calculus_refuses_what_it_cannot_read(map_suite, circle):
+    zeros = {s: 0 for s in circle.simplices}
+    with pytest.raises(CalculusError, match="unknown ring tag 'Q'"):
+        cal.ConstructibleFunction(circle, "Q", zeros)
+    with pytest.raises(CalculusError, match="mod 2 values must be 0 or 1"):
+        cal.ConstructibleFunction(circle, cal.RING_Z2, dict.fromkeys(zeros, 2))
+    cover = next(m for m in map_suite if m.name == "double_cover").map
+    with pytest.raises(CalculusError, match="function is not based on the map's domain"):
+        cal.pushforward(cover, cal.constant(cover.codomain, 1))
+    with pytest.raises(CalculusError, match="function is not based on the map's codomain"):
+        cal.pullback(cover, cal.constant(cover.domain, 1))
+    with pytest.raises(CalculusError, match="'zzz' is not a vertex of the codomain"):
+        cal.fiber_chi_oracle(cover, "zzz")
+    with pytest.raises(ComplexError, match=r"simplex \['3'\] is not in the complex"):
+        cal.link_dual_oracle(circle, faces(("1", "2")), ("3",))
+
+
 def test_pullback_values(map_suite):
     cover = next(m for m in map_suite if m.name == "double_cover").map
     b = closed(cover.codomain, ("1", "2"))

@@ -88,6 +88,19 @@ def test_fundamental_cycle(corpus):
         hom.fundamental_cycle(corpus["delta2"].complex)  # top chain is not a cycle
 
 
+def test_the_empty_complex_has_no_fundamental_cycle():
+    with pytest.raises(HomologyError, match="empty complex has no fundamental cycle"):
+        hom.fundamental_cycle(SimplicialComplex([]))
+
+
+def test_chains_of_different_dimensions_neither_add_nor_compare(sphere):
+    vertex, loop = chain(0, [["1"]]), chain(1, [["1", "2"], ["2", "3"], ["1", "3"]])
+    with pytest.raises(HomologyError, match="cannot add chains of different dimensions"):
+        vertex + loop
+    with pytest.raises(HomologyError, match="chains of different dimensions are never homologous"):
+        hom.homologous(sphere, vertex, loop)
+
+
 def test_is_boundary_with_witness(circle, sphere):
     loop = chain(1, [["1", "2"], ["2", "3"], ["1", "3"]])
     bounds, witness = hom.is_boundary(circle, loop)
@@ -108,19 +121,19 @@ def test_a_top_dimension_cycle_is_refused_from_the_dimension_alone(corpus, subdi
     cases = []
     for name, entry in corpus.items():
         for k in (entry.complex, subdivisions[name].complex):
-            c = Mod2Chain(k.dim, k.level_set(k.dim))
+            c = Mod2Chain(k.dim, frozenset(k.level(k.dim)))
             if k.dim > 0 and hom.is_cycle(k, c):
                 # the same complex with no level closed
                 cases.append((SimplicialComplex(k.maximal(), k.coordinates), c, name))
     assert len(cases) >= 10
-    level_set = SimplicialComplex.level_set
+    level = SimplicialComplex.level
 
     def top_only(k, d):
         if d != k.dim:
             raise AssertionError(f"level {d} closed below or above the top, {k.dim}")
-        return level_set(k, d)
+        return level(k, d)
 
-    monkeypatch.setattr(SimplicialComplex, "level_set", top_only)
+    monkeypatch.setattr(SimplicialComplex, "level", top_only)
     for k, c, name in cases:
         assert hom.is_boundary(k, c) == (False, None), name
 
@@ -195,7 +208,7 @@ def test_witness_bounds_random_boundaries(corpus, subdivisions, data):
     name = data.draw(st.sampled_from(sorted(n for n, e in corpus.items() if e.complex.dim >= 1)))
     kp = subdivisions[name].complex
     d = data.draw(st.integers(1, kp.dim))
-    x = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(kp.level(d))))))
+    x = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(tuple(kp.level(d)))))))
     c = hom.boundary(kp, x)
     bounds, witness = hom.is_boundary(kp, c)
     assert bounds
@@ -205,7 +218,7 @@ def test_witness_bounds_random_boundaries(corpus, subdivisions, data):
 def _cycle_space(k, i):
     """Masks over k.level(i) spanning the i-cycles: vertices at i = 0, else the oracle's kernel."""
     if i == 0:
-        return [1 << j for j in range(len(k.level_set(0)))]
+        return [1 << j for j in range(len(k.level(0)))]
     return gf2_oracle.MaskGf2System(gf2_oracle.boundary_columns(k, i)[0]).kernel
 
 

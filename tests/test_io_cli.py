@@ -298,23 +298,22 @@ def test_bounds_closes_only_the_levels_it_reads(tmp_path, monkeypatch, capsys):
 
     for name in ("simplices", "simplex_set", "cofaces"):
         monkeypatch.setattr(SimplicialComplex, name, property(refuse))
-    level_set, lowest = SimplicialComplex.level_set, {}
+    level, lowest = SimplicialComplex.level, {}
 
     def guarded(k, d):
         if d < lowest["i"]:
             raise AssertionError(f"level {d} closed for an {lowest['i']}-chain")
-        return level_set(k, d)
+        return level(k, d)
 
-    monkeypatch.setattr(SimplicialComplex, "level_set", guarded)
+    monkeypatch.setattr(SimplicialComplex, "level", guarded)
     for i in (2, 1):
         lowest["i"] = i
         k = fileio.load_complex(kp)
         c = fileio.chain_from_dict(fileio.load_json(tmp_path / f"s{i}.json"), k)
         assert is_boundary(k, c)[0] is (i == 1)
-        assert sorted(k._sets) == list(range(i, 3))
-        # the sorted levels are i, the rows, and i + 1, the columns; level 3 of this 2-complex
-        # is empty, so at i = 2 nothing is sorted
-        assert sorted(k._sorted) == ([i, i + 1] if i < 2 else [])
+        # the levels read are i, the rows, and i + 1, the columns; level 3 of this 2-complex
+        # is empty, so at i = 2 only the chain's own level is read
+        assert sorted(k._levels) == list(range(i, 3))
         w = tmp_path / "w.json"
         w.unlink(missing_ok=True)
         assert (run(argv[i], capsys), w.read_bytes() if i == 1 else None) == verdicts[i]
@@ -350,7 +349,7 @@ def test_complex_above_the_size_cap_is_refused_before_any_closure(tmp_path, monk
     def refuse(*args):
         raise AssertionError("a level was closed")
 
-    monkeypatch.setattr(SimplicialComplex, "level_set", refuse)
+    monkeypatch.setattr(SimplicialComplex, "level", refuse)
     ids = [f"v{j:02d}" for j in range(40)]
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"vertices": ids, "maximal_simplices": [ids]}))
@@ -513,7 +512,7 @@ def test_parsed_complexes_and_chains_share_the_complexs_objects():
     vertex = dict(zip(k.vertices, k.vertices))
     assert all(v is vertex[v] for s in k.simplices for v in s)
     edges = dict(zip(k.level(1), k.level(1)))
-    data = json.loads(json.dumps({"dim": 1, "simplices": [list(reversed(s)) for s in k.level(1)[::3]]}))
+    data = json.loads(json.dumps({"dim": 1, "simplices": [list(reversed(s)) for s in tuple(k.level(1))[::3]]}))
     c = fileio.chain_from_dict(data, k)
     assert len(c.support) == len(data["simplices"])
     assert all(s is edges[s] for s in c.support)
@@ -1195,6 +1194,76 @@ def test_malformed_file_exit_code(tmp_path, capsys, command, data):
         assert streams.err.startswith("error: map file: ")
 
 
+# {f} is the file written from data, {c} the corpus, {fn} a function file on s1_3 and
+# {out} the output, which must not be written
+@pytest.mark.parametrize("argv, data, code, err", [
+    pytest.param(["chi", "--complex", "{f}"],
+                 {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]],
+                  "coordinates": {"a": ["0"]}},
+                 3, "error: missing coordinates for vertices ['b']\n", id="coordinates-miss-a-vertex"),
+    pytest.param(["chi", "--complex", "{f}"],
+                 {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]],
+                  "coordinates": {"a": ["0"], "b": ["0", "1"]}},
+                 3, "error: vertex coordinates have mixed ambient dimensions\n",
+                 id="mixed-ambient-dimensions"),
+    pytest.param(["chi", "--complex", "{f}"], [["a"]],
+                 2, "error: {f}: top level must be a JSON object\n", id="top-level-list"),
+    pytest.param(["chi", "--complex", "{f}"],
+                 {"vertices": ["a"], "maximal_simplices": [["a"]], "coordinates": {"a": "0"}},
+                 2, "error: complex file: coordinates of 'a' must be a list, got '0'\n",
+                 id="coordinate-not-list"),
+    pytest.param(["chi", "--complex", "{c}/s1_3.json", "--fn", "{f}"],
+                 {"ring": "Z", "terms": [], "values": {}},
+                 2, "error: function file: give either terms or values, not both\n",
+                 id="terms-and-values"),
+    pytest.param(["validate", "{f}"], {"ring": "Z", "values": {}},
+                 1, '{"file": "{f}", "error": "function file needs --complex for validation"}\n',
+                 id="validate-function-without-complex"),
+    pytest.param(["polar", "--complex", "{c}/rp2_6.json", "--dim", "0", "--random-plane",
+                  "--out", "{out}"], None,
+                 6, "error: complex has no coordinates; cannot sample a subspace\n",
+                 id="random-plane-without-coordinates"),
+    pytest.param(["polar", "--complex", "{c}/interval.json", "--dim", "1", "--random-plane",
+                  "--out", "{out}"], None,
+                 6, "error: rank 2 out of range for ambient dimension 1\n",
+                 id="random-plane-rank-out-of-range"),
+    pytest.param(["polar", "--complex", "{c}/s1_3.json", "--dim", "0", "--project", "{f}",
+                  "--out", "{out}"], {"ambient_dim": 3, "vectors": [["1", "0", "0"]]},
+                 6, "error: basis vector has wrong ambient dimension\n",
+                 id="basis-of-another-ambient-dimension"),
+    pytest.param(["polar", "--complex", "{c}/s1_3.json", "--dim", "0", "--map", "{f}",
+                  "--out", "{out}"], {"target_dim": 0, "images": {"1": [], "2": [], "3": []}},
+                 2, "error: affine map file: target dimension must be at least 1\n",
+                 id="map-target-dim-0"),
+    pytest.param(["polar", "--complex", "{c}/s1_3.json", "--dim", "0", "--map", "{f}",
+                  "--out", "{out}"],
+                 {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": []}},
+                 2, "error: affine map file: image of '3' has wrong dimension\n",
+                 id="map-image-of-wrong-length"),
+    pytest.param(["push", "--domain", "{c}/s1_3.json", "--codomain", "{c}/s1_3.json",
+                  "--map", "{f}", "--fn", "{fn}", "--out", "{out}"],
+                 {"vertex_map": {"1": "1", "2": "2", "3": "9"}},
+                 3, "error: image vertex '9' is not in the codomain\n",
+                 id="push-image-outside-the-codomain"),
+])
+def test_each_error_branch_ends_with_its_exit_code_and_message(tmp_path, capsys, argv, data,
+                                                                code, err):
+    paths = {"{f}": tmp_path / "f.json", "{c}": CORPUS, "{fn}": tmp_path / "fn.json",
+             "{out}": tmp_path / "out.json"}
+    if data is not None:
+        paths["{f}"].write_text(json.dumps(data))
+    paths["{fn}"].write_text(json.dumps({"ring": "Z", "values": {}}))
+
+    def fill(text):
+        for key, path in paths.items():
+            text = text.replace(key, str(path))
+        return text
+
+    exit_code, streams = run(list(map(fill, argv)), capsys)
+    assert (exit_code, streams.out, streams.err) == (code, "", fill(err))
+    assert not paths["{out}"].exists()
+
+
 # ids may hold commas: the simplices ("a", "b") and ("a,b",) share the key "a,b", so
 # neither a values file nor a barycenter can name them apart
 SHARED_KEY = {"vertices": ["a", "b", "a,b"], "maximal_simplices": [["a", "b", "a,b"]]}
@@ -1392,7 +1461,7 @@ def test_parse_serialize_round_trip_is_byte_stable(
     k = fileio.complex_from_dict(json.loads(text))
     assert _dump(fileio.complex_to_dict(k)) == text
     d = data.draw(st.integers(0, k.dim))
-    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(k.level(d))))))
+    c = Mod2Chain(d, frozenset(data.draw(st.sets(st.sampled_from(tuple(k.level(d)))))))
     text = _dump(fileio.chain_to_dict(c))
     assert _dump(fileio.chain_to_dict(fileio.chain_from_dict(json.loads(text), k))) == text
     text = _dump(fileio.function_to_dict(random_function(random.Random(seed), k, ring)))

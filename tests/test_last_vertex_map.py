@@ -86,7 +86,7 @@ def test_verdicts_agree_on_stiefel_chains(corpus, subdivisions):
                 s_i = sw.stiefel_chain(sub, i)
                 verdict = _bounds(sub.complex, s_i)
                 assert _bounds(sub.base, sw.last_vertex_chain_map(sub, s_i)) == verdict, (
-                    entry.name, len(sub.base.level_set(0)), i)
+                    entry.name, len(sub.base.level(0)), i)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -144,7 +144,7 @@ def _verdicts(k):
 
 def test_verdicts_survive_reversing_the_vertex_order(corpus):
     for entry in _euler(corpus):
-        if len(entry.complex.level_set(0)) > 1:
+        if len(entry.complex.level(0)) > 1:
             assert _verdicts(reverse_order(entry.complex)) == _verdicts(entry.complex), entry.name
 
 

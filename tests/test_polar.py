@@ -50,6 +50,21 @@ def test_half_link_census_values(circle):
     assert r.chi_plus == 1 and r.chi_minus == 1
 
 
+def test_reports_and_chains_refuse_a_function_on_another_complex(circle, corpus):
+    f = height_map(circle, {"1": 0, "2": 2, "3": 1})
+    other = cal.constant(corpus["s1_6"].complex, 1, cal.RING_Z2)
+    with pytest.raises(PolarError, match="function is not based on the map's domain"):
+        polar.half_link_report(other, ("3",), f)
+    with pytest.raises(PolarError, match="function is not based on the map's domain"):
+        polar.polar_chain(f, other)
+
+
+def test_a_half_link_report_needs_a_simplex_of_dimension_target_dim_minus_one(circle):
+    f = height_map(circle, {"1": 0, "2": 2, "3": 1})
+    with pytest.raises(PolarError, match=r"simplex \['1', '2'\] has dimension 1, expected 0"):
+        polar.half_link_report(cal.constant(circle, 1, cal.RING_Z2), ("2", "1"), f)
+
+
 def test_half_link_parity_even_spaces(corpus, subdivisions):
     for name in ("s1_3", "boundary_delta3", "rp2_6"):
         k = corpus[name].complex
@@ -400,7 +415,7 @@ def test_polar_chain_and_census_agree_on_degenerate_maps(corpus, circle):
     for name in ("rp2_6_embedded", "wedge_spheres", "boundary_delta3"):
         k = corpus[name].complex
         maps += [polar.projection_map(k, _collapsing_basis(k, edge, rank))
-                 for edge in (k.level(1)[0], k.level(1)[-1]) for rank in (1, 2)]
+                 for edge in (tuple(k.level(1))[0], tuple(k.level(1))[-1]) for rank in (1, 2)]
     offenders = set()
     reasons = set()
     for f in maps:

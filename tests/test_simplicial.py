@@ -36,10 +36,10 @@ def test_face_closure():
 def _assert_closes_as_eager(k, listed, what):
     """k agrees with the eager closure of its listed simplices; its levels are read bottom up first."""
     eager = EagerComplex(listed)
-    assert [len(k.level_set(d)) for d in range(-1, eager.dim + 3)] == \
+    assert [len(k.level(d)) for d in range(-1, eager.dim + 3)] == \
         [eager.n_simplices(d) for d in range(-1, eager.dim + 3)], what
     assert k.dim == eager.dim, what
-    assert {d: k.level(d) for d in range(k.dim + 1)} == eager.by_dim, what
+    assert {d: tuple(k.level(d)) for d in range(k.dim + 1)} == eager.by_dim, what
     assert k.simplices == eager.simplices, what
     assert k.simplex_set == eager.simplex_set, what
     assert k.cofaces == eager.cofaces, what
@@ -73,15 +73,16 @@ def test_levels_match_the_eager_closure_on_the_corpus(corpus):
     [["1", "2", "3"], ["1", "2"], ["2"]],
     [["1", "2", "3"], ["4"]],
     [["1"]],
-], ids=["dangling-edge", "face-beside-coface", "lone-vertex", "point"])
+    [["1", "2", "3"], ["3", "4"], ["3", "2", "1"]],
+], ids=["dangling-edge", "face-beside-coface", "lone-vertex", "point", "top-listed-twice"])
 def test_levels_match_the_eager_closure_on_impure_listings(listed):
     vertices = sorted({v for s in listed for v in s})
     _assert_closes_as_eager(build_complex(vertices, listed), listed, listed)
     # read top down this time: the top level first, then one below it
     k = build_complex(vertices, listed)
     eager = EagerComplex(listed)
-    assert len(k.level_set(k.dim)) == eager.n_simplices(eager.dim)
-    assert k.level(k.dim - 1) == eager.by_dim.get(eager.dim - 1, ())
+    assert len(k.level(k.dim)) == eager.n_simplices(eager.dim)
+    assert tuple(k.level(k.dim - 1)) == eager.by_dim.get(eager.dim - 1, ())
     assert k.simplices == eager.simplices
 
 
@@ -116,7 +117,7 @@ def test_vertices_are_level_zero_of_the_listing(corpus, subdivisions):
         assert fresh.vertices == tuple(v for (v,) in fresh.level(0)), what
         assert k.vertices == tuple(v for (v,) in k.level(0)) == fresh.vertices, what
         assert fresh.vertices == tuple(sorted({v for s in listed for v in s})), what
-        assert [k.level(d) for d in range(-1, k.dim + 2)] == \
+        assert [tuple(k.level(d)) for d in range(-1, k.dim + 2)] == \
             [eager.by_dim.get(d, ()) for d in range(-1, eager.dim + 2)], what
 
 
@@ -125,8 +126,8 @@ def test_a_level_is_read_without_another(corpus, subdivisions):
     for k, listed, what in _read_off_listings(corpus, subdivisions):
         for d in range(-1, k.dim + 2):
             fresh = SimplicialComplex(listed, k.coordinates)
-            assert fresh.level(d) == k.level(d), (what, d)
-            assert list(fresh._sets) == ([d] if 0 <= d <= k.dim else []), (what, d)
+            assert tuple(fresh.level(d)) == tuple(k.level(d)), (what, d)
+            assert list(fresh._levels) == ([d] if 0 <= d <= k.dim else []), (what, d)
 
 
 def test_maximal_matches_the_eager_closure_on_the_corpus(corpus):
@@ -170,14 +171,14 @@ def test_maximal_and_the_subdivision_listing_match_the_oracles_on_impure_listing
     vertices, eager = sorted({v for s in listed for v in s}), EagerComplex(listed)
     dims = range(-1, eager.dim + 2)
     # each level read first, on a fresh complex, then again after ``simplices`` merged them
-    assert [build_complex(vertices, listed).level(d) for d in dims] == \
+    assert [tuple(build_complex(vertices, listed).level(d)) for d in dims] == \
         [eager.by_dim.get(d, ()) for d in dims]
     k = build_complex(vertices, listed)
     assert k.simplices == eager.simplices
-    assert [k.level(d) for d in dims] == [eager.by_dim.get(d, ()) for d in dims]
+    assert [tuple(k.level(d)) for d in dims] == [eager.by_dim.get(d, ()) for d in dims]
     k = build_complex(vertices, listed)
     assert k.maximal() == eager.maximal
-    assert k._sets == {}, "maximal() closed a level"
+    assert k._levels == {}, "maximal() closed a level"
     assert k.vertices == tuple(v for (v,) in k.level(0)) == tuple(vertices)
     simplices = eager.simplices
     if len({",".join(s) for s in simplices}) < len(simplices):
@@ -261,7 +262,7 @@ def test_integer_coordinates_are_exact():
     points = {"0": (0, 0), "1": (a, b), "2": (a * 10**11, b * 10**11 + 1)}
     for coords in (points, {v: tuple(map(Fraction, p)) for v, p in points.items()}):
         k = build_complex(["0", "1", "2"], [["0", "1", "2"]], coords)
-        assert len(k.level_set(2)) == 1
+        assert len(k.level(2)) == 1
 
 
 def test_float_coordinates_rejected():
@@ -371,7 +372,7 @@ def test_subdivision_matches_face_poset_oracle(corpus):
         sub = Subdivision(k)
         # one dimension at a time, before K' exists, and one past the top
         for i in range(k.dim + 2):
-            assert tuple(sorted(sub.flags(i))) == prime.level(i), (case, i)
+            assert tuple(sorted(sub.flags(i))) == tuple(prime.level(i)), (case, i)
             # each flag's carrier is its largest vertex carrier
             assert all(c == max((carriers[v] for v in s), key=len)
                        for s, c in sub.flags(i).items()), (case, i)
@@ -417,7 +418,7 @@ def test_flags_match_the_oracle_on_carriers_of_four_to_six_vertices(n):
     sub = Subdivision(k)
     for i in range(-1, n + 1):
         flags = sub.flags(i)
-        assert tuple(sorted(flags)) == prime.level(i), (n, i)
+        assert tuple(sorted(flags)) == tuple(prime.level(i)), (n, i)
         assert all(c == max((carriers[v] for v in s), key=len) for s, c in flags.items()), (n, i)
     assert sub.flags(-1) == {} == sub.flags(k.dim + 1)
 
@@ -448,6 +449,12 @@ def test_compose(map_suite):
     by_name = {m.name: m for m in map_suite}
     gf = compose(by_name["collapse_s1_3"].map, by_name["double_cover"].map)
     assert all(gf.vertex_map[v] == "p" for v in gf.domain.vertices)
+
+
+def test_compose_refuses_maps_that_do_not_meet(map_suite):
+    by_name = {m.name: m for m in map_suite}
+    with pytest.raises(MapError, match="composition mismatch: codomain of f is not domain of g"):
+        compose(by_name["double_cover"].map, by_name["collapse_s1_3"].map)
 
 
 def test_induced_subdivided_map(map_suite):

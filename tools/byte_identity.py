@@ -138,6 +138,19 @@ INPUTS = {
     "fn_comma_ids.json": {"ring": "Z", "values": {"a": 1}},
     # vertices 1 and 4 of k_listed_faces, joined by the path 1, 3, 4: they bound
     "c0_listed_faces.json": {"dim": 0, "simplices": [["4"], ["1"]]},
+    # malformed complex, function, basis, affine-map and vertex-map files, one fault each
+    "k_missing_coords.json": {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]],
+                              "coordinates": {"a": ["0"]}},
+    "k_mixed_dims.json": {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]],
+                          "coordinates": {"a": ["0"], "b": ["0", "1"]}},
+    "k_top_list.json": [["a"]],
+    "k_coords_not_list.json": {"vertices": ["a"], "maximal_simplices": [["a"]],
+                               "coordinates": {"a": "0"}},
+    "fn_terms_and_values.json": {"ring": "Z", "terms": [], "values": {}},
+    "basis_3d.json": {"ambient_dim": 3, "vectors": [["1", "0", "0"]]},
+    "map_target0.json": {"target_dim": 0, "images": {"1": [], "2": [], "3": []}},
+    "map_short_image.json": {"target_dim": 1, "images": {"1": ["0"], "2": ["1/2"], "3": []}},
+    "vm_foreign_image.json": {"vertex_map": {"1": "1", "2": "2", "3": "9"}},
 }
 # written as they stand: json.dumps cannot write a file nested past the recursion limit,
 # nor an integer with more digits than int() converts
@@ -381,6 +394,21 @@ def commands(corpus: Path) -> list[list[str]]:
              "--out", "out/same.json", "--report", "out/./same.json"],
             ["subdivide", "--complex", s1, "--out", "out/same.json",
              "--manifest", "out/same.json"]]
+    # error branches that nothing above reaches, each with its documented exit code
+    out += [["chi", "--complex", f"in/{k}.json"]
+            for k in ("k_missing_coords", "k_mixed_dims", "k_top_list", "k_coords_not_list")]
+    out += [["chi", "--complex", s1, "--fn", "in/fn_terms_and_values.json"],
+            ["validate", "in/fn_s1_3.json"],
+            ["polar", "--complex", c("rp2_6"), "--dim", "0", "--random-plane",
+             "--out", "out/polar_no_coords.json"],
+            ["polar", "--complex", c("interval"), "--dim", "1", "--random-plane",
+             "--out", "out/polar_rank.json"],
+            ["polar", "--complex", s1, "--dim", "0", "--project", "in/basis_3d.json",
+             "--out", "out/polar_basis_3d.json"]]
+    out += [["polar", "--complex", s1, "--dim", "0", "--map", f"in/{m}.json",
+             "--out", f"out/polar_{m}.json"] for m in ("map_target0", "map_short_image")]
+    out.append(["push", "--domain", s1, "--codomain", s1, "--map", "in/vm_foreign_image.json",
+                "--fn", "in/fn_s1_3.json", "--out", "out/push_foreign_image.json"])
     return out
 
 
